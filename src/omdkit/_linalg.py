@@ -12,86 +12,39 @@ class ProjectionError(RuntimeError):
         self.residual = residual
 
 
-def conjugate_gradient(matvec, b, x0=None, tol=1e-10, maxiter=None):
-    """Solve the SPD system matvec(x) = b.
-
-    Returns (x, residual_norm, iterations). `tol` is an absolute bound on
-    the euclidean residual norm.
-    """
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if maxiter is None:
-        maxiter = 10 * len(b)
-    r = b - matvec(x)
-    p = r.copy()
-    rs = float(r @ r)
-    it = 0
-    while np.sqrt(rs) > tol and it < maxiter:
-        ap = matvec(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        step = rs / denom
-        x += step * p
-        r -= step * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    return x, float(np.sqrt(rs)), it
-
-
 class AffineSolver:
     """Projector onto {f : M f = b} for a fixed M and varying b.
 
-    Projection solves the normal equations (M M^T) lam = M p - b and returns
-    p - M^T lam. Two routes share the contract: `project` uses a cached dense
-    factorization, `project_cg` runs conjugate gradient with an iteration cap.
-    Both verify the sup-norm residual.
+    Projection solves the normal equations (M M^T) lam = M p - b with a
+    cached Cholesky factor (or, when M has redundant rows, the Gram
+    pseudo-inverse) and returns p - M^T lam, after verifying the sup-norm
+    residual.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.matrix = m
-        self.rows = m.shape[0]
-        self._gram = m @ m.T
+        gram = m @ m.T
         try:
-            self._chol = np.linalg.cholesky(self._gram)
+            self._chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             # redundant equality rows (e.g. a floating component); fall back
             self._chol = None
-            self._pinv = np.linalg.pinv(self._gram)
-
-    def _solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        if self._chol is not None:
-            y = np.linalg.solve(self._chol, rhs)
-            return np.linalg.solve(self._chol.T, y)
-        return self._pinv @ rhs
+            self._pinv = np.linalg.pinv(gram)
 
     def project(self, point: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         point = np.asarray(point, dtype=float)
-        lam = self._solve_gram(self.matrix @ point - np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        rhs = self.matrix @ point - b
+        if self._chol is not None:
+            lam = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
+        else:
+            lam = self._pinv @ rhs
         out = point - self.matrix.T @ lam
         resid = float(np.max(np.abs(self.matrix @ out - b)))
         if resid > tol:
             raise ProjectionError(
                 f"affine projection residual {resid:.3e} exceeds tolerance {tol:.3e}",
-                resid,
-            )
-        return out
-
-    def project_cg(self, point: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        rhs = self.matrix @ point - np.asarray(b, dtype=float)
-        lam, _, _ = conjugate_gradient(
-            lambda v: self._gram @ v, rhs, tol=tol * 1e-2, maxiter=10 * self.rows
-        )
-        out = point - self.matrix.T @ lam
-        resid = float(np.max(np.abs(self.matrix @ out - b)))
-        if resid > tol:
-            raise ProjectionError(
-                f"conjugate gradient stalled at residual {resid:.3e} "
-                f"(cap {10 * self.rows} iterations, tolerance {tol:.3e})",
                 resid,
             )
         return out

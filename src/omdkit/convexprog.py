@@ -28,15 +28,13 @@ FEAS_TOL = 1e-9
 
 
 def project_affine(point, equalities, tol: float = SLICE_TOL):
-    """Euclidean projection onto {M f = b} by conjugate gradient.
+    """Euclidean projection onto {M f = b} through AffineSolver.
 
-    Solves the normal equations of the correction iteratively; raises
-    ProjectionError with the achieved residual if the sup-norm residual
-    still exceeds tol at the iteration cap.
+    Raises ProjectionError with the achieved residual if the sup-norm
+    residual exceeds tol (an inconsistent system, for instance).
     """
     matrix, rhs = equalities
-    solver = AffineSolver(np.atleast_2d(np.asarray(matrix, dtype=float)))
-    return solver.project_cg(np.asarray(point, dtype=float), np.asarray(rhs, dtype=float), tol=tol)
+    return AffineSolver(matrix).project(point, rhs, tol=tol)
 
 
 def cp_step_sizes(B: float, d: float, H: float = 0.0) -> tuple[float, float]:
@@ -68,7 +66,8 @@ def cp_step_sizes(B: float, d: float, H: float = 0.0) -> tuple[float, float]:
     return eta, 1.0 / eta - H
 
 
-def _psi_optimum(B: float, d: float, H: float) -> float:
+def psi_optimum(B: float, d: float, H: float) -> float:
+    """Optimal regularized potential psi(eta) = B^2/eta + eta log d/(1 - eta H)."""
     eta, _ = cp_step_sizes(B, d, H)
     return B * B / eta + eta * math.log(d) / (1.0 - eta * H)
 
@@ -164,7 +163,7 @@ class CpReport:
 
 def auto_rounds(problem: SmoothCP, epsilon: float) -> int:
     """Smallest horizon exceeding psi*/epsilon (the guarantee threshold)."""
-    return int(math.floor(_psi_optimum(problem.radius, problem.d, problem.smoothness) / epsilon)) + 1
+    return int(math.floor(psi_optimum(problem.radius, problem.d, problem.smoothness) / epsilon)) + 1
 
 
 def solve_cp(
@@ -194,8 +193,6 @@ def solve_cp(
     eta, eta_prime = cp_step_sizes(problem.radius, problem.d, problem.smoothness)
 
     m_slice, b_slice = problem.slice_equalities(tgt)
-    if solver is None:
-        solver = AffineSolver(m_slice)
     var_map = MirrorMap.euclidean_affine(m_slice, b_slice, solver=solver)
     subspace = var_map.feasible
     con_map = MirrorMap.entropy_simplex(problem.d)
@@ -364,54 +361,46 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     d_edges = network.edge_count
-    if d_edges == 0 or not network.connects():
-        return FlowSolution(
-            flows=np.zeros(d_edges),
-            value=0.0,
-            max_violation=0.0,
-            conservation_residual=0.0,
-            stats={"solves": 0, "total_rounds": 0, "accepted_target": 0.0, "candidates": []},
-        )
-
-    problem = _flow_problem(network, 0.0)
-    m_slice, _ = problem.slice_equalities(0.0)
-    solver = AffineSolver(m_slice)  # one factorization serves every candidate
-    eps_c = epsilon / 2.0
-
-    lo, hi = 0.0, float(network.source_degree())
     best: np.ndarray | None = None
     best_target = 0.0
     candidates: list[dict] = []
     total_rounds = 0
-    while hi - lo > epsilon / 2.0:
-        mid = 0.5 * (lo + hi)
-        f_hat, report = solve_cp(problem, eps_c, solver=solver, target=mid)
-        total_rounds += report.rounds
-        candidates.append(
-            {
-                "target": mid,
-                "rounds": report.rounds,
-                "max_constraint": report.max_constraint,
-                "objective": report.objective_value,
-                "accepted": report.feasible,
-            }
-        )
-        if report.feasible:
-            lo, best, best_target = mid, f_hat, mid
-        else:
-            hi = mid
+    if d_edges > 0 and network.connects():
+        problem = _flow_problem(network, 0.0)
+        m_slice, _ = problem.slice_equalities(0.0)
+        solver = AffineSolver(m_slice)  # one factorization serves every candidate
+        eps_c = epsilon / 2.0
+        lo, hi = 0.0, float(network.source_degree())
+        while hi - lo > epsilon / 2.0:
+            mid = 0.5 * (lo + hi)
+            f_hat, report = solve_cp(problem, eps_c, solver=solver, target=mid)
+            total_rounds += report.rounds
+            candidates.append(
+                {
+                    "target": mid,
+                    "rounds": report.rounds,
+                    "max_constraint": report.max_constraint,
+                    "objective": report.objective_value,
+                    "accepted": report.feasible,
+                }
+            )
+            if report.feasible:
+                lo, best, best_target = mid, f_hat, mid
+            else:
+                hi = mid
+    stats = {
+        "solves": len(candidates),
+        "total_rounds": total_rounds,
+        "accepted_target": best_target,
+        "candidates": candidates,
+    }
     if best is None:
         return FlowSolution(
             flows=np.zeros(d_edges),
             value=0.0,
             max_violation=0.0,
             conservation_residual=0.0,
-            stats={
-                "solves": len(candidates),
-                "total_rounds": total_rounds,
-                "accepted_target": 0.0,
-                "candidates": candidates,
-            },
+            stats=stats,
         )
 
     interior = [w for w in range(network.nodes) if w not in (network.source, network.sink)]
@@ -425,12 +414,7 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
         value=checked["value"],
         max_violation=checked["max_violation"],
         conservation_residual=checked["conservation_residual"],
-        stats={
-            "solves": len(candidates),
-            "total_rounds": total_rounds,
-            "accepted_target": best_target,
-            "candidates": candidates,
-        },
+        stats=stats,
     )
 
 

@@ -85,9 +85,10 @@ class FullInfoPlayer:
     """One side of the full-information dynamics.
 
     Carries the mixed secondary iterate, the upcoming play, the last
-    observation, and the squared observation-difference history. The first
-    play is uniform; `initial_observation` is the observation the opponent's
-    prescribed uniform start would induce (it seeds the t = 1 difference).
+    observation, and running sums of the squared observation differences.
+    The first play is uniform; `initial_observation` is the observation the
+    opponent's prescribed uniform start would induce (it seeds the t = 1
+    difference).
     """
 
     def __init__(self, n: int, T: int, initial_observation, mixing: bool = True):
@@ -103,9 +104,8 @@ class FullInfoPlayer:
         self.last_observation = np.asarray(initial_observation, dtype=float)
         if self.last_observation.shape != (n,):
             raise ValueError("initial observation has the wrong dimension")
-        self.sq_diff_history: list[float] = []
-        self._s1 = 0.0  # sum of history
-        self._s2 = 0.0  # sum of history minus its last entry
+        self._s1 = 0.0  # sum of the squared differences so far
+        self._s2 = 0.0  # the same sum without its last entry
         self.round = 0
         self.last_record: GameRound | None = None
 
@@ -128,7 +128,6 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     eta_t = full_info_eta((player._s1, player._s2), player.n, player.T)
     player._s2 = player._s1
     player._s1 = player._s1 + increment
-    player.sq_diff_history.append(increment)
     eta_next = full_info_eta((player._s1, player._s2), player.n, player.T)
 
     played = player.play
@@ -156,8 +155,12 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     return next_play, player
 
 
-class _CertAccumulator:
-    """Running evaluation of the per-trajectory regret inequality."""
+class SideCertificate:
+    """One player's running per-vertex regret inequality.
+
+    Each `update` folds one GameRound in; the claim is max(lhs_per_vertex)
+    <= rhs, checkable after every round.
+    """
 
     def __init__(self, n: int, T: int):
         self.r_sq = math.log(n * T * T)
@@ -198,6 +201,9 @@ class _CertAccumulator:
             + 1.0
         )
 
+    def holds(self, tol: float = 1e-9) -> bool:
+        return self.lhs <= self.rhs + tol
+
 
 def full_info_regret_certificate(
     records: Sequence[GameRound], horizon: int
@@ -210,10 +216,10 @@ def full_info_regret_certificate(
     """
     if not records:
         raise ValueError("certificate needs at least one round")
-    acc = _CertAccumulator(records[0].play.size, horizon)
+    cert = SideCertificate(records[0].play.size, horizon)
     for rec in records:
-        acc.update(rec)
-    return acc.lhs_per_vertex.copy(), acc.rhs
+        cert.update(rec)
+    return cert.lhs_per_vertex, cert.rhs
 
 
 @dataclass
@@ -226,19 +232,6 @@ class TraceRow:
     cert_rhs_row: float
     cert_lhs_col: float
     cert_rhs_col: float
-
-
-@dataclass
-class SideCertificate:
-    lhs_per_vertex: np.ndarray
-    rhs: float
-
-    @property
-    def lhs(self) -> float:
-        return float(np.max(self.lhs_per_vertex))
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.lhs <= self.rhs + tol
 
 
 @dataclass
@@ -262,8 +255,8 @@ def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
     n, m = payoff.n, payoff.m
     row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
     col = FullInfoPlayer(m, T, -(np.full(n, 1.0 / n) @ a), mixing=mixing)
-    acc_row = _CertAccumulator(n, T)
-    acc_col = _CertAccumulator(m, T)
+    acc_row = SideCertificate(n, T)
+    acc_col = SideCertificate(m, T)
     f_sum = np.zeros(n)
     x_sum = np.zeros(m)
     fA_sum = np.zeros(m)
@@ -306,8 +299,8 @@ def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
         x_average=x_avg,
         gap=bilinear_gap(a, f_avg, x_avg),
         trace=trace,
-        row_certificate=SideCertificate(acc_row.lhs_per_vertex.copy(), acc_row.rhs),
-        col_certificate=SideCertificate(acc_col.lhs_per_vertex.copy(), acc_col.rhs),
+        row_certificate=acc_row,
+        col_certificate=acc_col,
         row_records=row_records,
         col_records=col_records,
     )
@@ -336,7 +329,7 @@ def run_full_info_vs(
     a = payoff.entries
     n, m = payoff.n, payoff.m
     row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
-    acc = _CertAccumulator(n, T)
+    cert = SideCertificate(n, T)
     records = []
     f_sum = np.zeros(n)
     f_prev = None
@@ -346,14 +339,14 @@ def run_full_info_vs(
             raise ValueError(f"opponent returned an invalid mixed strategy on round {t}")
         f = row.play.weights
         _, row = full_info_step(row, a @ x)
-        acc.update(row.last_record)
+        cert.update(row.last_record)
         records.append(row.last_record)
         f_sum += f
         f_prev = f
     return OpponentRun(
         records=records,
-        certificate=SideCertificate(acc.lhs_per_vertex.copy(), acc.rhs),
-        regret=acc.lhs,
+        certificate=cert,
+        regret=cert.lhs,
         obs_variation=sum(r.increment for r in records),
         f_average=f_sum / T,
     )
@@ -422,6 +415,19 @@ def simplex_floor_delta(n: int, T: int) -> float:
     return (beta / n) / float(np.abs(basis).max())
 
 
+def _estimator_tol(basis: np.ndarray, delta: float) -> float:
+    """Bound on the rounding in one side's estimator enumeration error.
+
+    The regrouped difference (base + d) - (base - d), with |base| <= 1 and
+    |d| <= delta sqrt(n), carries up to about 2^-53 (1 + delta sqrt(n)) of
+    rounding per endpoint; the estimate amplifies it by n / (2 delta) and
+    the enumeration averages the basis entries of each column over n - 1.
+    """
+    n = basis.shape[1]
+    col_l1 = float(np.max(np.abs(basis).sum(axis=0)))
+    return n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
+
+
 class _BanditSide:
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
         self.n = own_dim
@@ -435,7 +441,7 @@ class _BanditSide:
         self.rng = rng
         self.prev_index = int(rng.integers(own_dim - 1))
         self.last_bar = np.zeros(own_dim)
-        self.history: list[float] = []
+        self._h_last: float | None = None  # last squared estimate difference
         self._s1 = 0.0
         self._s2 = 0.0
         self.cap = bandit_cap(own_dim, opp_dim, T)
@@ -466,11 +472,10 @@ class _BanditSide:
         est_bar = bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
 
         eta_t = _bandit_eta_from_sums(
-            self._s1, self._s2, self.history[-1] if self.history else None,
-            self.n, self.opp, self.T,
+            self._s1, self._s2, self._h_last, self.n, self.opp, self.T
         )
         increment = float(np.max(np.abs(est_hat - self.last_bar))) ** 2
-        self.history.append(increment)
+        self._h_last = increment
         self._s2 = self._s1
         self._s1 = self._s1 + increment
         eta_next = _bandit_eta_from_sums(
@@ -524,6 +529,9 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
     row_rng, col_rng = rng.spawn(2)
     row = _BanditSide(n, m, T, delta, row_rng)
     col = _BanditSide(m, n, T, delta, col_rng)
+    # the guard on the estimator error; its 1e-9 floor is the short-horizon
+    # threshold, where delta is large enough that rounding stays far below it
+    estimator_tol = max(1e-9, _estimator_tol(row.basis, delta), _estimator_tol(col.basis, delta))
     f_sum = np.zeros(n)
     x_sum = np.zeros(m)
     fA_sum = np.zeros(m)
@@ -568,6 +576,7 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
             "delta": delta,
             "estimator_error_row": max_err_row,
             "estimator_error_col": max_err_col,
+            "estimator_tol": estimator_tol,
             "cap_row": row.cap,
             "cap_col": col.cap,
             "min_perturbed_play": min(row.min_perturbed, col.min_perturbed),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -21,12 +22,12 @@ import numpy as np
 from .convexprog import (
     FlowNetwork,
     builtin_cp_instances,
-    cp_step_sizes,
     max_flow,
+    psi_optimum,
     solve_cp,
 )
 from .games import PayoffMatrix, run_bandit_match, run_full_info_match
-from .mirror import bregman, point_weights
+from .mirror import RegretCertificate
 from .offline import builtin_problems, holder_optimize, mirror_prox
 from .saddle import bilinear_gap, bilinear_problem, saddle_solve
 
@@ -302,11 +303,15 @@ def _rounds_for(config: ExperimentConfig) -> int:
 def _run_game(config: ExperimentConfig):
     payoff = parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
     T = _rounds_for(config)
-    header = ["t", "eta_row", "eta_col", "gap", "cert_lhs_row", "cert_rhs_row", "cert_lhs_col", "cert_rhs_col"]
     if config.kind == "game":
         res = run_full_info_match(payoff, T, mixing=config.mixing)
+        header = ["t", "eta_row", "eta_col", "gap", "cert_lhs_row", "cert_rhs_row", "cert_lhs_col", "cert_rhs_col"]
+        columns = attrgetter(*header)
     else:
         res = run_bandit_match(payoff, T, delta=config.delta, seed=config.seed)
+        # the bandit certificate is the step discipline: each eta against its cap
+        header = ["t", "eta_row", "eta_col", "gap", "cap_row", "cap_col"]
+        columns = attrgetter("t", "eta_row", "eta_col", "gap", "cert_rhs_row", "cert_rhs_col")
     rows = []
     failures = 0
     for r in res.trace:
@@ -315,9 +320,7 @@ def _run_game(config: ExperimentConfig):
             and r.cert_lhs_col <= r.cert_rhs_col + CERT_TOL
         )
         failures += 0 if ok else 1
-        rows.append(
-            (r.t, r.eta_row, r.eta_col, r.gap, r.cert_lhs_row, r.cert_rhs_row, r.cert_lhs_col, r.cert_rhs_col)
-        )
+        rows.append(columns(r))
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
@@ -336,12 +339,14 @@ def _run_game(config: ExperimentConfig):
         # true projected payoffs on every round
         est_row = res.summary["estimator_error_row"]
         est_col = res.summary["estimator_error_col"]
+        est_tol = res.summary["estimator_tol"]
         summary.update(
             delta=res.summary["delta"],
             estimator_error_row=est_row,
             estimator_error_col=est_col,
+            estimator_tol=est_tol,
             min_perturbed_play=res.summary["min_perturbed_play"],
-            estimator_ok=bool(est_row <= 1e-9 and est_col <= 1e-9),
+            estimator_ok=bool(est_row <= est_tol and est_col <= est_tol),
         )
         run_ok = summary["estimator_ok"]
     return header, rows, summary, {}, run_ok
@@ -391,25 +396,16 @@ def _run_offline(config: ExperimentConfig):
     T = _rounds_for(config)
     res = mirror_prox(problem, T) if config.kind == "mirror-prox" else holder_optimize(problem, T)
 
-    m = problem.mirror_map
-    g_prev = point_weights(m.divergence_minimizer())
-    divergence = bregman(m, minimizer, g_prev) / res.eta
-    running = np.zeros(m.dim)
-    lhs = variance = negative = 0.0
+    cert = RegretCertificate(problem.mirror_map, res.eta, minimizer)
+    running = np.zeros(problem.mirror_map.dim)
     rows = []
     failures = 0
     for t, log in enumerate(res.rounds, start=1):
         running += log.played
-        lhs += float((log.played - minimizer) @ log.gradient)
-        variance += m.dual_norm(log.gradient - log.prediction) * m.norm(log.secondary - log.played)
-        negative += (
-            m.norm(log.secondary - log.played) ** 2 + m.norm(g_prev - log.played) ** 2
-        ) / (2.0 * res.eta)
-        g_prev = log.secondary
-        rhs = divergence + variance - negative
+        cert.update(log)
         subopt = problem.value(running / t) - optimum
-        failures += 0 if lhs <= rhs + CERT_TOL else 1
-        rows.append((t, res.eta, subopt, lhs, rhs))
+        failures += 0 if cert.holds(CERT_TOL) else 1
+        rows.append((t, res.eta, subopt, cert.lhs, cert.rhs))
     summary = {
         "instance": name,
         "rounds": T,
@@ -430,10 +426,8 @@ def _run_cvxprog(config: ExperimentConfig):
             f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
         )
     problem = instances[name]
-    eta, _ = cp_step_sizes(problem.radius, problem.d, problem.smoothness)
-    # optimal regularized potential: the per-round bound on max G of the
-    # running average is 1 + psi/t
-    psi = problem.radius**2 / eta + eta * math.log(problem.d) / (1.0 - eta * problem.smoothness)
+    # the per-round bound on max G of the running average is 1 + psi/t
+    psi = psi_optimum(problem.radius, problem.d, problem.smoothness)
 
     trace_acc: list[tuple[int, float]] = []
     f_run = np.zeros(problem.dim)
@@ -531,11 +525,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_fresh(path: Path, text: str) -> None:
+    # rewriting an existing file in place forces a flush when it is closed
+    # (ext4 does this); unlinking it first makes the write a new file
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_fresh(path, "\n".join(lines) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -561,13 +562,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.txt"
     _write_csv(trace_path, header, rows)
-    summary_path.write_text(
-        "\n".join(f"{key}={_format_cell(value)}" for key, value in full_summary.items()) + "\n"
+    _write_fresh(
+        summary_path,
+        "\n".join(f"{key}={_format_cell(value)}" for key, value in full_summary.items()) + "\n",
     )
     extra_paths = {}
     for filename, text in extras.items():
         extra_paths[filename] = out_dir / filename
-        extra_paths[filename].write_text(text)
+        _write_fresh(extra_paths[filename], text)
     return ExperimentResult(
         status=status,
         out_dir=out_dir,

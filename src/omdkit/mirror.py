@@ -3,9 +3,10 @@
 Implements the two supported mirror maps (negative entropy on the simplex,
 euclidean on simplex/ball/affine feasible sets), Bregman divergences, prox
 steps, the interleaved primary/secondary update, the adaptive step-size rule,
-and the fixed-step regret certificate evaluated on realized trajectories.
+and the running fixed-step regret certificate fed by realized trajectories.
 
-Every operation here is a pure function: state goes in, new state comes out.
+Every operation here except the certificate is a pure function: state goes
+in, new state comes out.
 """
 from __future__ import annotations
 
@@ -249,7 +250,7 @@ class OmdState:
 
 @dataclass
 class RoundLog:
-    """One round of a trajectory, as consumed by regret_certificate."""
+    """One round of a trajectory, as consumed by RegretCertificate."""
 
     played: np.ndarray
     secondary: np.ndarray
@@ -307,14 +308,43 @@ def adaptive_eta(sq_diff_history: Sequence[float], r_max: float) -> float:
     return r_max * min(1.0 / denom, 1.0)
 
 
-@dataclass
 class RegretCertificate:
-    """Per-trajectory bound: lhs <= divergence + variance - negative."""
+    """Running fixed-step regret inequality: lhs <= divergence + variance - negative.
 
-    lhs: float
-    divergence_term: float
-    variance_term: float
-    negative_term: float
+    lhs        = sum_t <f_t - comparator, gradient_t>
+    divergence = D(comparator, g_0) / eta
+    variance   = sum_t ||gradient_t - prediction_t||_* ||g_t - f_t||
+    negative   = sum_t (||g_t - f_t||^2 + ||g_{t-1} - f_t||^2) / (2 eta)
+
+    g_0 is the divergence minimizer of the map. Each `update` folds one round
+    of the trajectory into the sums, so the inequality can be checked after
+    every round; it holds for every comparator in the feasible set, for any
+    positive fixed eta.
+    """
+
+    def __init__(self, mirror_map: MirrorMap, eta: float, comparator):
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        self.mirror_map = mirror_map
+        self.eta = eta
+        self.comparator = point_weights(comparator)
+        g0 = mirror_map.divergence_minimizer()
+        self._g_prev = point_weights(g0)
+        self.lhs = 0.0
+        self.divergence_term = bregman(mirror_map, self.comparator, g0) / eta
+        self.variance_term = 0.0
+        self.negative_term = 0.0
+
+    def update(self, log: RoundLog) -> None:
+        m = self.mirror_map
+        f = point_weights(log.played)
+        g = point_weights(log.secondary)
+        grad = np.asarray(log.gradient, dtype=float)
+        pred = np.asarray(log.prediction, dtype=float)
+        self.lhs += float((f - self.comparator) @ grad)
+        self.variance_term += m.dual_norm(grad - pred) * m.norm(g - f)
+        self.negative_term += (m.norm(g - f) ** 2 + m.norm(self._g_prev - f) ** 2) / (2.0 * self.eta)
+        self._g_prev = g
 
     @property
     def rhs(self) -> float:
@@ -330,37 +360,8 @@ def regret_certificate(
     eta: float,
     comparator,
 ) -> RegretCertificate:
-    """Evaluate the fixed-step regret inequality on a realized trajectory.
-
-    lhs       = sum_t <f_t - comparator, gradient_t>
-    divergence = D(comparator, g_0) / eta
-    variance  = sum_t ||gradient_t - prediction_t||_* ||g_t - f_t||
-    negative  = (1/2 eta) sum_t (||g_t - f_t||^2 + ||g_{t-1} - f_t||^2)
-
-    g_0 is the divergence minimizer of the map. The inequality
-    lhs <= divergence + variance - negative holds for every comparator in
-    the feasible set, for any positive fixed eta.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    comp = point_weights(comparator)
-    g_prev = point_weights(mirror_map.divergence_minimizer())
-    lhs = 0.0
-    variance = 0.0
-    negative = 0.0
+    """Fold a realized trajectory through a RegretCertificate."""
+    cert = RegretCertificate(mirror_map, eta, comparator)
     for log in trajectory:
-        f = point_weights(log.played)
-        g = point_weights(log.secondary)
-        grad = np.asarray(log.gradient, dtype=float)
-        pred = np.asarray(log.prediction, dtype=float)
-        lhs += float((f - comp) @ grad)
-        variance += mirror_map.dual_norm(grad - pred) * mirror_map.norm(g - f)
-        negative += mirror_map.norm(g - f) ** 2 + mirror_map.norm(g_prev - f) ** 2
-        g_prev = g
-    divergence = bregman(mirror_map, comp, mirror_map.divergence_minimizer()) / eta
-    return RegretCertificate(
-        lhs=lhs,
-        divergence_term=divergence,
-        variance_term=variance,
-        negative_term=negative / (2.0 * eta),
-    )
+        cert.update(log)
+    return cert

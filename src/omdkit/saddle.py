@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mirror import MirrorMap, OmdState, omd_round, point_weights, prox_step
+from .mirror import MirrorMap, point_weights, prox_step
 
 
 @dataclass
@@ -126,24 +126,25 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
-    state_f = OmdState.initial(mf)
-    state_x = OmdState.initial(mx)
+    sec_f = mf.divergence_minimizer()
+    sec_x = mx.divergence_minimizer()
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
     trace = []
     var_f = var_x = neg_cross = 0.0
-    g_prev_f = point_weights(state_f.secondary)
-    g_prev_x = point_weights(state_x.secondary)
+    g_prev_f = point_weights(sec_f)
+    g_prev_x = point_weights(sec_x)
     for t in range(1, T + 1):
         pred_f = np.asarray(problem.grad_f(g_prev_f, g_prev_x), dtype=float)
         pred_x = -np.asarray(problem.grad_x(g_prev_f, g_prev_x), dtype=float)
-        # both plays must exist before either gradient is taken
-        f_t = point_weights(prox_step(mf, state_f.secondary, pred_f, eta))
-        x_t = point_weights(prox_step(mx, state_x.secondary, pred_x, eta))
+        # both plays must exist before either gradient is taken, so each
+        # side's interleaved update is split into its play and correct proxes
+        f_t = point_weights(prox_step(mf, sec_f, pred_f, eta))
+        x_t = point_weights(prox_step(mx, sec_x, pred_x, eta))
         grad_f_t = np.asarray(problem.grad_f(f_t, x_t), dtype=float)
         grad_x_t = -np.asarray(problem.grad_x(f_t, x_t), dtype=float)
-        _, state_f = omd_round(state_f, mf, pred_f, lambda _f, g=grad_f_t: g, eta)
-        _, state_x = omd_round(state_x, mx, pred_x, lambda _x, g=grad_x_t: g, eta)
+        sec_f = prox_step(mf, sec_f, grad_f_t, eta)
+        sec_x = prox_step(mx, sec_x, grad_x_t, eta)
         var_f += eta / 2.0 * mf.dual_norm(grad_f_t - pred_f) ** 2
         var_x += eta / 2.0 * mx.dual_norm(grad_x_t - pred_x) ** 2
         neg_cross += mf.norm(g_prev_f - f_t) ** 2 + mx.norm(g_prev_x - x_t) ** 2
@@ -158,8 +159,8 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             - neg_cross / (2.0 * eta)
         ) / t
         trace.append(SaddleRound(t=t, f=f_t, x=x_t, value=value, eta=eta, bound=running))
-        g_prev_f = point_weights(state_f.secondary)
-        g_prev_x = point_weights(state_x.secondary)
+        g_prev_f = point_weights(sec_f)
+        g_prev_x = point_weights(sec_x)
     f_avg = f_total / T
     x_avg = x_total / T
     cert = trace[-1].bound

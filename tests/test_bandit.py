@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from omdkit.games import (
+    _BanditSide,
+    _estimator_tol,
     bandit_cap,
     bandit_estimate,
     bandit_eta,
@@ -135,3 +137,17 @@ def test_bandit_rejects_degenerate_inputs():
         run_bandit_match(np.array([[1.0], [0.0]]), T=10)
     with pytest.raises(ValueError):
         run_bandit_match(PENNIES, T=1)
+
+
+def test_estimator_guard_trips_on_a_scaled_basis_row():
+    # the long-horizon tolerance still catches a basis that is off by 0.1%
+    n, T = 20, 10000
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    side = _BanditSide(n, n, T, delta, np.random.default_rng(0))
+    tol = max(1e-9, _estimator_tol(side.basis, delta))
+    w = np.random.default_rng(1).uniform(-1, 1, size=n)
+    _, err = side.step(w)
+    assert err <= tol
+    side.basis[5] *= 1.001
+    _, err = side.step(w)
+    assert err > tol

@@ -6,6 +6,7 @@ import pytest
 
 from omdkit import cli
 from omdkit import harness
+from omdkit.games import bandit_cap
 from omdkit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -262,6 +263,53 @@ def test_certificate_failure_sets_status_one(tmp_path, monkeypatch):
     )
     assert result.status == 1
     assert "status=1" in result.summary_path.read_text()
+
+
+def test_long_bandit_match_passes_estimator_guard(tmp_path):
+    # at T=10000 the estimator's rounding alone exceeds 1e-9; the tolerance
+    # derived from delta and the basis must still accept the run
+    a = np.random.default_rng(20).uniform(-1, 1, size=(20, 20))
+    text = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
+    config = ExperimentConfig(
+        kind="game-bandit",
+        matrix=_matrix_file(tmp_path, text),
+        rounds=10000,
+        seed=0,
+        out=str(tmp_path / "run"),
+    )
+    result = run_experiment(config)
+    assert result.summary["estimator_ok"] is True
+    assert result.status == 0
+    assert result.summary["estimator_error_row"] > 1e-9
+    tol = result.summary["estimator_tol"]
+    assert f"estimator_tol={tol!r}" in result.summary_path.read_text().splitlines()
+
+
+def test_bandit_trace_columns(tmp_path):
+    config = ExperimentConfig(
+        kind="game-bandit", matrix=_matrix_file(tmp_path), rounds=12, out=str(tmp_path / "run")
+    )
+    result = run_experiment(config)
+    lines = result.trace_path.read_text().splitlines()
+    assert lines[0] == "t,eta_row,eta_col,gap,cap_row,cap_col"
+    cap = bandit_cap(2, 2, 12)
+    for row in result.trace_rows:
+        assert row[4] == row[5] == cap
+        assert row[1] <= cap and row[2] <= cap
+
+
+def test_rerun_into_same_out_keeps_only_new_output(tmp_path):
+    matrix = _matrix_file(tmp_path)
+    out = str(tmp_path / "run")
+    run_experiment(ExperimentConfig(kind="game", matrix=matrix, rounds=30, out=out))
+    second = run_experiment(ExperimentConfig(kind="game", matrix=matrix, rounds=10, out=out))
+    fresh = run_experiment(
+        ExperimentConfig(kind="game", matrix=matrix, rounds=10, out=str(tmp_path / "fresh"))
+    )
+    assert len(second.trace_path.read_text().splitlines()) == 11
+    assert second.trace_path.read_bytes() == fresh.trace_path.read_bytes()
+    keys = [line.split("=")[0] for line in second.summary_path.read_text().splitlines()]
+    assert keys == list(fresh.summary)
 
 
 # ---------------------------------------------------------------- cli

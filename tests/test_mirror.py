@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omdkit.mirror import (
     Ball,
     MirrorMap,
     OmdState,
+    RegretCertificate,
     RoundLog,
     SimplexPoint,
     adaptive_eta,
@@ -276,6 +280,35 @@ def test_certificate_exact_predictions_drop_variance():
     cert = regret_certificate(logs, m, 0.5, [0.0, 0.0, 1.0])
     assert cert.variance_term == 0.0
     assert cert.lhs <= cert.divergence_term - cert.negative_term + 1e-9
+
+
+@st.composite
+def _certificate_case(draw):
+    """A map, a loss stream, a step size and a feasible comparator."""
+    n = draw(st.integers(2, 6))
+    rounds = draw(st.integers(1, 25))
+    losses = draw(arrays(float, (rounds, n), elements=st.floats(-5.0, 5.0)))
+    eta = draw(st.floats(0.01, 10.0))
+    if draw(st.booleans()):
+        m = MirrorMap.entropy_simplex(n)
+        weights = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+        weights[draw(st.integers(0, n - 1))] += 1.0
+        comp = weights / weights.sum()
+    else:
+        m = MirrorMap.euclidean_ball(n, radius=2.0)
+        v = draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+        comp = v / max(1.0, np.linalg.norm(v) / 2.0)
+    return m, losses, eta, comp
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_certificate_case())
+def test_certificate_holds_after_every_round(case):
+    m, losses, eta, comp = case
+    cert = RegretCertificate(m, eta, comp)
+    for log in _run_optimistic(m, losses, eta):
+        cert.update(log)
+        assert cert.holds(), (cert.lhs, cert.rhs)
 
 
 # ---------------------------------------------------------------- simplex point

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from omdkit import saddle
 from omdkit.mirror import MirrorMap
 from omdkit.saddle import (
     SaddleProblem,
@@ -146,3 +147,19 @@ def test_general_payoff_reports_certificate_bound():
 def test_saddle_solve_rejects_short_horizon():
     with pytest.raises(ValueError):
         saddle_solve(bilinear_problem(PENNIES), 1)
+
+
+def test_saddle_computes_each_play_once(monkeypatch):
+    # one play prox and one correction prox per side per round
+    calls = []
+    real = saddle.prox_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "prox_step", counting)
+    T = 30
+    a = np.random.default_rng(7).uniform(-1, 1, size=(4, 3))
+    saddle_solve(bilinear_problem(a), T)
+    assert len(calls) == 2 * 2 * T
