@@ -15,34 +15,23 @@ class ProjectionError(RuntimeError):
 class AffineSolver:
     """Projector onto {f : M f = b} for a fixed M and varying b.
 
-    Projection solves the normal equations (M M^T) lam = M p - b with a
-    cached Cholesky factor (or, when M has redundant rows, the Gram
-    pseudo-inverse) and returns p - M^T lam, after verifying the sup-norm
-    residual.
+    The pseudo-inverse M^+ is computed once. Projection returns
+    p - M^+ (M p - b) after verifying its sup-norm residual; the one formula
+    serves full-rank M and M with redundant rows alike.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.matrix = m
-        gram = m @ m.T
-        try:
-            self._chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            # redundant equality rows (e.g. a floating component); fall back
-            self._chol = None
-            self._pinv = np.linalg.pinv(gram)
+        self._pinv = np.linalg.pinv(m)
 
     def project(self, point: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         b = np.asarray(b, dtype=float)
-        rhs = self.matrix @ point - b
-        if self._chol is not None:
-            lam = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
-        else:
-            lam = self._pinv @ rhs
-        out = point - self.matrix.T @ lam
+        out = point - self._pinv @ (self.matrix @ point - b)
         resid = float(np.max(np.abs(self.matrix @ out - b)))
-        if resid > tol:
+        # written so that a NaN residual fails the check too
+        if not resid <= tol:
             raise ProjectionError(
                 f"affine projection residual {resid:.3e} exceeds tolerance {tol:.3e}",
                 resid,

@@ -368,7 +368,7 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
     if d_edges > 0 and network.connects():
         problem = _flow_problem(network, 0.0)
         m_slice, _ = problem.slice_equalities(0.0)
-        solver = AffineSolver(m_slice)  # one factorization serves every candidate
+        solver = AffineSolver(m_slice)  # one pseudo-inverse serves every candidate
         eps_c = epsilon / 2.0
         lo, hi = 0.0, float(network.source_degree())
         while hi - lo > epsilon / 2.0:

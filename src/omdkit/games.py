@@ -268,12 +268,13 @@ def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
         f = row.play.weights
         x = col.play.weights
         obs_row = a @ x
-        obs_col = -(f @ a)
+        fa = f @ a
+        obs_col = -fa
         _, row = full_info_step(row, obs_row)
         _, col = full_info_step(col, obs_col)
         f_sum += f
         x_sum += x
-        fA_sum += f @ a
+        fA_sum += fa
         Ax_sum += obs_row
         acc_row.update(row.last_record)
         acc_col.update(col.last_record)
@@ -409,10 +410,15 @@ def bandit_eta(history: Sequence[float], own_dim: int, opp_dim: int, T: int) -> 
 
 
 def simplex_floor_delta(n: int, T: int) -> float:
-    """Largest perturbation the mixing floor tolerates: (beta/n) / max_k ||u_k||_inf."""
-    basis = tangent_basis(n)
+    """Largest perturbation the mixing floor tolerates: (beta/n) / max_k ||u_k||_inf.
+
+    The tangent basis's largest entry is the last row's -(n-1)/sqrt((n-1) n),
+    so the basis itself is not built.
+    """
+    if n < 2:
+        raise ValueError("tangent basis needs n >= 2")
     beta = 1.0 / (T * T)
-    return (beta / n) / float(np.abs(basis).max())
+    return (beta / n) / ((n - 1) / math.sqrt((n - 1) * n))
 
 
 def _estimator_tol(basis: np.ndarray, delta: float) -> float:
@@ -543,14 +549,15 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
         f = row.play.weights
         x = col.play.weights
         w_row = a @ x
-        w_col = -(f @ a)
+        fa = f @ a
+        w_col = -fa
         eta_row, err_row = row.step(w_row)
         eta_col, err_col = col.step(w_col)
         max_err_row = max(max_err_row, err_row)
         max_err_col = max(max_err_col, err_col)
         f_sum += f
         x_sum += x
-        fA_sum += f @ a
+        fA_sum += fa
         Ax_sum += w_row
         gap_t = float(np.max(fA_sum) - np.min(Ax_sum)) / t
         trace.append(

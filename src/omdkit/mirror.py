@@ -5,8 +5,9 @@ euclidean on simplex/ball/affine feasible sets), Bregman divergences, prox
 steps, the interleaved primary/secondary update, the adaptive step-size rule,
 and the running fixed-step regret certificate fed by realized trajectories.
 
-Every operation here except the certificate is a pure function: state goes
-in, new state comes out.
+Every operation here except omd_round and the certificate is a pure
+function. omd_round advances the OmdState it is given in place and returns
+it, so a round costs the same at any horizon.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ class Ball:
 
 
 class AffineSubspace:
-    """Feasible set {f : M f = b}; the projector factorization is cached."""
+    """Feasible set {f : M f = b}; its projector computes M's pseudo-inverse once."""
 
     def __init__(self, matrix, rhs, solver: AffineSolver | None = None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -99,10 +100,6 @@ class AffineSubspace:
             raise ValueError("equality matrix and rhs disagree on row count")
         self.dim = self.matrix.shape[1]
         self._solver = solver if solver is not None else AffineSolver(self.matrix)
-
-    @property
-    def solver(self) -> AffineSolver:
-        return self._solver
 
     def project(self, point: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         return self._solver.project(point, self.rhs, tol=tol)
@@ -270,23 +267,21 @@ def omd_round(
     f_t  = prox(secondary, prediction, eta)
     g_t  = prox(secondary, gradient(f_t), eta)
 
-    Returns (f_t, new state). The state gains the squared dual-norm gap
-    ||gradient - prediction||_*^2 in its history and eta in its sequence.
+    Returns (f_t, state): the given state, advanced in place. It gains the
+    squared dual-norm gap ||gradient - prediction||_*^2 in its history and
+    eta in its sequence.
     """
     prediction = _as_vector(prediction, mirror_map.dim)
     f_t = prox_step(mirror_map, state.secondary, prediction, eta)
     grad = _as_vector(gradient_oracle(point_weights(f_t)), mirror_map.dim)
     g_t = prox_step(mirror_map, state.secondary, grad, eta)
     gap = mirror_map.dual_norm(grad - prediction)
-    new_state = OmdState(
-        primary=f_t,
-        secondary=g_t,
-        round=state.round + 1,
-        sq_diff_history=state.sq_diff_history + [gap * gap],
-        r_max=state.r_max,
-        eta_sequence=state.eta_sequence + [float(eta)],
-    )
-    return f_t, new_state
+    state.primary = f_t
+    state.secondary = g_t
+    state.round += 1
+    state.sq_diff_history.append(gap * gap)
+    state.eta_sequence.append(float(eta))
+    return f_t, state
 
 
 def adaptive_eta(sq_diff_history: Sequence[float], r_max: float) -> float:

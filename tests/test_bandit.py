@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import omdkit.games
 from omdkit.games import (
     _BanditSide,
     _estimator_tol,
@@ -151,3 +152,25 @@ def test_estimator_guard_trips_on_a_scaled_basis_row():
     side.basis[5] *= 1.001
     _, err = side.step(w)
     assert err > tol
+
+
+def test_floor_delta_matches_the_dense_basis():
+    T = 300
+    for n in range(2, 301):
+        dense = (1.0 / (T * T) / n) / float(np.abs(tangent_basis(n)).max())
+        assert simplex_floor_delta(n, T) == dense
+    with pytest.raises(ValueError):
+        simplex_floor_delta(1, T)
+
+
+def test_bandit_match_builds_one_basis_per_side(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return tangent_basis(n)
+
+    monkeypatch.setattr(omdkit.games, "tangent_basis", counted)
+    a = np.random.default_rng(4).uniform(-1, 1, size=(6, 5))
+    run_bandit_match(a, T=20, seed=0)
+    assert sorted(calls) == [5, 6]

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omdkit._linalg import ProjectionError
+from omdkit._linalg import AffineSolver, ProjectionError
 from omdkit.convexprog import (
     FlowNetwork,
     SmoothCP,
@@ -73,6 +75,53 @@ def test_project_affine_reports_infeasible():
     with pytest.raises(ProjectionError) as err:
         project_affine(np.array([0.3]), eq)
     assert err.value.residual > 0.1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_project_affine_rejects_non_finite_output(bad):
+    eq = (np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(ProjectionError):
+        project_affine(np.array([bad, 0.0]), eq)
+
+
+# entries on a 1/8 grid keep every drawn system well conditioned, and the
+# redundant rows below are then exact in floating point
+GRID = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+@st.composite
+def consistent_slices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 12))
+    m = np.array(draw(st.lists(GRID, min_size=rows * cols, max_size=rows * cols)))
+    m = m.reshape(rows, cols)
+    extra = draw(st.sampled_from(["none", "duplicate", "combined", "zero"]))
+    i = draw(st.integers(0, rows - 1))
+    j = draw(st.integers(0, rows - 1))
+    if extra == "duplicate":
+        m = np.vstack([m, m[i]])
+    elif extra == "combined":
+        m = np.vstack([m, draw(GRID) * m[i] + draw(GRID) * m[j]])
+    elif extra == "zero":
+        m = np.vstack([m, np.zeros(cols)])
+    q = np.array(draw(st.lists(st.floats(-1, 1), min_size=cols, max_size=cols)))
+    p = np.array(draw(st.lists(st.floats(-10, 10), min_size=cols, max_size=cols)))
+    return m, q, p
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(consistent_slices())
+def test_affine_solver_residual_contract(case):
+    m, q, p = case
+    solver = AffineSolver(m)
+    b = m @ q
+    out = solver.project(p, b)
+    assert np.max(np.abs(m @ out - b)) <= 1e-8
+    np.testing.assert_allclose(solver.project(out, b), out, rtol=0, atol=1e-9)
+    assert np.linalg.norm(p - out) <= np.linalg.norm(p - q) + 1e-9
+    inconsistent = AffineSolver(np.vstack([m, np.zeros(m.shape[1])]))
+    with pytest.raises(ProjectionError):
+        inconsistent.project(p, np.append(b, 1.0))
 
 
 def test_smooth_cp_validation():
@@ -222,3 +271,14 @@ def test_max_flow_deterministic():
     assert np.array_equal(s1.flows, s2.flows)
     with pytest.raises(ValueError):
         max_flow(net, 1.5)
+
+
+def test_max_flow_with_redundant_conservation_rows():
+    # node 2 is isolated and nodes 4-5 float apart from the source and sink,
+    # so the conservation rows of the slice are linearly dependent
+    net = FlowNetwork(6, ((0, 1), (1, 3), (0, 3), (4, 5), (1, 0)), 0, 3)
+    eps = 0.1
+    sol = max_flow(net, eps)
+    assert sol.value >= (1 - eps) * 2.0
+    assert sol.max_violation <= 1e-7
+    assert sol.conservation_residual <= 1e-7

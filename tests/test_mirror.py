@@ -183,6 +183,20 @@ def test_state_history_length_tracks_round():
         assert len(state.eta_sequence) == t + 1
 
 
+def test_omd_round_advances_its_state_in_place():
+    # appending to one history keeps the cost of a round flat in T
+    m = MirrorMap.euclidean_ball(3)
+    state = OmdState.initial(m)
+    history = state.sq_diff_history
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        loss = rng.uniform(-1, 1, size=3)
+        _, returned = omd_round(state, m, np.zeros(3), lambda f, l=loss: l, 0.5)
+        assert returned is state
+    assert state.sq_diff_history is history
+    assert state.round == len(history) == 100
+
+
 # ---------------------------------------------------------------- adaptive_eta
 
 def test_adaptive_eta_frozen_values():
