@@ -16,20 +16,22 @@ class AffineSolver:
     """Projector onto {f : M f = b} for a fixed M and varying b.
 
     The pseudo-inverse M^+ is computed once. Projection returns
-    p - M^+ (M p - b) after verifying its sup-norm residual; the one formula
-    serves full-rank M and M with redundant rows alike.
+    p - M^+ (M p - b) after verifying its sup-norm residual, which it keeps
+    as `residual`; the one formula serves full-rank M and M with redundant
+    rows alike.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.matrix = m
         self._pinv = np.linalg.pinv(m)
+        self.residual: float | None = None  # of the last projection
 
     def project(self, point: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         b = np.asarray(b, dtype=float)
         out = point - self._pinv @ (self.matrix @ point - b)
-        resid = float(np.max(np.abs(self.matrix @ out - b)))
+        resid = self.residual = float(np.max(np.abs(self.matrix @ out - b)))
         # written so that a NaN residual fails the check too
         if not resid <= tol:
             raise ProjectionError(

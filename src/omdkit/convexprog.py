@@ -193,6 +193,8 @@ def solve_cp(
     eta, eta_prime = cp_step_sizes(problem.radius, problem.d, problem.smoothness)
 
     m_slice, b_slice = problem.slice_equalities(tgt)
+    if solver is None:
+        solver = AffineSolver(m_slice)
     var_map = MirrorMap.euclidean_affine(m_slice, b_slice, solver=solver)
     subspace = var_map.feasible
     con_map = MirrorMap.entropy_simplex(problem.d)
@@ -201,10 +203,11 @@ def solve_cp(
     y = SimplexPoint.uniform(problem.d)
     vals_g = np.asarray(problem.values(g_f), dtype=float)
     f_sum = np.zeros(problem.dim)
-    max_resid = float(np.max(np.abs(m_slice @ g_f - b_slice)))
+    max_resid = solver.residual  # the start point's, checked by its projection
     for t in range(1, T + 1):
         pred_f = problem.jacobian(y.weights, g_f)
         f_t = subspace.project(g_f - eta * pred_f)
+        max_resid = max(max_resid, solver.residual)
         x_t = prox_step(con_map, y, -vals_g, eta_prime)
 
         vals_f = np.asarray(problem.values(f_t), dtype=float)
@@ -214,7 +217,6 @@ def solve_cp(
         vals_g = np.asarray(problem.values(g_f), dtype=float)
 
         f_sum += f_t
-        max_resid = max(max_resid, float(np.max(np.abs(m_slice @ f_t - b_slice))))
         if on_round is not None:
             on_round(t, f_t)
 

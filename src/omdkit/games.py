@@ -242,69 +242,68 @@ class MatchResult:
     trace: list[TraceRow]
     row_certificate: SideCertificate | None = None
     col_certificate: SideCertificate | None = None
+    # neither match kind keeps per-round records; these stay empty
     row_records: list = field(default_factory=list)
     col_records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
 
-def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
-    """Self-play for T rounds; both sides start uniform and observe exactly
-    the payoff vector their opponent's play induces."""
-    payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
-    a = payoff.entries
-    n, m = payoff.n, payoff.m
-    row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
-    col = FullInfoPlayer(m, T, -(np.full(n, 1.0 / n) @ a), mixing=mixing)
-    acc_row = SideCertificate(n, T)
-    acc_col = SideCertificate(m, T)
+def _self_play(a: np.ndarray, T: int, row, col, step) -> MatchResult:
+    """The self-play round both match kinds share.
+
+    Each round reads both plays (`side.play`), hands each side the payoff
+    vector its opponent's play induces, and keeps only running state: the
+    play and payoff sums behind the running gap, and one TraceRow.
+    step(side, w) advances a side on its loss direction w and returns that
+    side's trace entries (eta, lhs, rhs).
+    """
+    n, m = a.shape
     f_sum = np.zeros(n)
     x_sum = np.zeros(m)
     fA_sum = np.zeros(m)
     Ax_sum = np.zeros(n)
     trace: list[TraceRow] = []
-    row_records: list[GameRound] = []
-    col_records: list[GameRound] = []
     for t in range(1, T + 1):
         f = row.play.weights
         x = col.play.weights
-        obs_row = a @ x
-        fa = f @ a
-        obs_col = -fa
-        _, row = full_info_step(row, obs_row)
-        _, col = full_info_step(col, obs_col)
+        Ax = a @ x
+        fA = f @ a
+        eta_row, lhs_row, rhs_row = step(row, Ax)
+        eta_col, lhs_col, rhs_col = step(col, -fA)
         f_sum += f
         x_sum += x
-        fA_sum += fa
-        Ax_sum += obs_row
-        acc_row.update(row.last_record)
-        acc_col.update(col.last_record)
-        row_records.append(row.last_record)
-        col_records.append(col.last_record)
+        fA_sum += fA
+        Ax_sum += Ax
         gap_t = float(np.max(fA_sum) - np.min(Ax_sum)) / t
-        trace.append(
-            TraceRow(
-                t=t,
-                eta_row=row.last_record.eta,
-                eta_col=col.last_record.eta,
-                gap=gap_t,
-                cert_lhs_row=acc_row.lhs,
-                cert_rhs_row=acc_row.rhs,
-                cert_lhs_col=acc_col.lhs,
-                cert_rhs_col=acc_col.rhs,
-            )
-        )
+        trace.append(TraceRow(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col))
     f_avg = f_sum / T
     x_avg = x_sum / T
     return MatchResult(
-        f_average=f_avg,
-        x_average=x_avg,
-        gap=bilinear_gap(a, f_avg, x_avg),
-        trace=trace,
-        row_certificate=acc_row,
-        col_certificate=acc_col,
-        row_records=row_records,
-        col_records=col_records,
+        f_average=f_avg, x_average=x_avg, gap=bilinear_gap(a, f_avg, x_avg), trace=trace
     )
+
+
+def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
+    """Self-play for T rounds; both sides start uniform and observe exactly
+    the payoff vector their opponent's play induces. Each side's certificate
+    consumes the round's GameRound as it is made; no records are kept."""
+    payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
+    a = payoff.entries
+    n, m = payoff.n, payoff.m
+    row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
+    col = FullInfoPlayer(m, T, -(np.full(n, 1.0 / n) @ a), mixing=mixing)
+    certificates = {row: SideCertificate(n, T), col: SideCertificate(m, T)}
+
+    def step(player: FullInfoPlayer, observation: np.ndarray) -> tuple[float, float, float]:
+        full_info_step(player, observation)
+        cert = certificates[player]
+        cert.update(player.last_record)
+        return player.last_record.eta, cert.lhs, cert.rhs
+
+    result = _self_play(a, T, row, col, step)
+    result.row_certificate = certificates[row]
+    result.col_certificate = certificates[col]
+    return result
 
 
 @dataclass
@@ -452,13 +451,15 @@ class _BanditSide:
         self._s2 = 0.0
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self.min_perturbed = math.inf
+        self.max_error = 0.0  # largest estimator enumeration error so far
 
     def step(self, payoff_vector: np.ndarray) -> tuple[float, float]:
         """One round given this side's loss direction w (own loss = play @ w).
 
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
-        Returns (eta_t, estimator enumeration error).
+        Returns (eta_t, estimator enumeration error); `max_error` keeps the
+        largest error so far.
         """
         f = self.play.weights
         base = float(f @ payoff_vector)
@@ -503,6 +504,7 @@ class _BanditSide:
         )
         target = (self.n / (self.n - 1.0)) * (payoff_vector - payoff_vector.mean())
         err = float(np.max(np.abs(ests.sum(axis=0) / (self.n - 1.0) - target)))
+        self.max_error = max(self.max_error, err)
         return eta_t, err
 
 
@@ -538,54 +540,19 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
     # the guard on the estimator error; its 1e-9 floor is the short-horizon
     # threshold, where delta is large enough that rounding stays far below it
     estimator_tol = max(1e-9, _estimator_tol(row.basis, delta), _estimator_tol(col.basis, delta))
-    f_sum = np.zeros(n)
-    x_sum = np.zeros(m)
-    fA_sum = np.zeros(m)
-    Ax_sum = np.zeros(n)
-    trace: list[TraceRow] = []
-    max_err_row = 0.0
-    max_err_col = 0.0
-    for t in range(1, T + 1):
-        f = row.play.weights
-        x = col.play.weights
-        w_row = a @ x
-        fa = f @ a
-        w_col = -fa
-        eta_row, err_row = row.step(w_row)
-        eta_col, err_col = col.step(w_col)
-        max_err_row = max(max_err_row, err_row)
-        max_err_col = max(max_err_col, err_col)
-        f_sum += f
-        x_sum += x
-        fA_sum += fa
-        Ax_sum += w_row
-        gap_t = float(np.max(fA_sum) - np.min(Ax_sum)) / t
-        trace.append(
-            TraceRow(
-                t=t,
-                eta_row=eta_row,
-                eta_col=eta_col,
-                gap=gap_t,
-                cert_lhs_row=eta_row,
-                cert_rhs_row=row.cap,
-                cert_lhs_col=eta_col,
-                cert_rhs_col=col.cap,
-            )
-        )
-    f_avg = f_sum / T
-    x_avg = x_sum / T
-    return MatchResult(
-        f_average=f_avg,
-        x_average=x_avg,
-        gap=bilinear_gap(a, f_avg, x_avg),
-        trace=trace,
-        summary={
-            "delta": delta,
-            "estimator_error_row": max_err_row,
-            "estimator_error_col": max_err_col,
-            "estimator_tol": estimator_tol,
-            "cap_row": row.cap,
-            "cap_col": col.cap,
-            "min_perturbed_play": min(row.min_perturbed, col.min_perturbed),
-        },
-    )
+
+    def step(side: _BanditSide, w: np.ndarray) -> tuple[float, float, float]:
+        eta, _ = side.step(w)
+        return eta, eta, side.cap
+
+    result = _self_play(a, T, row, col, step)
+    result.summary = {
+        "delta": delta,
+        "estimator_error_row": row.max_error,
+        "estimator_error_col": col.max_error,
+        "estimator_tol": estimator_tol,
+        "cap_row": row.cap,
+        "cap_col": col.cap,
+        "min_perturbed_play": min(row.min_perturbed, col.min_perturbed),
+    }
+    return result

@@ -337,8 +337,9 @@ class RegretCertificate:
         grad = np.asarray(log.gradient, dtype=float)
         pred = np.asarray(log.prediction, dtype=float)
         self.lhs += float((f - self.comparator) @ grad)
-        self.variance_term += m.dual_norm(grad - pred) * m.norm(g - f)
-        self.negative_term += (m.norm(g - f) ** 2 + m.norm(self._g_prev - f) ** 2) / (2.0 * self.eta)
+        g_dist = m.norm(g - f)
+        self.variance_term += m.dual_norm(grad - pred) * g_dist
+        self.negative_term += (g_dist**2 + m.norm(self._g_prev - f) ** 2) / (2.0 * self.eta)
         self._g_prev = g
 
     @property

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omdkit.games import (
     ETA_CAP,
@@ -176,12 +178,20 @@ def test_match_certificates_and_gap_pennies():
 
 
 def test_certificate_recompute_matches_incremental():
-    res = run_full_info_match(PENNIES, 50)
-    lhs_vec, rhs = full_info_regret_certificate(res.row_records, 50)
-    assert np.allclose(lhs_vec, res.row_certificate.lhs_per_vertex, rtol=1e-12)
-    assert rhs == pytest.approx(res.row_certificate.rhs, rel=1e-12)
+    mixed = np.array([0.3, 0.7])
+    run = run_full_info_vs(PENNIES, 50, lambda t, f_prev: mixed)
+    lhs_vec, rhs = full_info_regret_certificate(run.records, 50)
+    assert np.allclose(lhs_vec, run.certificate.lhs_per_vertex, rtol=1e-12)
+    assert rhs == pytest.approx(run.certificate.rhs, rel=1e-12)
     with pytest.raises(ValueError):
         full_info_regret_certificate([], 50)
+
+
+def test_match_keeps_no_per_round_records():
+    res = run_full_info_match(PENNIES, 50)
+    assert res.row_records == []
+    assert res.col_records == []
+    assert len(res.trace) == 50
 
 
 def test_match_gap_brackets_lp_value():
@@ -229,3 +239,43 @@ def test_match_is_deterministic():
         t1.gap == t2.gap and t1.cert_rhs_row == t2.cert_rhs_row
         for t1, t2 in zip(r1.trace, r2.trace)
     )
+
+
+# entries on a 1/8 grid in [-1, 1]
+GRID = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+@st.composite
+def games_and_opponents(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(GRID, min_size=n * m, max_size=n * m))).reshape(n, m)
+    T = draw(st.integers(2, 60))
+    strategies = []
+    for _ in range(T):
+        weights = np.array(draw(st.lists(st.integers(0, 8), min_size=m, max_size=m)), dtype=float)
+        if draw(st.booleans()) or weights.sum() == 0.0:
+            weights = np.eye(m)[draw(st.integers(0, m - 1))]  # a pure strategy
+        strategies.append(weights / weights.sum())
+    return a, T, draw(st.booleans()), strategies
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(games_and_opponents())
+def test_certificate_holds_against_arbitrary_opponents(case):
+    a, T, mixing, strategies = case
+    run = run_full_info_vs(a, T, lambda t, f_prev: strategies[t - 1], mixing=mixing)
+    assert run.certificate.holds()
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(games_and_opponents())
+def test_match_certificates_hold_every_round(case):
+    a, T, mixing, _ = case
+    res = run_full_info_match(a, T, mixing=mixing)
+    for row in res.trace:
+        assert row.cert_lhs_row <= row.cert_rhs_row + 1e-9
+        assert row.cert_lhs_col <= row.cert_rhs_col + 1e-9
+    last = res.trace[-1]
+    assert (last.cert_lhs_row, last.cert_rhs_row) == (res.row_certificate.lhs, res.row_certificate.rhs)
+    assert (last.cert_lhs_col, last.cert_rhs_col) == (res.col_certificate.lhs, res.col_certificate.rhs)
