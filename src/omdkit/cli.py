@@ -3,13 +3,15 @@
 Values come from an optional key=value config file plus flags; flags win.
 The run writes trace.csv and summary.txt (and flows.csv for maxflow) into
 --out, prints the summary, and exits 0 when every certificate held, 1 on a
-certificate violation, 2 on unusable input.
+certificate violation, 2 on unusable input, 3 on a numeric fault inside a
+solver (see the harness module for the full table).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
+from ._linalg import ProjectionError
 from .harness import KINDS, ConfigError, config_from_sources, load_config, run_experiment
 
 _KIND_HELP = {
@@ -69,6 +71,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ProjectionError as exc:
+        print(f"internal error: {exc} (residual {exc.residual!r})", file=sys.stderr)
+        return 3
     sys.stdout.write(result.summary_path.read_text())
     print(f"trace={result.trace_path}")
     for path in result.extra_paths.values():

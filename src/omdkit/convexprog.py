@@ -161,6 +161,14 @@ class CpReport:
     target: float
 
 
+def _blend(problem: SmoothCP, epsilon: float, f_bar: np.ndarray) -> tuple[float, np.ndarray]:
+    """(alpha, f_hat): the averaged play moved toward the anchor by
+    alpha = epsilon / (epsilon + margin), the step that turns a constraint
+    excess of epsilon into none."""
+    alpha = epsilon / (epsilon + problem.margin)
+    return alpha, (1.0 - alpha) * f_bar + alpha * problem.anchor
+
+
 def auto_rounds(problem: SmoothCP, epsilon: float) -> int:
     """Smallest horizon exceeding psi*/epsilon (the guarantee threshold)."""
     return int(math.floor(psi_optimum(problem.radius, problem.d, problem.smoothness) / epsilon)) + 1
@@ -173,6 +181,7 @@ def solve_cp(
     solver: AffineSolver | None = None,
     target: float | None = None,
     on_round: Callable[[int, np.ndarray], None] | None = None,
+    stop_when: Callable[[int, np.ndarray], bool] | None = None,
 ) -> tuple[np.ndarray, CpReport]:
     """Run the coupled dynamics and blend the averaged play with the anchor.
 
@@ -183,6 +192,11 @@ def solve_cp(
     objective @ f_hat >= (1 - epsilon/margin) * target.
 
     on_round, when given, is called with (t, f_t) after each round.
+    stop_when, when given, is called after it with (t, f_bar), the average
+    f_sum / t of the plays so far; a true result ends the run at round t,
+    and that f_bar is the one blended into f_hat. The plays do not depend
+    on the predicate, so a run it never stops is the run without it, and
+    report.rounds is the number of rounds actually run.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -219,16 +233,20 @@ def solve_cp(
         f_sum += f_t
         if on_round is not None:
             on_round(t, f_t)
+        if stop_when is not None:
+            f_bar = f_sum / t
+            if stop_when(t, f_bar):
+                break
+    else:
+        f_bar = f_sum / T
 
-    f_bar = f_sum / T
-    alpha = epsilon / (epsilon + problem.margin)
-    f_hat = (1.0 - alpha) * f_bar + alpha * problem.anchor
+    alpha, f_hat = _blend(problem, epsilon, f_bar)
     max_g = float(np.max(problem.values(f_hat)))
     obj = float(problem.objective @ f_hat)
     report = CpReport(
         f_hat=f_hat,
         f_bar=f_bar,
-        rounds=T,
+        rounds=t,
         eta=eta,
         eta_prime=eta_prime,
         alpha=alpha,
@@ -356,9 +374,20 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
     The interval [0, deg(source)] is halved to width epsilon/2 with each
     candidate solved at accuracy epsilon/2; a candidate is accepted when the
     blended point meets every capacity constraint. The margin-1 anchor makes
-    a truly feasible candidate always acceptable: the blend turns a 1 +
-    epsilon/2 constraint excess into exactly 1. The best flow is polished by
-    one projection onto the conservation equalities.
+    a truly feasible candidate always acceptable by its auto horizon: the
+    blend turns a 1 + epsilon/2 constraint excess into exactly 1. The best
+    flow is polished by one projection onto the conservation equalities.
+
+    Each solve stops at the first round whose blended running average
+    already meets every capacity (solve_cp's stop_when). That stop is
+    certified, not estimated: the predicate is the acceptance test itself,
+    on the same f_bar, alpha and blend that give f_hat, and every play lies
+    on the value slice, so the accepted blend carries value (1 - alpha) *
+    target whatever the round. A candidate that never passes runs the
+    unchanged trajectory to its horizon and gets the verdict it would get
+    without the predicate, so no rejection is premature. stats counts the
+    early stops, and each candidate records its rounds and why it stopped
+    ("accepted-early" or "horizon").
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -372,10 +401,19 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
         m_slice, _ = problem.slice_equalities(0.0)
         solver = AffineSolver(m_slice)  # one pseudo-inverse serves every candidate
         eps_c = epsilon / 2.0
+        horizon = auto_rounds(problem, eps_c)
+
+        def meets_capacities(t: int, f_bar: np.ndarray) -> bool:
+            # solve_cp's own feasibility test on its own blend of this f_bar
+            _, f_hat = _blend(problem, eps_c, f_bar)
+            return float(np.max(problem.values(f_hat))) <= 1.0 + FEAS_TOL
+
         lo, hi = 0.0, float(network.source_degree())
         while hi - lo > epsilon / 2.0:
             mid = 0.5 * (lo + hi)
-            f_hat, report = solve_cp(problem, eps_c, solver=solver, target=mid)
+            f_hat, report = solve_cp(
+                problem, eps_c, solver=solver, target=mid, stop_when=meets_capacities
+            )
             total_rounds += report.rounds
             candidates.append(
                 {
@@ -384,6 +422,7 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
                     "max_constraint": report.max_constraint,
                     "objective": report.objective_value,
                     "accepted": report.feasible,
+                    "stop": "accepted-early" if report.rounds < horizon else "horizon",
                 }
             )
             if report.feasible:
@@ -393,6 +432,7 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
     stats = {
         "solves": len(candidates),
         "total_rounds": total_rounds,
+        "early_stops": sum(c["stop"] == "accepted-early" for c in candidates),
         "accepted_target": best_target,
         "candidates": candidates,
     }

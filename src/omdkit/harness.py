@@ -5,8 +5,18 @@ row per round, or per search candidate for the flow kind) and summary.txt
 (key=value lines) into the output directory; the flow kind adds flows.csv.
 Numeric output uses round-trip decimal formatting, and trace files are
 bit-identical across reruns with the same inputs; wall time appears only in
-the summary. Exit status: 0 when every per-round certificate held, 1 when a
-certificate or run-level guarantee failed, 2 for unusable input.
+the summary. The maxflow trace's `rounds` column counts the rounds each
+candidate actually ran, and its `stop` column says why it stopped:
+`accepted-early` when the blended running average met every capacity before
+the auto horizon, `horizon` otherwise; `early_stops` in the summary counts
+the former.
+
+Exit status (returned by `cli.main`):
+  0  every per-round certificate and run-level guarantee held;
+  1  a certificate or run-level guarantee failed;
+  2  unusable input (ConfigError: a bad flag, config line or instance file);
+  3  internal numeric fault inside a solver (ProjectionError), reported with
+     its residual; the input was accepted but the run could not finish.
 """
 from __future__ import annotations
 
@@ -479,7 +489,14 @@ def _run_maxflow(config: ExperimentConfig):
         ok = (not cand["accepted"]) or cand["max_constraint"] <= 1.0 + 2 * CERT_TOL
         failures += 0 if ok else 1
         rows.append(
-            (idx, cand["target"], cand["rounds"], cand["max_constraint"], int(cand["accepted"]))
+            (
+                idx,
+                cand["target"],
+                cand["rounds"],
+                cand["max_constraint"],
+                int(cand["accepted"]),
+                cand["stop"],
+            )
         )
     flows_lines = ["edge_index,u,v,flow"]
     for idx, ((u, v), flow) in enumerate(zip(network.edges, sol.flows), start=1):
@@ -493,13 +510,15 @@ def _run_maxflow(config: ExperimentConfig):
         "conservation_residual": sol.conservation_residual,
         "solves": sol.stats["solves"],
         "total_rounds": sol.stats["total_rounds"],
+        "early_stops": sol.stats["early_stops"],
         "accepted_target": sol.stats["accepted_target"],
         "cert_checks": len(rows),
         "cert_failures": failures,
     }
     run_ok = sol.max_violation <= 1e-7 and sol.conservation_residual <= 1e-7
     extras = {"flows.csv": "\n".join(flows_lines) + "\n"}
-    return ["candidate", "target", "rounds", "max_constraint", "accepted"], rows, summary, extras, run_ok
+    header = ["candidate", "target", "rounds", "max_constraint", "accepted", "stop"]
+    return header, rows, summary, extras, run_ok
 
 
 _RUNNERS = {

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from omdkit._linalg import AffineSolver, ProjectionError
 from omdkit.convexprog import (
+    FEAS_TOL,
     FlowNetwork,
     SmoothCP,
+    _flow_problem,
     auto_rounds,
     builtin_cp_instances,
     check_flow,
@@ -282,3 +284,93 @@ def test_max_flow_with_redundant_conservation_rows():
     assert sol.value >= (1 - eps) * 2.0
     assert sol.max_violation <= 1e-7
     assert sol.conservation_residual <= 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(builtin_cp_instances()))
+def test_solve_cp_never_true_predicate_changes_nothing(name):
+    problem = builtin_cp_instances()[name]
+    f_plain, plain = solve_cp(problem, 0.01)
+    calls = []
+
+    def never(t, f_bar):
+        calls.append(t)
+        return False
+
+    f_hooked, hooked = solve_cp(problem, 0.01, stop_when=never)
+    assert calls == list(range(1, plain.rounds + 1))
+    assert plain.rounds == auto_rounds(problem, 0.01)
+    assert f_hooked.tobytes() == f_plain.tobytes()
+    for key, value in vars(plain).items():
+        other = getattr(hooked, key)
+        if isinstance(value, np.ndarray):
+            assert other.tobytes() == value.tobytes(), key
+        else:
+            assert other == value, key
+
+
+def test_solve_cp_stops_where_the_predicate_says():
+    problem = builtin_cp_instances()["box"]
+    seen = {}
+
+    def at_five(t, f_bar):
+        seen[t] = f_bar
+        return t == 5
+
+    f_hat, report = solve_cp(problem, 0.05, stop_when=at_five)
+    assert report.rounds == 5 and sorted(seen) == [1, 2, 3, 4, 5]
+    assert report.f_bar is seen[5]
+    alpha = 0.05 / (0.05 + problem.margin)
+    assert f_hat.tobytes() == ((1 - alpha) * seen[5] + alpha * problem.anchor).tobytes()
+
+
+def _flow_horizon(network, eps):
+    return auto_rounds(_flow_problem(network, 0.0), eps / 2.0)
+
+
+def _assert_stops_are_honest(network, sol, eps):
+    # an early stop is a certified acceptance; every other candidate, and so
+    # every rejected one, ran its full auto horizon
+    horizon = _flow_horizon(network, eps)
+    assert sol.stats["early_stops"] == sum(
+        c["stop"] == "accepted-early" for c in sol.stats["candidates"]
+    )
+    assert sol.stats["total_rounds"] == sum(c["rounds"] for c in sol.stats["candidates"])
+    for cand in sol.stats["candidates"]:
+        if cand["stop"] == "accepted-early":
+            assert cand["accepted"] and cand["rounds"] < horizon
+            assert cand["max_constraint"] <= 1.0 + FEAS_TOL
+        else:
+            assert cand["stop"] == "horizon" and cand["rounds"] == horizon
+
+
+def test_max_flow_accepts_early_on_a_four_node_graph():
+    # the graph of criterion 9, edges 1-2, 2-4, 1-3, 3-4, 2-3
+    net = FlowNetwork(4, ((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), 0, 3)
+    sol = max_flow(net, 0.1)
+    assert sol.stats["early_stops"] >= 1
+    _assert_stops_are_honest(net, sol, 0.1)
+    assert sol.value >= 0.9 * 2.0
+    assert sol.max_violation <= 1e-7 and sol.conservation_residual <= 1e-7
+
+
+@st.composite
+def small_connected_graphs(draw):
+    nodes = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, nodes)]
+    pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=16 - len(edges)))
+    sink = draw(st.integers(1, nodes - 1))
+    return nodes, edges, 0, sink
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(small_connected_graphs(), st.sampled_from([0.1, 0.2]))
+def test_max_flow_early_acceptance_keeps_the_guarantee(graph, eps):
+    nodes, edges, source, sink = graph
+    net = FlowNetwork(nodes, edges, source, sink)
+    sol = max_flow(net, eps)
+    exact = augmenting_path_max_flow(nodes, edges, source, sink)
+    assert sol.value >= (1 - eps) * exact - 1e-12
+    assert sol.max_violation <= 1e-7 and sol.conservation_residual <= 1e-7
+    _assert_stops_are_honest(net, sol, eps)

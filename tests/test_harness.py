@@ -6,6 +6,7 @@ import pytest
 
 from omdkit import cli
 from omdkit import harness
+from omdkit._linalg import ProjectionError
 from omdkit.games import bandit_cap
 from omdkit.harness import (
     ConfigError,
@@ -187,6 +188,22 @@ def test_maxflow_parallel_edges(tmp_path):
     assert flow_lines[1].startswith("1,1,2,")
 
 
+def test_maxflow_trace_says_why_each_candidate_stopped(tmp_path):
+    graph = _graph_file(tmp_path, "p 4 5 1 4\ne 1 2\ne 2 4\ne 1 3\ne 3 4\ne 2 3\n")
+    result = run_experiment(
+        ExperimentConfig(kind="maxflow", graph=graph, epsilon=0.1, out=str(tmp_path / "run"))
+    )
+    assert result.status == 0
+    assert result.trace_header[-1] == "stop"
+    stops = [row[-1] for row in result.trace_rows]
+    assert set(stops) <= {"accepted-early", "horizon"}
+    assert result.summary["early_stops"] == stops.count("accepted-early") >= 1
+    assert result.summary["total_rounds"] == sum(row[2] for row in result.trace_rows)
+    lines = result.trace_path.read_text().splitlines()
+    assert lines[0] == "candidate,target,rounds,max_constraint,accepted,stop"
+    assert all(line.rsplit(",", 1)[1] in ("accepted-early", "horizon") for line in lines[1:])
+
+
 def test_summary_counters_match_trace_rows(tmp_path):
     configs = [
         ExperimentConfig(kind="game", matrix=_matrix_file(tmp_path), rounds=12, out=str(tmp_path / "a")),
@@ -359,3 +376,17 @@ def test_cli_no_mixing_flag(tmp_path, capsys):
     )
     assert code == 0
     assert "mixing=false" in capsys.readouterr().out
+
+
+def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
+    def faulty_max_flow(network, epsilon):
+        raise ProjectionError("affine projection residual 5.000e-01 exceeds tolerance", 0.5)
+
+    monkeypatch.setattr(harness, "max_flow", faulty_max_flow)
+    code = cli.main(
+        ["maxflow", "--graph", _graph_file(tmp_path), "--epsilon", "0.2", "--out", str(tmp_path / "run")]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("internal error: affine projection residual")
+    assert "(residual 0.5)" in captured.err
