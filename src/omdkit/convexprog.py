@@ -180,7 +180,6 @@ def solve_cp(
     rounds: int | None = None,
     solver: AffineSolver | None = None,
     target: float | None = None,
-    on_round: Callable[[int, np.ndarray], None] | None = None,
     stop_when: Callable[[int, np.ndarray], bool] | None = None,
 ) -> tuple[np.ndarray, CpReport]:
     """Run the coupled dynamics and blend the averaged play with the anchor.
@@ -191,12 +190,12 @@ def solve_cp(
     blend satisfies max_i G_i(f_hat) <= 1 and
     objective @ f_hat >= (1 - epsilon/margin) * target.
 
-    on_round, when given, is called with (t, f_t) after each round.
-    stop_when, when given, is called after it with (t, f_bar), the average
-    f_sum / t of the plays so far; a true result ends the run at round t,
-    and that f_bar is the one blended into f_hat. The plays do not depend
-    on the predicate, so a run it never stops is the run without it, and
-    report.rounds is the number of rounds actually run.
+    stop_when, the one per-round hook, is called after each round with
+    (t, f_bar), the running average f_sum / t of the plays so far; a true
+    result ends the run at round t, and that f_bar is the one blended into
+    f_hat. The plays do not depend on the hook, so a run it never stops is
+    the run without it, and report.rounds is the number of rounds actually
+    run.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -231,8 +230,6 @@ def solve_cp(
         vals_g = np.asarray(problem.values(g_f), dtype=float)
 
         f_sum += f_t
-        if on_round is not None:
-            on_round(t, f_t)
         if stop_when is not None:
             f_bar = f_sum / t
             if stop_when(t, f_bar):

@@ -39,7 +39,7 @@ from .convexprog import (
 from .games import PayoffMatrix, run_bandit_match, run_full_info_match
 from .mirror import RegretCertificate
 from .offline import builtin_problems, holder_optimize, mirror_prox
-from .saddle import bilinear_gap, bilinear_problem, saddle_solve
+from .saddle import bilinear_problem, saddle_solve
 
 KINDS = ("mirror-prox", "holder", "saddle", "game", "game-bandit", "cvxprog", "maxflow")
 CERT_TOL = 1e-9
@@ -365,18 +365,9 @@ def _run_game(config: ExperimentConfig):
 def _run_saddle(config: ExperimentConfig):
     payoff = parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
     T = _rounds_for(config)
-    a = payoff.entries
-    res = saddle_solve(bilinear_problem(a), T)
-    f_sum = np.zeros(payoff.n)
-    x_sum = np.zeros(payoff.m)
-    rows = []
-    failures = 0
-    for r in res.trace:
-        f_sum += r.f
-        x_sum += r.x
-        gap_t = bilinear_gap(a, f_sum / r.t, x_sum / r.t)
-        failures += 0 if gap_t <= r.bound + CERT_TOL else 1
-        rows.append((r.t, r.eta, r.value, gap_t, r.bound))
+    res = saddle_solve(bilinear_problem(payoff.entries), T)
+    rows = [(r.t, r.eta, r.value, r.gap, r.bound) for r in res.trace]
+    failures = sum(1 for r in res.trace if not r.gap <= r.bound + CERT_TOL)
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
@@ -384,7 +375,7 @@ def _run_saddle(config: ExperimentConfig):
         "eta": res.eta,
         "gap": res.gap,
         "certificate_bound": res.certificate_bound,
-        "fitted_slope": _slope_or_nan([r.t for r in res.trace], [row[3] for row in rows]),
+        "fitted_slope": _slope_or_nan([r.t for r in res.trace], [r.gap for r in res.trace]),
         "cert_checks": len(rows),
         "cert_failures": failures,
     }
@@ -440,14 +431,12 @@ def _run_cvxprog(config: ExperimentConfig):
     psi = psi_optimum(problem.radius, problem.d, problem.smoothness)
 
     trace_acc: list[tuple[int, float]] = []
-    f_run = np.zeros(problem.dim)
 
-    def on_round(t: int, f_t: np.ndarray) -> None:
-        f_run[:] = f_run + f_t
-        vals = np.asarray(problem.values(f_run / t), dtype=float)
-        trace_acc.append((t, float(np.max(vals))))
+    def record(t: int, f_bar: np.ndarray) -> bool:
+        trace_acc.append((t, float(np.max(np.asarray(problem.values(f_bar), dtype=float)))))
+        return False
 
-    _, report = solve_cp(problem, config.epsilon, rounds=config.rounds, on_round=on_round)
+    _, report = solve_cp(problem, config.epsilon, rounds=config.rounds, stop_when=record)
 
     rows = []
     failures = 0

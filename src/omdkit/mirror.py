@@ -232,17 +232,14 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
 class OmdState:
     """State threaded through omd_round: secondary iterate, history, bookkeeping."""
 
-    primary: object
     secondary: object
     round: int = 0
     sq_diff_history: list = field(default_factory=list)
     r_max: float | None = None
-    eta_sequence: list = field(default_factory=list)
 
     @classmethod
     def initial(cls, mirror_map: MirrorMap, r_max: float | None = None) -> "OmdState":
-        g0 = mirror_map.divergence_minimizer()
-        return cls(primary=g0, secondary=g0, r_max=r_max)
+        return cls(secondary=mirror_map.divergence_minimizer(), r_max=r_max)
 
 
 @dataclass
@@ -268,19 +265,16 @@ def omd_round(
     g_t  = prox(secondary, gradient(f_t), eta)
 
     Returns (f_t, state): the given state, advanced in place. It gains the
-    squared dual-norm gap ||gradient - prediction||_*^2 in its history and
-    eta in its sequence.
+    squared dual-norm gap ||gradient - prediction||_*^2 in its history.
     """
     prediction = _as_vector(prediction, mirror_map.dim)
     f_t = prox_step(mirror_map, state.secondary, prediction, eta)
     grad = _as_vector(gradient_oracle(point_weights(f_t)), mirror_map.dim)
     g_t = prox_step(mirror_map, state.secondary, grad, eta)
     gap = mirror_map.dual_norm(grad - prediction)
-    state.primary = f_t
     state.secondary = g_t
     state.round += 1
     state.sq_diff_history.append(gap * gap)
-    state.eta_sequence.append(float(eta))
     return f_t, state
 
 

@@ -74,12 +74,12 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
     state = OmdState.initial(m)
     logs = []
     total = np.zeros(m.dim)
-    seen = []
+    grad = None  # the gradient the oracle returned this round
 
     def oracle(f):
-        g = np.asarray(problem.gradient(f), dtype=float)
-        seen.append(g)
-        return g
+        nonlocal grad
+        grad = np.asarray(problem.gradient(f), dtype=float)
+        return grad
 
     for _ in range(T):
         g_prev = point_weights(state.secondary)
@@ -91,7 +91,7 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
             RoundLog(
                 played=fw,
                 secondary=point_weights(state.secondary),
-                gradient=seen[-1],
+                gradient=grad,
                 prediction=prediction,
             )
         )

@@ -55,12 +55,14 @@ class SaddleProblem:
 
 @dataclass
 class SaddleRound:
+    """One round's scalars, no iterates: gap is the prefix averages' gap (the
+    bound when the problem has no gap oracle), bound its running certificate."""
+
     t: int
-    f: np.ndarray
-    x: np.ndarray
     value: float
     eta: float
-    bound: float = math.nan  # running certificate bound on the prefix-average gap
+    gap: float
+    bound: float
 
 
 @dataclass
@@ -117,10 +119,14 @@ def bilinear_problem(A) -> SaddleProblem:
 def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> SaddleResult:
     """Run the coupled dynamics for T rounds and average both sides.
 
-    The gap field is exact when the problem carries a gap oracle (bilinear
-    payoffs); otherwise it reports the realized certificate bound on the
-    average's suboptimality.
+    Only the running sums of the plays are kept. Each trace row carries the
+    gap of the prefix averages, exact when the problem has a gap oracle
+    (bilinear payoffs) and otherwise the realized certificate bound on the
+    average's suboptimality. The result's gap and certificate_bound are the
+    last row's.
     """
+    if T < 1:
+        raise ValueError("T must be at least 1")
     if eta is None:
         eta = saddle_eta(
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
@@ -158,21 +164,18 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             + var_x
             - neg_cross / (2.0 * eta)
         ) / t
-        trace.append(SaddleRound(t=t, f=f_t, x=x_t, value=value, eta=eta, bound=running))
+        if problem.gap_oracle is not None:
+            gap = float(problem.gap_oracle(f_total / t, x_total / t))
+        else:
+            gap = running
+        trace.append(SaddleRound(t=t, value=value, eta=eta, gap=gap, bound=running))
         g_prev_f = point_weights(sec_f)
         g_prev_x = point_weights(sec_x)
-    f_avg = f_total / T
-    x_avg = x_total / T
-    cert = trace[-1].bound
-    if problem.gap_oracle is not None:
-        gap = float(problem.gap_oracle(f_avg, x_avg))
-    else:
-        gap = cert
     return SaddleResult(
-        f_average=f_avg,
-        x_average=x_avg,
+        f_average=f_total / T,
+        x_average=x_total / T,
         gap=gap,
-        certificate_bound=cert,
+        certificate_bound=running,
         eta=eta,
         trace=trace,
     )

@@ -180,7 +180,6 @@ def test_state_history_length_tracks_round():
         loss = rng.uniform(-1, 1, size=3)
         _, state = omd_round(state, m, np.zeros(3), lambda f, l=loss: l, 0.5)
         assert len(state.sq_diff_history) == state.round == t + 1
-        assert len(state.eta_sequence) == t + 1
 
 
 def test_omd_round_advances_its_state_in_place():

@@ -101,15 +101,11 @@ def test_sandwich_gap_below_measured_rates():
     problem = bilinear_problem(A)
     T = 300
     res = saddle_solve(problem, T)
-    f_sum = np.zeros(3)
-    x_sum = np.zeros(4)
     value_sum = 0.0
     for row in res.trace:
-        f_sum += row.f
-        x_sum += row.x
         value_sum += row.value
-    rate_f = value_sum / T - float(np.min(A @ (x_sum / T)))
-    rate_x = float(np.max((f_sum / T) @ A)) - value_sum / T
+    rate_f = value_sum / T - float(np.min(A @ res.x_average))
+    rate_x = float(np.max(res.f_average @ A)) - value_sum / T
     assert res.gap <= rate_f + rate_x + 1e-10
 
 
@@ -147,6 +143,27 @@ def test_general_payoff_reports_certificate_bound():
 def test_saddle_solve_rejects_short_horizon():
     with pytest.raises(ValueError):
         saddle_solve(bilinear_problem(PENNIES), 1)
+
+
+def test_saddle_solve_rejects_zero_rounds_with_explicit_eta():
+    with pytest.raises(ValueError, match="T must be at least 1"):
+        saddle_solve(bilinear_problem(PENNIES), 0, eta=0.1)
+
+
+def test_saddle_rows_hold_no_iterates():
+    # memory per round is a few scalars, whatever the matrix size
+    a = np.random.default_rng(5).uniform(-1, 1, size=(6, 9))
+    res = saddle_solve(bilinear_problem(a), 40)
+    assert len(res.trace) == 40
+    for row in res.trace:
+        assert not any(isinstance(v, np.ndarray) for v in vars(row).values())
+
+
+def test_saddle_gap_is_the_last_rows_prefix_average_gap():
+    a = np.random.default_rng(13).uniform(-1, 1, size=(5, 4))
+    res = saddle_solve(bilinear_problem(a), 250)
+    assert res.gap == res.trace[-1].gap == bilinear_gap(a, res.f_average, res.x_average)
+    assert res.certificate_bound == res.trace[-1].bound
 
 
 def test_saddle_computes_each_play_once(monkeypatch):
