@@ -1,6 +1,8 @@
 """Internal solvers shared by the mirror maps and the constrained-program code."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -55,7 +57,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(float(v.dot(v)))  # np.linalg.norm's own formula for 1-d v
     if norm <= radius:
         return v.copy()
     return v * (radius / norm)

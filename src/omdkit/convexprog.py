@@ -197,8 +197,9 @@ def solve_cp(
     the run without it, and report.rounds is the number of rounds actually
     run.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # written so that NaN fails the check too
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     tgt = problem.target if target is None else target
     T = auto_rounds(problem, epsilon) if rounds is None else rounds
     if T < 1:
@@ -403,7 +404,8 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
         def meets_capacities(t: int, f_bar: np.ndarray) -> bool:
             # solve_cp's own feasibility test on its own blend of this f_bar
             _, f_hat = _blend(problem, eps_c, f_bar)
-            return float(np.max(problem.values(f_hat))) <= 1.0 + FEAS_TOL
+            # max(values(f_hat)) = max(f_hat, -f_hat), without the concatenation
+            return float(np.abs(f_hat).max()) <= 1.0 + FEAS_TOL
 
         lo, hi = 0.0, float(network.source_degree())
         while hi - lo > epsilon / 2.0:

@@ -372,7 +372,7 @@ def tangent_basis(n: int) -> np.ndarray:
 
 def bandit_estimate(r_plus: float, r_minus: float, delta: float, direction, n: int) -> np.ndarray:
     """Finite-difference gradient estimate (n / 2 delta)(r+ - r-) * direction."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     return (n / (2.0 * delta)) * (r_plus - r_minus) * np.asarray(direction, dtype=float)
 
@@ -526,7 +526,8 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
     floor = min(simplex_floor_delta(n, T), simplex_floor_delta(m, T))
     if delta is None:
         delta = min(1e-6, 0.5 * floor)
-    if delta <= 0:
+    # written so that a NaN delta fails the check too; inf exceeds the floor
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if delta > floor:
         raise ValueError(

@@ -37,7 +37,6 @@ from .convexprog import (
     solve_cp,
 )
 from .games import PayoffMatrix, run_bandit_match, run_full_info_match
-from .mirror import RegretCertificate
 from .offline import builtin_problems, holder_optimize, mirror_prox
 from .saddle import bilinear_problem, saddle_solve
 
@@ -75,6 +74,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}")
         if self.rounds is not None and self.rounds < 1:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
+        for key, value in (("delta", self.delta), ("epsilon", self.epsilon)):
+            # written so that NaN fails the check too
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -389,7 +392,7 @@ def _run_offline(config: ExperimentConfig):
         raise ConfigError(
             f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
         )
-    problem, optimum, minimizer = instances[name]
+    problem, optimum = instances[name]
     if config.kind == "mirror-prox" and problem.alpha != 1.0:
         raise ConfigError(
             f"instance {name!r} has exponent {problem.alpha}; mirror-prox needs 1.0"
@@ -397,16 +400,8 @@ def _run_offline(config: ExperimentConfig):
     T = _rounds_for(config)
     res = mirror_prox(problem, T) if config.kind == "mirror-prox" else holder_optimize(problem, T)
 
-    cert = RegretCertificate(problem.mirror_map, res.eta, minimizer)
-    running = np.zeros(problem.mirror_map.dim)
-    rows = []
-    failures = 0
-    for t, log in enumerate(res.rounds, start=1):
-        running += log.played
-        cert.update(log)
-        subopt = problem.value(running / t) - optimum
-        failures += 0 if cert.holds(CERT_TOL) else 1
-        rows.append((t, res.eta, subopt, cert.lhs, cert.rhs))
+    rows = [(r.t, res.eta, r.value - optimum, r.cert_lhs, r.cert_rhs) for r in res.rounds]
+    failures = sum(1 for r in res.rounds if not r.cert_lhs <= r.cert_rhs + CERT_TOL)
     summary = {
         "instance": name,
         "rounds": T,

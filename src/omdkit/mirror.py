@@ -143,18 +143,19 @@ class MirrorMap:
     def dim(self) -> int:
         return self.feasible.dim
 
-    # norm pair: ell_1 / ell_inf for entropy, ell_2 / ell_2 for euclidean
+    # norm pair: ell_1 / ell_inf for entropy, ell_2 / ell_2 for euclidean;
+    # sqrt(v . v) is what np.linalg.norm computes for a 1-d float vector
     def norm(self, v) -> float:
         v = np.asarray(v, dtype=float)
         if self.kind == ENTROPY:
             return float(np.abs(v).sum())
-        return float(np.linalg.norm(v))
+        return math.sqrt(float(v.dot(v)))
 
     def dual_norm(self, v) -> float:
         v = np.asarray(v, dtype=float)
         if self.kind == ENTROPY:
             return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.linalg.norm(v))
+        return math.sqrt(float(v.dot(v)))
 
     def divergence_minimizer(self):
         """argmin of the mirror map over the feasible set (the canonical start g_0)."""

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .mirror import MirrorMap, OmdState, RoundLog, omd_round, point_weights
+from .mirror import MirrorMap, OmdState, RegretCertificate, RoundLog, omd_round, point_weights
 
 
 @dataclass
@@ -23,7 +23,9 @@ class SmoothProblem:
     satisfy ||grad(f) - grad(g)||_* <= H ||f - g||^alpha in the map's norm
     pair. divergence_radius R feeds the step-size formula; the step-size
     formula uses it verbatim. value is optional (enables suboptimality
-    reporting).
+    reporting). minimizer, also optional, is the comparator of the rows'
+    regret certificate; without it the certificate is taken against the
+    map's divergence minimizer g_0 (it holds for every feasible comparator).
     """
 
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -32,6 +34,7 @@ class SmoothProblem:
     mirror_map: MirrorMap
     divergence_radius: float
     value: Callable[[np.ndarray], float] | None = None
+    minimizer: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -40,14 +43,36 @@ class SmoothProblem:
             raise ValueError("holder_const must be positive")
         if self.divergence_radius <= 0:
             raise ValueError("divergence_radius must be positive")
+        if self.minimizer is not None:
+            self.minimizer = np.asarray(self.minimizer, dtype=float)
+            if self.minimizer.shape != (self.mirror_map.dim,):
+                raise ValueError(f"minimizer must have shape ({self.mirror_map.dim},)")
+
+
+@dataclass(slots=True)
+class OfflineRound:
+    """One solver round as scalars: value of the running average, certificate sides.
+
+    value is problem.value(average of the first t plays), NaN when the
+    problem has no value; cert_lhs <= cert_rhs is the regret certificate
+    folded over rounds 1..t against the problem's minimizer (or g_0).
+    """
+
+    t: int
+    value: float
+    cert_lhs: float
+    cert_rhs: float
 
 
 @dataclass
 class OfflineResult:
-    """Averaged iterate plus the realized trajectory."""
+    """Averaged iterate, one OfflineRound per round, and the step size.
+
+    A run keeps no iterates; the per-round vectors come from `trajectory`.
+    """
 
     average: np.ndarray
-    rounds: list
+    rounds: list[OfflineRound]
     eta: float
 
 
@@ -69,11 +94,15 @@ def holder_eta(R: float, H: float, alpha: float, T: int) -> float:
     return R**one_minus / H * hi * lo * T ** (-one_minus / 2.0)
 
 
-def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
+def trajectory(problem: SmoothProblem, T: int, eta: float) -> Iterator[RoundLog]:
+    """The solvers' dynamics as a generator: one RoundLog per round, T rounds.
+
+    Each round predicts with the gradient at the previous secondary iterate
+    and plays against it with fixed step eta. mirror_prox and
+    holder_optimize fold exactly these logs into their rows.
+    """
     m = problem.mirror_map
     state = OmdState.initial(m)
-    logs = []
-    total = np.zeros(m.dim)
     grad = None  # the gradient the oracle returned this round
 
     def oracle(f):
@@ -85,24 +114,34 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
         g_prev = point_weights(state.secondary)
         prediction = np.asarray(problem.gradient(g_prev), dtype=float)
         f_t, state = omd_round(state, m, prediction, oracle, eta)
-        fw = point_weights(f_t)
-        total += fw
-        logs.append(
-            RoundLog(
-                played=fw,
-                secondary=point_weights(state.secondary),
-                gradient=grad,
-                prediction=prediction,
-            )
+        yield RoundLog(
+            played=point_weights(f_t),
+            secondary=point_weights(state.secondary),
+            gradient=grad,
+            prediction=prediction,
         )
-    return OfflineResult(average=total / T, rounds=logs, eta=eta)
+
+
+def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
+    m = problem.mirror_map
+    comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
+    cert = RegretCertificate(m, eta, comparator)
+    total = np.zeros(m.dim)
+    rows = []
+    for t, log in enumerate(trajectory(problem, T, eta), start=1):
+        total += log.played
+        cert.update(log)
+        value = math.nan if problem.value is None else problem.value(total / t)
+        rows.append(OfflineRound(t, value, cert.lhs, cert.rhs))
+    return OfflineResult(average=total / T, rounds=rows, eta=eta)
 
 
 def mirror_prox(problem: SmoothProblem, T: int) -> OfflineResult:
     """Smooth case: predict with the gradient at the secondary iterate, eta = 1/H.
 
     The averaged iterate satisfies value(average) - min <= H R^2 / T when
-    the divergence from the optimum to the start is at most R^2.
+    the divergence from the optimum to the start is at most R^2. Each row
+    carries the running average's value and the certificate so far.
     """
     if problem.alpha != 1.0:
         raise ValueError("mirror_prox requires alpha = 1 (plain smoothness)")
@@ -112,15 +151,15 @@ def mirror_prox(problem: SmoothProblem, T: int) -> OfflineResult:
 
 
 def holder_optimize(problem: SmoothProblem, T: int) -> OfflineResult:
-    """Holder-smooth case: same dynamics with the exponent-tuned step size."""
+    """Holder-smooth case: same dynamics and rows with the exponent-tuned step size."""
     if T < 1:
         raise ValueError("T must be at least 1")
     eta = holder_eta(problem.divergence_radius, problem.holder_const, problem.alpha, T)
     return _prox_loop(problem, T, eta)
 
 
-def builtin_problems() -> dict[str, tuple[SmoothProblem, float, np.ndarray]]:
-    """Named demo instances: name -> (problem, optimal value, minimizer).
+def builtin_problems() -> dict[str, tuple[SmoothProblem, float]]:
+    """Named demo instances: name -> (problem, optimal value); each sets its minimizer.
 
     quad-ball is plainly smooth (alpha = 1); half-ball has exponent 1/2;
     vertex-pull runs clipped coordinatewise gradients (alpha = 0) on the
@@ -136,6 +175,7 @@ def builtin_problems() -> dict[str, tuple[SmoothProblem, float, np.ndarray]]:
         mirror_map=MirrorMap.euclidean_ball(4, radius=1.0),
         divergence_radius=math.sqrt(0.5 * float(p @ p)),
         value=lambda f: float(0.5 * (f - p) @ (w * (f - p))),
+        minimizer=p.copy(),
     )
 
     c = np.array([0.25, -0.35, 0.15])
@@ -146,6 +186,7 @@ def builtin_problems() -> dict[str, tuple[SmoothProblem, float, np.ndarray]]:
         mirror_map=MirrorMap.euclidean_ball(3, radius=1.0),
         divergence_radius=math.sqrt(0.5 * float(c @ c)),
         value=lambda f: float((2.0 / 3.0) * np.sum(np.abs(f - c) ** 1.5)),
+        minimizer=c.copy(),
     )
 
     n, knee = 6, 0.04
@@ -164,12 +205,13 @@ def builtin_problems() -> dict[str, tuple[SmoothProblem, float, np.ndarray]]:
         mirror_map=MirrorMap.entropy_simplex(n),
         divergence_radius=math.sqrt(math.log(n)),
         value=huber_value,
+        minimizer=vertex,
     )
 
     return {
-        "quad-ball": (quad, 0.0, p.copy()),
-        "half-ball": (half, 0.0, c.copy()),
-        "vertex-pull": (pull, 0.0, vertex),
+        "quad-ball": (quad, 0.0),
+        "half-ball": (half, 0.0),
+        "vertex-pull": (pull, 0.0),
     }
 
 

@@ -83,6 +83,11 @@ def test_delta_default_and_validation():
         run_bandit_match(PENNIES, T, delta=-1e-9)
 
 
+def test_nan_delta_rejected():
+    with pytest.raises(ValueError, match="delta must be positive"):
+        run_bandit_match(PENNIES, 50, delta=math.nan)
+
+
 def test_perturbed_plays_stay_in_simplex():
     res = run_bandit_match(PENNIES, T=200, seed=3)
     assert res.summary["min_perturbed_play"] >= 0.0

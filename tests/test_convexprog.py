@@ -207,6 +207,34 @@ def test_solve_cp_explicit_rounds_and_errors():
         solve_cp(problem, 0.1, rounds=0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_solve_cp_rejects_non_finite_epsilon(eps):
+    problem = builtin_cp_instances()["interval"]
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        solve_cp(problem, eps)
+
+
+def test_capacity_test_without_concatenation():
+    # max_flow's acceptance test reads max|f| for max(values(f)) = max(f, -f):
+    # the same number (up to the sign of a zero) and the same decision
+    values = _flow_problem(FlowNetwork(2, ((0, 1), (0, 1)), 0, 1), 0.0).values
+    rng = np.random.default_rng(8)
+    cases = [rng.uniform(-1.5, 1.5, size=rng.integers(1, 12)) for _ in range(300)]
+    for f in cases[:100]:
+        f[rng.integers(0, f.size)] = rng.choice([0.0, -0.0, math.nan, 1.0 + FEAS_TOL])
+    cases += [np.array(f) for f in ([0.0], [-0.0], [0.0, -0.0], [math.nan], [-math.nan, 2.0])]
+    for f in cases:
+        wide = float(np.max(values(f)))
+        cheap = float(np.abs(f).max())
+        if math.isnan(wide):
+            assert math.isnan(cheap)
+        else:
+            assert wide == cheap
+            if wide != 0.0:
+                assert np.float64(wide).tobytes() == np.float64(cheap).tobytes()
+        assert (wide <= 1.0 + FEAS_TOL) == (cheap <= 1.0 + FEAS_TOL)
+
+
 def test_flow_network_validation():
     with pytest.raises(ValueError):
         FlowNetwork(2, [(0, 0)], 0, 1)

@@ -19,7 +19,7 @@ from omdkit.harness import (
     run_experiment,
 )
 from omdkit.mirror import regret_certificate
-from omdkit.offline import builtin_problems, mirror_prox
+from omdkit.offline import builtin_problems, mirror_prox, trajectory
 
 
 # ---------------------------------------------------------------- fit_rate
@@ -239,9 +239,11 @@ def test_reruns_bit_identical(tmp_path):
 def test_offline_trace_final_row_matches_certificate(tmp_path):
     config = ExperimentConfig(kind="mirror-prox", rounds=40, out=str(tmp_path / "run"))
     result = run_experiment(config)
-    problem, _, minimizer = builtin_problems()["quad-ball"]
+    problem, _ = builtin_problems()["quad-ball"]
     res = mirror_prox(problem, 40)
-    cert = regret_certificate(res.rounds, problem.mirror_map, res.eta, minimizer)
+    cert = regret_certificate(
+        trajectory(problem, 40, res.eta), problem.mirror_map, res.eta, problem.minimizer
+    )
     last = result.trace_rows[-1]
     assert last[3] == pytest.approx(cert.lhs, rel=1e-12, abs=1e-12)
     assert last[4] == pytest.approx(cert.rhs, rel=1e-12, abs=1e-12)
@@ -390,3 +392,23 @@ def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert captured.err.startswith("internal error: affine projection residual")
     assert "(residual 0.5)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["game-bandit", "--delta", "nan"], "delta"),
+        (["game-bandit", "--delta", "inf"], "delta"),
+        (["cvxprog", "--epsilon", "inf"], "epsilon"),
+        (["cvxprog", "--epsilon", "nan"], "epsilon"),
+        (["maxflow", "--epsilon=-inf"], "epsilon"),
+        (["maxflow", "--epsilon", "0"], "epsilon"),
+    ],
+)
+def test_cli_non_finite_delta_epsilon_exit_two(tmp_path, capsys, argv, key):
+    inputs = {"game-bandit": ["--matrix", _matrix_file(tmp_path)], "maxflow": ["--graph", _graph_file(tmp_path)]}
+    code = cli.main(argv + inputs.get(argv[0], []) + ["--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {key} must be positive and finite")
+    assert not (tmp_path / "run").exists()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from omdkit._linalg import project_ball
 from omdkit.mirror import (
     Ball,
     MirrorMap,
@@ -349,3 +350,20 @@ def test_norm_pairs():
     assert ent.dual_norm(v) == 4.0
     assert euc.norm(v) == 5.0
     assert euc.dual_norm(v) == 5.0
+
+
+def test_euclidean_norms_match_numpy_bitwise():
+    # sqrt(v . v) is np.linalg.norm's own formula for a 1-d float vector,
+    # including underflow to 0 and overflow to inf
+    euc = MirrorMap.euclidean_ball(5, radius=1.5)
+    rng = np.random.default_rng(12)
+    cases = [np.zeros(5), np.zeros(0), np.array([-0.0, 0.0, 3.0, -4.0, 0.0])]
+    for scale in (1e-200, 1e-3, 1.0, 1e3, 1e160):
+        cases += [rng.normal(size=5) * scale for _ in range(40)]
+    with np.errstate(over="ignore"):
+        for v in cases:
+            ref = float(np.linalg.norm(v))
+            assert np.float64(euc.norm(v)).tobytes() == np.float64(ref).tobytes()
+            assert np.float64(euc.dual_norm(v)).tobytes() == np.float64(ref).tobytes()
+            expected = v.copy() if ref <= 1.5 else v * (1.5 / ref)
+            assert project_ball(v, 1.5).tobytes() == expected.tobytes()

@@ -1,17 +1,26 @@
 """Offline smooth / Holder-smooth optimization."""
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import holder_half_problem, huber_vertex_problem, quad_ball_problem
-from omdkit.mirror import MirrorMap
+from omdkit.mirror import MirrorMap, RegretCertificate
 from omdkit.offline import (
+    OfflineRound,
     SmoothProblem,
+    builtin_problems,
     check_holder,
     holder_eta,
     holder_optimize,
     mirror_prox,
+    trajectory,
 )
 
 
@@ -53,7 +62,7 @@ def test_mirror_prox_scalar_fixed_point():
         value=lambda f: float(0.5 * (f - 0.5) @ (f - 0.5)),
     )
     res = mirror_prox(problem, 8)
-    for log in res.rounds:
+    for log in trajectory(problem, 8, res.eta):
         np.testing.assert_allclose(log.played, [0.5], atol=1e-15)
     np.testing.assert_allclose(res.average, [0.5], atol=1e-15)
 
@@ -85,7 +94,7 @@ def test_prediction_matches_gradient_at_secondary():
     problem, _ = quad_ball_problem()
     res = mirror_prox(problem, 12)
     g_prev = problem.mirror_map.divergence_minimizer()
-    for log in res.rounds:
+    for log in trajectory(problem, 12, res.eta):
         np.testing.assert_allclose(
             log.prediction, problem.gradient(np.asarray(g_prev)), atol=1e-15
         )
@@ -134,3 +143,100 @@ def test_decay_with_horizon():
         lo = holder_optimize(problem, 50)
         hi = holder_optimize(problem, 800)
         assert problem.value(hi.average) <= problem.value(lo.average)
+
+
+# ---------------------------------------------------------------- scalar rows
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _quadratic_runs(draw):
+    """A weighted quadratic on one of three maps, a solver and a horizon."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["euclidean-ball", "euclidean-simplex", "entropy-simplex"]))
+    w = draw(arrays(float, n, elements=st.floats(0.125, 2.0)))
+    if kind == "euclidean-ball":
+        m = MirrorMap.euclidean_ball(n, radius=1.0)
+        v = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+        p = v / max(1.0, float(np.linalg.norm(v)))
+    else:
+        m = MirrorMap.euclidean_simplex(n) if kind == "euclidean-simplex" else MirrorMap.entropy_simplex(n)
+        weights = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+        weights[draw(st.integers(0, n - 1))] += 1.0
+        p = weights / weights.sum()
+    problem = SmoothProblem(
+        gradient=lambda f: w * (f - p),
+        holder_const=float(w.max()),
+        alpha=1.0,
+        mirror_map=m,
+        divergence_radius=1.0,
+        value=(lambda f: float(0.5 * (f - p) @ (w * (f - p)))) if draw(st.booleans()) else None,
+        minimizer=p if draw(st.booleans()) else None,
+    )
+    solve = draw(st.sampled_from([mirror_prox, holder_optimize]))
+    return problem, solve, draw(st.integers(1, 40))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_quadratic_runs())
+def test_rows_fold_the_trajectory(case):
+    # each row is RegretCertificate plus the running value folded over
+    # trajectory(...), bit for bit, and each row's certificate holds
+    problem, solve, T = case
+    res = solve(problem, T)
+    m = problem.mirror_map
+    comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
+    cert = RegretCertificate(m, res.eta, comparator)
+    total = np.zeros(m.dim)
+    logs = list(trajectory(problem, T, res.eta))
+    assert len(res.rounds) == len(logs) == T
+    for t, (row, log) in enumerate(zip(res.rounds, logs), start=1):
+        total += log.played
+        cert.update(log)
+        value = math.nan if problem.value is None else problem.value(total / t)
+        assert row.t == t
+        assert _bits(row.value) == _bits(value)
+        assert _bits(row.cert_lhs) == _bits(cert.lhs)
+        assert _bits(row.cert_rhs) == _bits(cert.rhs)
+        assert row.cert_lhs <= row.cert_rhs + 1e-9
+    assert res.average.tobytes() == (total / T).tobytes()
+
+
+def test_rows_hold_no_arrays():
+    for problem, _ in builtin_problems().values():
+        res = holder_optimize(problem, 6)
+        for row in res.rounds:
+            assert isinstance(row, OfflineRound)
+            for f in dataclasses.fields(row):
+                assert not isinstance(getattr(row, f.name), np.ndarray), f.name
+
+
+def _retained_per_round(solve, problem) -> float:
+    """Bytes a run keeps alive per round, from the growth between two horizons."""
+    kept = []
+    for T in (500, 5000):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = solve(problem, T)
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(res.rounds) == T
+        del res
+    return (kept[1] - kept[0]) / 4500
+
+
+def test_memory_per_round_is_one_scalar_row():
+    problems = builtin_problems()
+    assert _retained_per_round(mirror_prox, problems["quad-ball"][0]) <= 300
+    assert _retained_per_round(holder_optimize, problems["vertex-pull"][0]) <= 300
+
+
+def test_minimizer_must_match_the_map():
+    problem, _ = builtin_problems()["quad-ball"]
+    with pytest.raises(ValueError, match="minimizer"):
+        dataclasses.replace(problem, minimizer=np.zeros(3))
