@@ -20,21 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import AffineSolver, ProjectionError
+from ._linalg import AffineSolver
 from .mirror import AffineSubspace, MirrorMap, Simplex, SimplexPoint, prox_step
 
-SLICE_TOL = 1e-8
 FEAS_TOL = 1e-9
-
-
-def project_affine(point, equalities, tol: float = SLICE_TOL):
-    """Euclidean projection onto {M f = b} through AffineSolver.
-
-    Raises ProjectionError with the achieved residual if the sup-norm
-    residual exceeds tol (an inconsistent system, for instance).
-    """
-    matrix, rhs = equalities
-    return AffineSolver(matrix).project(point, rhs, tol=tol)
 
 
 def cp_step_sizes(B: float, d: float, H: float = 0.0) -> tuple[float, float]:

@@ -4,7 +4,11 @@ Both players run an exponential-weights variant that reuses the single
 observation made each round both as the correction for the current round and
 as the prediction for the next one, with a uniform-mixing floor and a
 data-dependent step size. The bandit variant estimates the observation vector
-from four scalar payoffs at perturbed plays along a fixed tangent basis.
+from four scalar payoffs at perturbed plays along a fixed tangent basis, and
+corrects with one estimate while predicting with the other.
+
+Both kinds share one learner, `_Learner`; a side supplies only what it
+observes and its step-size rule (`full_info_eta`, `bandit_eta`).
 
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,100 +70,59 @@ def full_info_eta(sums: tuple[float, float], n: int, T: int) -> float:
     return min(math.log(n * T) / denom, ETA_CAP)
 
 
-@dataclass
-class GameRound:
-    """Internals of one full-information round, as consumed by the certificate."""
+class _Learner:
+    """The optimistic exponential-weights update that both match kinds run.
 
-    t: int
-    play: np.ndarray
-    observation: np.ndarray
-    secondary: np.ndarray
-    mixed_prev: np.ndarray
-    mixed: np.ndarray
-    eta: float
-    eta_next: float
-    increment: float
-
-
-class FullInfoPlayer:
-    """One side of the full-information dynamics.
-
-    Carries the mixed secondary iterate, the upcoming play, the last
-    observation, and running sums of the squared observation differences.
-    The first play is uniform; `initial_observation` is the observation the
-    opponent's prescribed uniform start would induce (it seeds the t = 1
-    difference).
+    Holds the mixed secondary iterate `g_prime`, the upcoming `play`, the
+    uniform-mixing weight `beta`, the running sums `sums` = (S1, S2) of the
+    squared observation differences through the last round and through the
+    round before it, the last increment `h_last`, and `eta`, the step size
+    the last round corrected with (None before the first round). A subclass
+    supplies its step-size rule, `_eta()`, read from this state, and what it
+    observes.
     """
 
-    def __init__(self, n: int, T: int, initial_observation, mixing: bool = True):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        if T < 2:
-            raise ValueError("T must be at least 2")
+    def __init__(self, n: int, T: int, beta: float):
         self.n = n
         self.T = T
-        self.beta = 1.0 / (T * T) if mixing else 0.0
+        self.beta = beta
         self.g_prime = SimplexPoint.uniform(n)
         self.play = SimplexPoint.uniform(n)
-        self.last_observation = np.asarray(initial_observation, dtype=float)
-        if self.last_observation.shape != (n,):
-            raise ValueError("initial observation has the wrong dimension")
-        self._s1 = 0.0  # sum of the squared differences so far
-        self._s2 = 0.0  # the same sum without its last entry
-        self.round = 0
-        self.last_record: GameRound | None = None
+        self.sums = (0.0, 0.0)
+        self.h_last = 0.0
+        self.eta: float | None = None
 
+    def _eta(self) -> float:
+        raise NotImplementedError
 
-def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, FullInfoPlayer]:
-    """Advance one round on the given observation vector.
+    def _advance(
+        self, increment: float, correction: np.ndarray, prediction: np.ndarray
+    ) -> SimplexPoint:
+        """Fold one round in and form the next play.
 
-    Appends ||obs_t - obs_{t-1}||_inf^2 to the history, updates the secondary
-    iterate with eta_t (history through t-1), applies the uniform mixing
-    floor, and forms the next play with eta_{t+1} (history through t).
-    Returns (next play, updated player).
-    """
-    obs = np.asarray(observation, dtype=float)
-    if obs.shape != (player.n,):
-        raise ValueError("observation has the wrong dimension")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observation has non-finite entries")
-    t = player.round + 1
-    increment = float(np.max(np.abs(obs - player.last_observation))) ** 2
-    eta_t = full_info_eta((player._s1, player._s2), player.n, player.T)
-    player._s2 = player._s1
-    player._s1 = player._s1 + increment
-    eta_next = full_info_eta((player._s1, player._s2), player.n, player.T)
-
-    played = player.play
-    mixed_prev = player.g_prime
-    shifted = obs - obs.max()  # constant shifts cancel in the normalization
-    g_t = mixed_prev.exp_step(eta_t * shifted)
-    g_mixed = g_t.mix(player.beta)
-    next_play = g_mixed.exp_step(eta_next * shifted)
-
-    player.g_prime = g_mixed
-    player.play = next_play
-    player.last_observation = obs
-    player.round = t
-    player.last_record = GameRound(
-        t=t,
-        play=played.weights,
-        observation=obs,
-        secondary=g_t.weights,
-        mixed_prev=mixed_prev.weights,
-        mixed=g_mixed.weights,
-        eta=eta_t,
-        eta_next=eta_next,
-        increment=increment,
-    )
-    return next_play, player
+        eta_t (sums through t-1) corrects g'_{t-1} on `correction`; the
+        result is mixed toward uniform; eta_{t+1} (sums through t, so
+        including `increment`) steps it toward `prediction`. Returns the
+        unmixed secondary iterate g_t.
+        """
+        eta_t = self._eta()
+        self.sums = (self.sums[0] + increment, self.sums[0])
+        self.h_last = increment
+        eta_next = self._eta()
+        g_t = self.g_prime.exp_step(eta_t * correction)
+        self.g_prime = g_t.mix(self.beta)
+        self.play = self.g_prime.exp_step(eta_next * prediction)
+        self.eta = eta_t
+        return g_t
 
 
 class SideCertificate:
     """One player's running per-vertex regret inequality.
 
-    Each `update` folds one GameRound in; the claim is max(lhs_per_vertex)
-    <= rhs, checkable after every round.
+    Each `update` folds one round in; the claim is max(lhs_per_vertex) <= rhs,
+    checkable after every round:
+    (1/eta_1 + 1/eta_t) log(n T^2) + sum_s ||obs_s - obs_{s-1}||_inf ||g_s - f_s||_1
+    - (1/2) sum_s eta_s^-1 (||g'_s - f_s||_1^2 + ||g'_{s-1} - f_s||_1^2) + 1.
     """
 
     def __init__(self, n: int, T: int):
@@ -171,18 +134,19 @@ class SideCertificate:
         self.eta_first: float | None = None
         self.eta_last: float | None = None
 
-    def update(self, rec: GameRound) -> None:
-        f = rec.play
-        self.cum_obs += rec.observation
-        self.cum_play_loss += float(f @ rec.observation)
-        self.variance += math.sqrt(rec.increment) * float(np.abs(rec.secondary - f).sum())
-        self.negative += (1.0 / rec.eta) * (
-            float(np.abs(rec.mixed - f).sum()) ** 2
-            + float(np.abs(rec.mixed_prev - f).sum()) ** 2
+    def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
+        """Fold in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
+        g_t, and the mixed iterates g'_{t-1} and g'_t."""
+        self.cum_obs += observation
+        self.cum_play_loss += float(play @ observation)
+        self.variance += math.sqrt(increment) * float(np.abs(secondary - play).sum())
+        self.negative += (1.0 / eta) * (
+            float(np.abs(mixed - play).sum()) ** 2
+            + float(np.abs(mixed_prev - play).sum()) ** 2
         )
         if self.eta_first is None:
-            self.eta_first = rec.eta
-        self.eta_last = rec.eta
+            self.eta_first = eta
+        self.eta_last = eta
 
     @property
     def lhs_per_vertex(self) -> np.ndarray:
@@ -205,21 +169,61 @@ class SideCertificate:
         return self.lhs <= self.rhs + tol
 
 
-def full_info_regret_certificate(
-    records: Sequence[GameRound], horizon: int
-) -> tuple[np.ndarray, float]:
-    """Evaluate the realized regret bound over a full trajectory.
+class FullInfoPlayer(_Learner):
+    """One side of the full-information dynamics.
 
-    Returns (lhs per vertex comparator, rhs). The claim is max(lhs) <= rhs:
-    (1/eta_1 + 1/eta_T) log(n T^2) + sum_t ||obs_t - obs_{t-1}||_inf ||g_t - f_t||_1
-    - (1/2) sum_t eta_t^-1 (||g'_t - f_t||_1^2 + ||g'_{t-1} - f_t||_1^2) + 1.
+    Observes its whole payoff vector each round and steps with
+    `full_info_eta`. Besides the learner's state it keeps the last
+    observation and its own `certificate`, which every round folds into.
+    The first play is uniform; `initial_observation` is the observation the
+    opponent's prescribed uniform start would induce (it seeds the t = 1
+    difference).
     """
-    if not records:
-        raise ValueError("certificate needs at least one round")
-    cert = SideCertificate(records[0].play.size, horizon)
-    for rec in records:
-        cert.update(rec)
-    return cert.lhs_per_vertex, cert.rhs
+
+    def __init__(self, n: int, T: int, initial_observation, mixing: bool = True):
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if T < 2:
+            raise ValueError("T must be at least 2")
+        super().__init__(n, T, 1.0 / (T * T) if mixing else 0.0)
+        self.last_observation = np.asarray(initial_observation, dtype=float)
+        if self.last_observation.shape != (n,):
+            raise ValueError("initial observation has the wrong dimension")
+        self.certificate = SideCertificate(n, T)
+
+    def _eta(self) -> float:
+        return full_info_eta(self.sums, self.n, self.T)
+
+    def step(self, w: np.ndarray) -> tuple[float, float, float]:
+        """One round on loss direction w; returns (eta_t, cert lhs, cert rhs)."""
+        full_info_step(self, w)
+        return self.eta, self.certificate.lhs, self.certificate.rhs
+
+
+def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, FullInfoPlayer]:
+    """Advance one round on the given observation vector.
+
+    Folds ||obs_t - obs_{t-1}||_inf^2 into the running sums, updates the
+    secondary iterate with eta_t (sums through t-1), applies the uniform
+    mixing floor, forms the next play with eta_{t+1} (sums through t), and
+    folds the round into the player's certificate.
+    Returns (next play, updated player).
+    """
+    obs = np.asarray(observation, dtype=float)
+    if obs.shape != (player.n,):
+        raise ValueError("observation has the wrong dimension")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observation has non-finite entries")
+    played = player.play.weights
+    mixed_prev = player.g_prime.weights
+    increment = float(np.max(np.abs(obs - player.last_observation))) ** 2
+    shifted = obs - obs.max()  # constant shifts cancel in the normalization
+    g_t = player._advance(increment, shifted, shifted)
+    player.certificate.update(
+        played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
+    )
+    player.last_observation = obs
+    return player.play, player
 
 
 @dataclass
@@ -248,13 +252,13 @@ class MatchResult:
     summary: dict = field(default_factory=dict)
 
 
-def _self_play(a: np.ndarray, T: int, row, col, step) -> MatchResult:
+def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     """The self-play round both match kinds share.
 
     Each round reads both plays (`side.play`), hands each side the payoff
     vector its opponent's play induces, and keeps only running state: the
     play and payoff sums behind the running gap, and one TraceRow.
-    step(side, w) advances a side on its loss direction w and returns that
+    side.step(w) advances a side on its loss direction w and returns that
     side's trace entries (eta, lhs, rhs).
     """
     n, m = a.shape
@@ -268,8 +272,8 @@ def _self_play(a: np.ndarray, T: int, row, col, step) -> MatchResult:
         x = col.play.weights
         Ax = a @ x
         fA = f @ a
-        eta_row, lhs_row, rhs_row = step(row, Ax)
-        eta_col, lhs_col, rhs_col = step(col, -fA)
+        eta_row, lhs_row, rhs_row = row.step(Ax)
+        eta_col, lhs_col, rhs_col = col.step(-fA)
         f_sum += f
         x_sum += x
         fA_sum += fA
@@ -285,24 +289,16 @@ def _self_play(a: np.ndarray, T: int, row, col, step) -> MatchResult:
 
 def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
     """Self-play for T rounds; both sides start uniform and observe exactly
-    the payoff vector their opponent's play induces. Each side's certificate
-    consumes the round's GameRound as it is made; no records are kept."""
+    the payoff vector their opponent's play induces. Each side folds every
+    round into its own certificate as it plays; no records are kept."""
     payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
     a = payoff.entries
     n, m = payoff.n, payoff.m
     row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
     col = FullInfoPlayer(m, T, -(np.full(n, 1.0 / n) @ a), mixing=mixing)
-    certificates = {row: SideCertificate(n, T), col: SideCertificate(m, T)}
-
-    def step(player: FullInfoPlayer, observation: np.ndarray) -> tuple[float, float, float]:
-        full_info_step(player, observation)
-        cert = certificates[player]
-        cert.update(player.last_record)
-        return player.last_record.eta, cert.lhs, cert.rhs
-
-    result = _self_play(a, T, row, col, step)
-    result.row_certificate = certificates[row]
-    result.col_certificate = certificates[col]
+    result = _self_play(a, T, row, col)
+    result.row_certificate = row.certificate
+    result.col_certificate = col.certificate
     return result
 
 
@@ -310,7 +306,6 @@ def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
 class OpponentRun:
     """Row-player trajectory against an arbitrary opponent."""
 
-    records: list
     certificate: SideCertificate
     regret: float
     obs_variation: float  # sum of squared sup-norm observation differences
@@ -329,25 +324,21 @@ def run_full_info_vs(
     a = payoff.entries
     n, m = payoff.n, payoff.m
     row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
-    cert = SideCertificate(n, T)
-    records = []
     f_sum = np.zeros(n)
     f_prev = None
     for t in range(1, T + 1):
         x = np.asarray(opponent(t, f_prev), dtype=float)
-        if x.shape != (m,) or np.any(x < -1e-12) or abs(x.sum() - 1.0) > 1e-9:
+        # written so that a NaN entry fails the check too
+        if not (x.shape == (m,) and np.all(x >= -1e-12) and abs(x.sum() - 1.0) <= 1e-9):
             raise ValueError(f"opponent returned an invalid mixed strategy on round {t}")
         f = row.play.weights
-        _, row = full_info_step(row, a @ x)
-        cert.update(row.last_record)
-        records.append(row.last_record)
+        full_info_step(row, a @ x)
         f_sum += f
         f_prev = f
     return OpponentRun(
-        records=records,
-        certificate=cert,
-        regret=cert.lhs,
-        obs_variation=sum(r.increment for r in records),
+        certificate=row.certificate,
+        regret=row.certificate.lhs,
+        obs_variation=row.sums[0],
         f_average=f_sum / T,
     )
 
@@ -381,31 +372,25 @@ def bandit_cap(own_dim: int, opp_dim: int, T: int) -> float:
     return 1.0 / (28.0 * opp_dim * math.sqrt(math.log(opp_dim * T)))
 
 
-def _bandit_eta_from_sums(
-    s1: float, s2: float, h_last: float | None, own_dim: int, opp_dim: int, T: int
+def bandit_eta(
+    sums: tuple[float, float], h_last: float, own_dim: int, opp_dim: int, T: int
 ) -> float:
-    cap = bandit_cap(own_dim, opp_dim, T)
-    if h_last is None or h_last == 0.0:
-        return cap
-    val = math.sqrt(math.log(own_dim * T)) * (math.sqrt(s1) - math.sqrt(s2)) / h_last
-    return min(val, cap)
-
-
-def bandit_eta(history: Sequence[float], own_dim: int, opp_dim: int, T: int) -> float:
     """Bandit step size: difference form of the data-dependent rule.
 
     min{ sqrt(log(own T)) (sqrt(S1) - sqrt(S2)) / h_last, cap } with cap
-    1/(28 opp sqrt(log(opp T))); an empty history or a zero last increment
+    1/(28 opp sqrt(log(opp T))). S1 and S2 are the squared estimate-difference
+    sums through the last round and the round before it, and h_last is the
+    last increment; a zero h_last (no round yet, or a repeated estimate)
     takes the cap branch.
     """
-    hist = list(history)
-    if any(h < 0 for h in hist):
-        raise ValueError("history entries must be nonnegative")
-    if not hist:
-        return _bandit_eta_from_sums(0.0, 0.0, None, own_dim, opp_dim, T)
-    return _bandit_eta_from_sums(
-        math.fsum(hist), math.fsum(hist[:-1]), hist[-1], own_dim, opp_dim, T
-    )
+    s1, s2 = sums
+    if s1 < 0 or s2 < 0 or h_last < 0:
+        raise ValueError("sums and the last increment must be nonnegative")
+    cap = bandit_cap(own_dim, opp_dim, T)
+    if h_last == 0.0:
+        return cap
+    val = math.sqrt(math.log(own_dim * T)) * (math.sqrt(s1) - math.sqrt(s2)) / h_last
+    return min(val, cap)
 
 
 def simplex_floor_delta(n: int, T: int) -> float:
@@ -433,33 +418,32 @@ def _estimator_tol(basis: np.ndarray, delta: float) -> float:
     return n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
 
 
-class _BanditSide:
+class _BanditSide(_Learner):
+    """One side of the bandit dynamics: observes four scalar payoffs a round
+    and steps with `bandit_eta`."""
+
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
-        self.n = own_dim
+        super().__init__(own_dim, T, 1.0 / (T * T))
         self.opp = opp_dim
-        self.T = T
         self.delta = delta
-        self.beta = 1.0 / (T * T)
         self.basis = tangent_basis(own_dim)
-        self.g_prime = SimplexPoint.uniform(own_dim)
-        self.play = SimplexPoint.uniform(own_dim)
         self.rng = rng
         self.prev_index = int(rng.integers(own_dim - 1))
         self.last_bar = np.zeros(own_dim)
-        self._h_last: float | None = None  # last squared estimate difference
-        self._s1 = 0.0
-        self._s2 = 0.0
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self.min_perturbed = math.inf
         self.max_error = 0.0  # largest estimator enumeration error so far
 
-    def step(self, payoff_vector: np.ndarray) -> tuple[float, float]:
+    def _eta(self) -> float:
+        return bandit_eta(self.sums, self.h_last, self.n, self.opp, self.T)
+
+    def step(self, payoff_vector: np.ndarray) -> tuple[float, float, float]:
         """One round given this side's loss direction w (own loss = play @ w).
 
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
-        Returns (eta_t, estimator enumeration error); `max_error` keeps the
-        largest error so far.
+        Returns (eta_t, eta_t, cap): the step discipline is the certificate.
+        `max_error` keeps the largest estimator enumeration error so far.
         """
         f = self.play.weights
         base = float(f @ payoff_vector)
@@ -477,22 +461,8 @@ class _BanditSide:
         )
         est_hat = bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
         est_bar = bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
-
-        eta_t = _bandit_eta_from_sums(
-            self._s1, self._s2, self._h_last, self.n, self.opp, self.T
-        )
         increment = float(np.max(np.abs(est_hat - self.last_bar))) ** 2
-        self._h_last = increment
-        self._s2 = self._s1
-        self._s1 = self._s1 + increment
-        eta_next = _bandit_eta_from_sums(
-            self._s1, self._s2, increment, self.n, self.opp, self.T
-        )
-
-        g_t = self.g_prime.exp_step(eta_t * est_hat)
-        g_mixed = g_t.mix(self.beta)
-        self.play = g_mixed.exp_step(eta_next * est_bar)
-        self.g_prime = g_mixed
+        self._advance(increment, est_hat, est_bar)
         self.prev_index = new_index
         self.last_bar = est_bar
 
@@ -505,7 +475,7 @@ class _BanditSide:
         target = (self.n / (self.n - 1.0)) * (payoff_vector - payoff_vector.mean())
         err = float(np.max(np.abs(ests.sum(axis=0) / (self.n - 1.0) - target)))
         self.max_error = max(self.max_error, err)
-        return eta_t, err
+        return self.eta, self.eta, self.cap
 
 
 def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:
@@ -542,11 +512,7 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
     # threshold, where delta is large enough that rounding stays far below it
     estimator_tol = max(1e-9, _estimator_tol(row.basis, delta), _estimator_tol(col.basis, delta))
 
-    def step(side: _BanditSide, w: np.ndarray) -> tuple[float, float, float]:
-        eta, _ = side.step(w)
-        return eta, eta, side.cap
-
-    result = _self_play(a, T, row, col, step)
+    result = _self_play(a, T, row, col)
     result.summary = {
         "delta": delta,
         "estimator_error_row": row.max_error,

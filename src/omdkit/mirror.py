@@ -344,15 +344,3 @@ class RegretCertificate:
     def holds(self, tol: float = 1e-9) -> bool:
         return self.lhs <= self.rhs + tol
 
-
-def regret_certificate(
-    trajectory: Sequence[RoundLog],
-    mirror_map: MirrorMap,
-    eta: float,
-    comparator,
-) -> RegretCertificate:
-    """Fold a realized trajectory through a RegretCertificate."""
-    cert = RegretCertificate(mirror_map, eta, comparator)
-    for log in trajectory:
-        cert.update(log)
-    return cert

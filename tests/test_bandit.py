@@ -47,22 +47,25 @@ def test_bandit_estimate_frozen():
 def test_bandit_eta_cap_branches():
     cap = bandit_cap(2, 2, 100)
     assert cap == 1.0 / (28.0 * 2 * math.sqrt(math.log(200)))
-    assert bandit_eta([], 2, 2, 100) == cap
+    # no round yet: both sums and the last increment are zero
+    assert bandit_eta((0.0, 0.0), 0.0, 2, 2, 100) == cap
     # zero last increment takes the cap even with positive earlier sums;
     # the algebraically equal h/(sqrt(S1)+sqrt(S2)) form would return 0 here
-    assert bandit_eta([4.0, 0.0], 2, 2, 100) == cap
+    assert bandit_eta((4.0, 4.0), 0.0, 2, 2, 100) == cap
     with pytest.raises(ValueError):
-        bandit_eta([-1.0], 2, 2, 100)
+        bandit_eta((-1.0, 0.0), -1.0, 2, 2, 100)
+    with pytest.raises(ValueError):
+        bandit_eta((1.0, 0.0), -1.0, 2, 2, 100)
 
 
 def test_bandit_eta_difference_form_values():
     root = math.sqrt(math.log(200))
     # single large increment: sqrt(1e6) - sqrt(0) over 1e6
-    assert bandit_eta([1e6], 2, 2, 100) == pytest.approx(root * 1e-3, rel=1e-14)
+    assert bandit_eta((1e6, 0.0), 1e6, 2, 2, 100) == pytest.approx(root * 1e-3, rel=1e-14)
     expected = root * (math.sqrt(2e6) - math.sqrt(1e6)) / 1e6
-    assert bandit_eta([1e6, 1e6], 2, 2, 100) == pytest.approx(expected, rel=1e-14)
+    assert bandit_eta((2e6, 1e6), 1e6, 2, 2, 100) == pytest.approx(expected, rel=1e-14)
     # small sums clamp at the cap
-    assert bandit_eta([4.0], 2, 2, 100) == bandit_cap(2, 2, 100)
+    assert bandit_eta((4.0, 0.0), 4.0, 2, 2, 100) == bandit_cap(2, 2, 100)
 
 
 def test_caps_swap_dimensions():
@@ -152,11 +155,11 @@ def test_estimator_guard_trips_on_a_scaled_basis_row():
     side = _BanditSide(n, n, T, delta, np.random.default_rng(0))
     tol = max(1e-9, _estimator_tol(side.basis, delta))
     w = np.random.default_rng(1).uniform(-1, 1, size=n)
-    _, err = side.step(w)
-    assert err <= tol
+    side.step(w)
+    assert side.max_error <= tol
     side.basis[5] *= 1.001
-    _, err = side.step(w)
-    assert err > tol
+    side.step(w)
+    assert side.max_error > tol
 
 
 def test_floor_delta_matches_the_dense_basis():

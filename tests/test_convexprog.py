@@ -17,7 +17,6 @@ from omdkit.convexprog import (
     check_flow,
     cp_step_sizes,
     max_flow,
-    project_affine,
     solve_cp,
 )
 
@@ -65,25 +64,25 @@ def test_step_sizes_rejections():
 
 
 def test_project_affine_examples():
-    eq = (np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert np.allclose(project_affine(np.zeros(2), eq), [0.5, 0.5], atol=1e-10)
-    assert np.allclose(project_affine(np.array([3.0]), (np.array([[1.0]]), np.array([1.0]))), [1.0])
+    one_row = AffineSolver(np.array([[1.0, 1.0]]))
+    assert np.allclose(one_row.project(np.zeros(2), np.array([1.0])), [0.5, 0.5], atol=1e-10)
+    scalar = AffineSolver(np.array([[1.0]]))
+    assert np.allclose(scalar.project(np.array([3.0]), np.array([1.0])), [1.0])
     feasible = np.array([0.25, 0.75])
-    assert np.allclose(project_affine(feasible, eq), feasible, atol=1e-12)
+    assert np.allclose(one_row.project(feasible, np.array([1.0])), feasible, atol=1e-12)
 
 
 def test_project_affine_reports_infeasible():
-    eq = (np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
+    solver = AffineSolver(np.array([[1.0], [1.0]]))
     with pytest.raises(ProjectionError) as err:
-        project_affine(np.array([0.3]), eq)
+        solver.project(np.array([0.3]), np.array([0.0, 1.0]))
     assert err.value.residual > 0.1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_project_affine_rejects_non_finite_output(bad):
-    eq = (np.array([[1.0, 1.0]]), np.array([1.0]))
     with pytest.raises(ProjectionError):
-        project_affine(np.array([bad, 0.0]), eq)
+        AffineSolver(np.array([[1.0, 1.0]])).project(np.array([bad, 0.0]), np.array([1.0]))
 
 
 # entries on a 1/8 grid keep every drawn system well conditioned, and the

@@ -11,11 +11,11 @@ from omdkit.games import (
     FullInfoPlayer,
     PayoffMatrix,
     full_info_eta,
-    full_info_regret_certificate,
     full_info_step,
     run_full_info_match,
     run_full_info_vs,
 )
+from omdkit.mirror import SimplexPoint
 
 from helpers import lp_game_value
 
@@ -62,17 +62,16 @@ def test_single_step_scalar_oracle():
     w2 = math.exp(-eta1 * -2.0)
     z = w1 + w2
     g1 = (0.5 * w1 / (0.5 * z), 0.5 * w2 / (0.5 * z))
-    rec = player.last_record
-    assert rec.eta == eta1
-    assert rec.increment == 1.0  # sup-norm of (1,-1) squared
-    assert np.allclose(rec.secondary, g1, rtol=1e-12)
+    assert player.eta == eta1
+    assert player.h_last == 1.0  # sup-norm of (1,-1) squared
+    assert player.sums == (1.0, 0.0)
 
     mixed = tuple((1 - beta) * gi + beta / 2.0 for gi in g1)
-    assert np.allclose(rec.mixed, mixed, rtol=1e-12)
+    assert np.allclose(player.g_prime.weights, mixed, rtol=1e-12)
 
     # eta_2 = min(log(20)/sqrt(1), 1/11) stays capped
     eta2 = 1.0 / 11.0
-    assert rec.eta_next == eta2
+    assert full_info_eta(player.sums, 2, T) == eta2
     f2 = (mixed[0] * math.exp(0.0), mixed[1] * math.exp(2.0 * eta2))
     total = f2[0] + f2[1]
     assert np.allclose(next_play.weights, (f2[0] / total, f2[1] / total), rtol=1e-12)
@@ -89,12 +88,19 @@ def test_step_validation():
 
 
 def test_eta_ordering_excludes_current_increment():
-    # round 1: eta_1 must ignore h_1, eta_2 must include it
+    # round 1: eta_1 must ignore h_1 and takes the cap; eta_2 must include
+    # h_1 = 100^2, which puts it at log(150)/100, below the cap
     player = FullInfoPlayer(3, 50, np.zeros(3))
-    _, player = full_info_step(player, np.array([1.0, 0.0, -1.0]))
-    rec = player.last_record
-    assert rec.eta == full_info_eta((0.0, 0.0), 3, 50)
-    assert rec.eta_next == full_info_eta((rec.increment, 0.0), 3, 50)
+    obs = np.array([100.0, 0.0, -100.0])
+    next_play, player = full_info_step(player, obs)
+    assert player.eta == ETA_CAP
+    assert player.sums == (1e4, 0.0)
+    eta2 = math.log(150) / 100.0
+    assert eta2 < ETA_CAP
+    assert full_info_eta(player.sums, 3, 50) == eta2
+    # the next play steps the mixed iterate with eta_2
+    expected = player.g_prime.exp_step(eta2 * (obs - obs.max()))
+    assert np.array_equal(next_play.weights, expected.weights)
 
 
 def test_mixing_floor_holds_every_round():
@@ -112,8 +118,9 @@ def test_mixing_disabled_is_plain_update():
     a = FullInfoPlayer(2, 10, np.zeros(2), mixing=False)
     _, a = full_info_step(a, obs)
     assert a.beta == 0.0
-    # without mixing the secondary and its mixed copy coincide
-    assert np.array_equal(a.last_record.secondary, a.last_record.mixed)
+    # without mixing the mixed iterate is the plain exponential step
+    plain = SimplexPoint.uniform(2).exp_step(a.eta * (obs - obs.max()))
+    assert np.array_equal(a.g_prime.weights, plain.weights)
 
 
 def test_whole_stream_shift_bit_identical():
@@ -129,7 +136,7 @@ def test_whole_stream_shift_bit_identical():
             fa, a = full_info_step(a, obs)
             fb, b = full_info_step(b, obs + shift)
             assert np.array_equal(fa.weights, fb.weights)
-            assert np.array_equal(a.last_record.secondary, b.last_record.secondary)
+            assert np.array_equal(a.g_prime.weights, b.g_prime.weights)
 
 
 def test_single_round_shift_under_binding_cap():
@@ -144,8 +151,8 @@ def test_single_round_shift_under_binding_cap():
             o_used = o + shift if t == 1 else o
             f, p = full_info_step(p, o_used)
             plays.append(f.weights)
-            assert p.last_record.eta == ETA_CAP
-            assert p.last_record.eta_next == ETA_CAP
+            assert p.eta == ETA_CAP
+            assert full_info_eta(p.sums, 2, T) == ETA_CAP
         runs.append(plays)
     for wa, wb in zip(runs[0], runs[1]):
         assert np.array_equal(wa, wb)
@@ -175,16 +182,6 @@ def test_match_certificates_and_gap_pennies():
     last = res.trace[-1]
     assert last.cert_lhs_row == pytest.approx(res.row_certificate.lhs, rel=1e-12)
     assert last.cert_rhs_row == pytest.approx(res.row_certificate.rhs, rel=1e-12)
-
-
-def test_certificate_recompute_matches_incremental():
-    mixed = np.array([0.3, 0.7])
-    run = run_full_info_vs(PENNIES, 50, lambda t, f_prev: mixed)
-    lhs_vec, rhs = full_info_regret_certificate(run.records, 50)
-    assert np.allclose(lhs_vec, run.certificate.lhs_per_vertex, rtol=1e-12)
-    assert rhs == pytest.approx(run.certificate.rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        full_info_regret_certificate([], 50)
 
 
 def test_match_keeps_no_per_round_records():
@@ -221,13 +218,25 @@ def test_opponent_runner_fixed_strategy():
     # against a fixed first column the learner shifts mass to its second action
     assert run.f_average[1] > 0.9
     assert run.regret <= run.certificate.rhs + 1e-9
-    # observations freeze after round one, so the variation stalls
-    assert run.obs_variation == pytest.approx(run.records[0].increment)
+    # observations freeze after round one, so the variation stalls at the
+    # first increment: ||A e_1 - A (1/2, 1/2)||_inf^2 = 1
+    assert run.obs_variation == 1.0
 
 
 def test_opponent_runner_rejects_bad_strategy():
     with pytest.raises(ValueError):
         run_full_info_vs(PENNIES, 10, lambda t, f_prev: np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]])
+def test_opponent_runner_names_a_non_finite_strategy(bad):
+    # a NaN entry fails every comparison, so the check must not rely on one
+    # coming out True; the error names the opponent and the round
+    def opponent(t, f_prev):
+        return np.array([0.5, 0.5]) if t < 3 else np.array(bad)
+
+    with pytest.raises(ValueError, match="opponent returned an invalid mixed strategy on round 3"):
+        run_full_info_vs(PENNIES, 10, opponent)
 
 
 def test_match_is_deterministic():

@@ -18,7 +18,7 @@ from omdkit.harness import (
     parse_matrix,
     run_experiment,
 )
-from omdkit.mirror import regret_certificate
+from omdkit.mirror import RegretCertificate
 from omdkit.offline import builtin_problems, mirror_prox, trajectory
 
 
@@ -241,9 +241,9 @@ def test_offline_trace_final_row_matches_certificate(tmp_path):
     result = run_experiment(config)
     problem, _ = builtin_problems()["quad-ball"]
     res = mirror_prox(problem, 40)
-    cert = regret_certificate(
-        trajectory(problem, 40, res.eta), problem.mirror_map, res.eta, problem.minimizer
-    )
+    cert = RegretCertificate(problem.mirror_map, res.eta, problem.minimizer)
+    for log in trajectory(problem, 40, res.eta):
+        cert.update(log)
     last = result.trace_rows[-1]
     assert last[3] == pytest.approx(cert.lhs, rel=1e-12, abs=1e-12)
     assert last[4] == pytest.approx(cert.rhs, rel=1e-12, abs=1e-12)

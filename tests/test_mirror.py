@@ -20,7 +20,6 @@ from omdkit.mirror import (
     omd_round,
     point_weights,
     prox_step,
-    regret_certificate,
 )
 
 
@@ -257,7 +256,9 @@ def test_certificate_holds_every_vertex_entropy(eta, seed):
     for i in range(5):
         comp = np.zeros(5)
         comp[i] = 1.0
-        cert = regret_certificate(logs, m, eta, comp)
+        cert = RegretCertificate(m, eta, comp)
+        for log in logs:
+            cert.update(log)
         assert cert.lhs <= cert.rhs + 1e-9
         assert cert.holds()
 
@@ -271,7 +272,9 @@ def test_certificate_holds_euclidean_ball(seed):
     for _ in range(6):
         comp = rng.uniform(-1, 1, size=4)
         comp = comp / max(1.0, np.linalg.norm(comp) / 2.0)
-        cert = regret_certificate(logs, m, 0.3, comp)
+        cert = RegretCertificate(m, 0.3, comp)
+        for log in logs:
+            cert.update(log)
         assert cert.lhs <= cert.rhs + 1e-9
 
 
@@ -291,7 +294,9 @@ def test_certificate_exact_predictions_drop_variance():
                 prediction=loss,
             )
         )
-    cert = regret_certificate(logs, m, 0.5, [0.0, 0.0, 1.0])
+    cert = RegretCertificate(m, 0.5, [0.0, 0.0, 1.0])
+    for log in logs:
+        cert.update(log)
     assert cert.variance_term == 0.0
     assert cert.lhs <= cert.divergence_term - cert.negative_term + 1e-9
 
