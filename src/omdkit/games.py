@@ -62,8 +62,9 @@ def full_info_eta(sums: tuple[float, float], n: int, T: int) -> float:
     and the round before it. A zero denominator takes the cap branch.
     """
     s1, s2 = sums
-    if s1 < 0 or s2 < 0:
-        raise ValueError("sums must be nonnegative")
+    # written so that NaN fails the check too
+    if not (0.0 <= s1 < math.inf and 0.0 <= s2 < math.inf):
+        raise ValueError(f"sums must be nonnegative and finite, got {sums!r}")
     denom = math.sqrt(s1) + math.sqrt(s2)
     if denom == 0.0:
         return ETA_CAP
@@ -139,10 +140,10 @@ class SideCertificate:
         g_t, and the mixed iterates g'_{t-1} and g'_t."""
         self.cum_obs += observation
         self.cum_play_loss += float(play @ observation)
-        self.variance += math.sqrt(increment) * float(np.abs(secondary - play).sum())
+        self.variance += math.sqrt(increment) * float(np.add.reduce(np.abs(secondary - play)))
         self.negative += (1.0 / eta) * (
-            float(np.abs(mixed - play).sum()) ** 2
-            + float(np.abs(mixed_prev - play).sum()) ** 2
+            float(np.add.reduce(np.abs(mixed - play))) ** 2
+            + float(np.add.reduce(np.abs(mixed_prev - play))) ** 2
         )
         if self.eta_first is None:
             self.eta_first = eta
@@ -154,7 +155,7 @@ class SideCertificate:
 
     @property
     def lhs(self) -> float:
-        return float(np.max(self.lhs_per_vertex))
+        return float(np.maximum.reduce(self.lhs_per_vertex))
 
     @property
     def rhs(self) -> float:
@@ -206,18 +207,20 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     Folds ||obs_t - obs_{t-1}||_inf^2 into the running sums, updates the
     secondary iterate with eta_t (sums through t-1), applies the uniform
     mixing floor, forms the next play with eta_{t+1} (sums through t), and
-    folds the round into the player's certificate.
+    folds the round into the player's certificate. This is where an
+    observation is checked: its shape, and that every entry is finite.
     Returns (next play, updated player).
     """
     obs = np.asarray(observation, dtype=float)
     if obs.shape != (player.n,):
         raise ValueError("observation has the wrong dimension")
-    if not np.all(np.isfinite(obs)):
+    if not np.isfinite(obs).all():
         raise ValueError("observation has non-finite entries")
     played = player.play.weights
     mixed_prev = player.g_prime.weights
-    increment = float(np.max(np.abs(obs - player.last_observation))) ** 2
-    shifted = obs - obs.max()  # constant shifts cancel in the normalization
+    increment = float(np.maximum.reduce(np.abs(obs - player.last_observation))) ** 2
+    # constant shifts cancel in the normalization
+    shifted = obs - np.maximum.reduce(obs)
     g_t = player._advance(increment, shifted, shifted)
     player.certificate.update(
         played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
@@ -278,7 +281,7 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
         x_sum += x
         fA_sum += fA
         Ax_sum += Ax
-        gap_t = float(np.max(fA_sum) - np.min(Ax_sum)) / t
+        gap_t = float(np.maximum.reduce(fA_sum) - np.minimum.reduce(Ax_sum)) / t
         trace.append(TraceRow(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col))
     f_avg = f_sum / T
     x_avg = x_sum / T
@@ -384,8 +387,11 @@ def bandit_eta(
     takes the cap branch.
     """
     s1, s2 = sums
-    if s1 < 0 or s2 < 0 or h_last < 0:
-        raise ValueError("sums and the last increment must be nonnegative")
+    # written so that NaN fails the check too
+    if not (0.0 <= s1 < math.inf and 0.0 <= s2 < math.inf and 0.0 <= h_last < math.inf):
+        raise ValueError(
+            f"sums and the last increment must be nonnegative and finite, got {sums!r}, {h_last!r}"
+        )
     cap = bandit_cap(own_dim, opp_dim, T)
     if h_last == 0.0:
         return cap
@@ -456,12 +462,12 @@ class _BanditSide(_Learner):
         d_new = self.delta * float(u_new @ payoff_vector)
         self.min_perturbed = min(
             self.min_perturbed,
-            float(np.min(f - self.delta * np.abs(u_prev))),
-            float(np.min(f - self.delta * np.abs(u_new))),
+            float(np.minimum.reduce(f - self.delta * np.abs(u_prev))),
+            float(np.minimum.reduce(f - self.delta * np.abs(u_new))),
         )
         est_hat = bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
         est_bar = bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
-        increment = float(np.max(np.abs(est_hat - self.last_bar))) ** 2
+        increment = float(np.maximum.reduce(np.abs(est_hat - self.last_bar))) ** 2
         self._advance(increment, est_hat, est_bar)
         self.prev_index = new_index
         self.last_bar = est_bar
@@ -473,7 +479,7 @@ class _BanditSide(_Learner):
             ((base + diffs) - (base - diffs))[:, None] * self.basis
         )
         target = (self.n / (self.n - 1.0)) * (payoff_vector - payoff_vector.mean())
-        err = float(np.max(np.abs(ests.sum(axis=0) / (self.n - 1.0) - target)))
+        err = float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (self.n - 1.0) - target)))
         self.max_error = max(self.max_error, err)
         return self.eta, self.eta, self.cap
 

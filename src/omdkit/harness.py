@@ -519,6 +519,8 @@ _RUNNERS = {
 # ---------------------------------------------------------------- output
 
 def _format_cell(value) -> str:
+    if type(value) is float:  # most cells; repr is the round-trip form
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -538,7 +540,7 @@ def _write_fresh(path: Path, text: str) -> None:
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+        lines.append(",".join(map(_format_cell, row)))
     _write_fresh(path, "\n".join(lines) + "\n")
 
 

@@ -7,7 +7,9 @@ and the running fixed-step regret certificate fed by realized trajectories.
 
 Every operation here except omd_round and the certificate is a pure
 function. omd_round advances the OmdState it is given in place and returns
-it, so a round costs the same at any horizon.
+it; its squared-gap history keeps exact running sums, so a round and the
+adaptive step size after it cost the same at any horizon. Each oracle
+vector is checked once, by the prox step that consumes it.
 """
 from __future__ import annotations
 
@@ -43,9 +45,9 @@ class SimplexPoint:
 
     def __init__(self, log_weights):
         z = _as_vector(log_weights)
-        z = z - z.max()
+        z = z - np.maximum.reduce(z)
         w = np.exp(z)
-        total = w.sum()
+        total = np.add.reduce(w)
         self.weights = w / total
         self.log_weights = z - math.log(total)
 
@@ -148,13 +150,13 @@ class MirrorMap:
     def norm(self, v) -> float:
         v = np.asarray(v, dtype=float)
         if self.kind == ENTROPY:
-            return float(np.abs(v).sum())
+            return float(np.add.reduce(np.abs(v)))
         return math.sqrt(float(v.dot(v)))
 
     def dual_norm(self, v) -> float:
         v = np.asarray(v, dtype=float)
         if self.kind == ENTROPY:
-            return float(np.max(np.abs(v))) if v.size else 0.0
+            return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
         return math.sqrt(float(v.dot(v)))
 
     def divergence_minimizer(self):
@@ -211,17 +213,18 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     Entropy: multiplicative update computed in log-space with max-subtraction,
     so the output is invariant under constant shifts of `loss`. Euclidean:
     gradient step followed by projection. Returns the same point type it was
-    given (SimplexPoint in, SimplexPoint out).
+    given (SimplexPoint in, SimplexPoint out). This is where a loss vector is
+    checked: its shape, and that every entry is finite.
     """
     if eta <= 0 or not math.isfinite(eta):
         raise ValueError(f"step size must be positive and finite, got {eta}")
     loss = _as_vector(loss, mirror_map.dim)
-    if not np.all(np.isfinite(loss)):
+    if not np.isfinite(loss).all():
         raise ValueError("loss vector has non-finite entries")
     if mirror_map.kind == ENTROPY:
         pt = base if isinstance(base, SimplexPoint) else SimplexPoint.from_weights(base)
         # subtracting the max makes shifted losses produce identical updates
-        out = pt.exp_step(eta * (loss - loss.max()))
+        out = pt.exp_step(eta * (loss - np.maximum.reduce(loss)))
         return out if isinstance(base, SimplexPoint) else out.weights
     basew = point_weights(base)
     if basew.size != mirror_map.dim:
@@ -229,14 +232,91 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     return mirror_map.project(basew - eta * loss)
 
 
+def _grow(partials: list[float], x: float) -> list[float]:
+    """Shewchuk's grow-expansion, as in math.fsum: returns new partials,
+    nonoverlapping and summing exactly to sum(partials) + x, and leaves
+    `partials` as it was (so a failed fold changes nothing, and copies of a
+    GapHistory may share it)."""
+    grown = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            grown.append(lo)
+        x = hi
+    if x == math.inf:
+        raise OverflowError("squared-difference history sum overflows")
+    grown.append(x)
+    return grown
+
+
+class GapHistory(list):
+    """A squared-gap history that keeps its exact running sums.
+
+    A list of floats. `append` rejects a negative or non-finite entry;
+    `sums` = (fsum(all entries), fsum(all but the last)) bit for bit. Each
+    entry is folded once into Shewchuk partials, the exact summation
+    `math.fsum` uses, on the first read of `sums` after it arrives, so a
+    read costs O(1) per new entry and a history nobody reads pays only the
+    check. The list grows only through append and extend; every other
+    mutation raises TypeError, since it would leave the sums stale.
+    """
+
+    __slots__ = ("_partials", "_folded", "_sums")
+
+    def __init__(self, entries=()):
+        super().__init__()
+        self._partials: list[float] = []  # of the first _folded entries
+        self._folded = 0
+        self._sums = (0.0, 0.0)
+        self.extend(entries)
+
+    def append(self, h) -> None:
+        x = float(h)
+        # written so that NaN fails the check too
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"squared-difference history must be nonnegative and finite, got {x!r}")
+        super().append(x)
+
+    def extend(self, entries) -> None:
+        for h in entries:
+            self.append(h)
+
+    @property
+    def sums(self) -> tuple[float, float]:
+        partials, (s1, s2) = self._partials, self._sums
+        # index, not iterate: a read touches only the entries not yet folded
+        for k in range(self._folded, len(self)):
+            partials = _grow(partials, self[k])
+            s1, s2 = math.fsum(partials), s1
+        self._partials, self._folded, self._sums = partials, len(self), (s1, s2)
+        return s1, s2
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a GapHistory only grows, by append or extend")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _frozen
+    insert = pop = remove = clear = sort = reverse = _frozen
+
+
 @dataclass
 class OmdState:
-    """State threaded through omd_round: secondary iterate, history, bookkeeping."""
+    """State threaded through omd_round: secondary iterate, history, bookkeeping.
+
+    sq_diff_history is a GapHistory (a plain sequence given here is copied
+    into one), so adaptive_eta reads its sums in O(1).
+    """
 
     secondary: object
     round: int = 0
-    sq_diff_history: list = field(default_factory=list)
+    sq_diff_history: GapHistory = field(default_factory=GapHistory)
     r_max: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.sq_diff_history, GapHistory):
+            self.sq_diff_history = GapHistory(self.sq_diff_history)
 
     @classmethod
     def initial(cls, mirror_map: MirrorMap, r_max: float | None = None) -> "OmdState":
@@ -267,12 +347,12 @@ def omd_round(
 
     Returns (f_t, state): the given state, advanced in place. It gains the
     squared dual-norm gap ||gradient - prediction||_*^2 in its history.
+    Both vectors are checked by the prox step that consumes them.
     """
-    prediction = _as_vector(prediction, mirror_map.dim)
     f_t = prox_step(mirror_map, state.secondary, prediction, eta)
-    grad = _as_vector(gradient_oracle(point_weights(f_t)), mirror_map.dim)
+    grad = gradient_oracle(point_weights(f_t))
     g_t = prox_step(mirror_map, state.secondary, grad, eta)
-    gap = mirror_map.dual_norm(grad - prediction)
+    gap = mirror_map.dual_norm(np.subtract(grad, prediction))
     state.secondary = g_t
     state.round += 1
     state.sq_diff_history.append(gap * gap)
@@ -283,15 +363,16 @@ def adaptive_eta(sq_diff_history: Sequence[float], r_max: float) -> float:
     """Data-dependent step size R_max * min{(sqrt(S1) + sqrt(S2))^-1, 1}.
 
     S1 sums the whole squared-gap history, S2 the history minus its last
-    entry. An empty history (or zero sums) falls back to R_max.
+    entry. An empty history (or zero sums) falls back to R_max. A GapHistory
+    (OmdState.sq_diff_history) is read in O(1) from its running sums; any
+    other sequence is first copied into one, in O(T). A negative, NaN or
+    infinite entry raises ValueError.
     """
     if r_max <= 0 or not math.isfinite(r_max):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    hist = list(sq_diff_history)
-    if any(h < 0 for h in hist):
-        raise ValueError("squared-difference history must be nonnegative")
-    s1 = math.fsum(hist)
-    s2 = math.fsum(hist[:-1])
+    if not isinstance(sq_diff_history, GapHistory):
+        sq_diff_history = GapHistory(sq_diff_history)
+    s1, s2 = sq_diff_history.sums
     denom = math.sqrt(s1) + math.sqrt(s2)
     if denom == 0.0:
         return r_max
@@ -329,11 +410,9 @@ class RegretCertificate:
         m = self.mirror_map
         f = point_weights(log.played)
         g = point_weights(log.secondary)
-        grad = np.asarray(log.gradient, dtype=float)
-        pred = np.asarray(log.prediction, dtype=float)
-        self.lhs += float((f - self.comparator) @ grad)
+        self.lhs += float((f - self.comparator) @ log.gradient)
         g_dist = m.norm(g - f)
-        self.variance_term += m.dual_norm(grad - pred) * g_dist
+        self.variance_term += m.dual_norm(np.subtract(log.gradient, log.prediction)) * g_dist
         self.negative_term += (g_dist**2 + m.norm(self._g_prev - f) ** 2) / (2.0 * self.eta)
         self._g_prev = g
 

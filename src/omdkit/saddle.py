@@ -94,7 +94,7 @@ def bilinear_gap(A, f, x) -> float:
     x = point_weights(x)
     if f.size != A.shape[0] or x.size != A.shape[1]:
         raise ValueError("strategy dimensions do not match the matrix")
-    return float(np.max(f @ A) - np.min(A @ x))
+    return float(np.maximum.reduce(f @ A) - np.minimum.reduce(A @ x))
 
 
 def bilinear_problem(A) -> SaddleProblem:

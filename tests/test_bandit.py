@@ -58,6 +58,22 @@ def test_bandit_eta_cap_branches():
         bandit_eta((1.0, 0.0), -1.0, 2, 2, 100)
 
 
+@pytest.mark.parametrize(
+    "sums, h_last",
+    [
+        ((math.nan, 0.0), 1.0),
+        ((4.0, math.nan), 1.0),
+        ((4.0, 1.0), math.nan),
+        ((math.inf, 1.0), 1.0),
+        ((4.0, 1.0), math.inf),
+    ],
+)
+def test_bandit_eta_rejects_non_finite_inputs(sums, h_last):
+    # a NaN sum or last increment once gave eta = nan
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        bandit_eta(sums, h_last, 2, 2, 100)
+
+
 def test_bandit_eta_difference_form_values():
     root = math.sqrt(math.log(200))
     # single large increment: sqrt(1e6) - sqrt(0) over 1e6

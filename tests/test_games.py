@@ -45,6 +45,32 @@ def test_full_info_eta_frozen():
         full_info_eta((-1.0, 0.0), 2, 10)
 
 
+@pytest.mark.parametrize(
+    "sums", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (4.0, math.inf)]
+)
+def test_full_info_eta_rejects_non_finite_sums(sums):
+    # a NaN sum once gave eta = nan, and an infinite one eta = 0.0
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        full_info_eta(sums, 3, 10)
+
+
+def test_full_info_match_makes_four_exp_steps_per_round(monkeypatch):
+    # each side corrects and then plays: two multiplicative steps a round,
+    # each through SimplexPoint.exp_step, which the benchmark's tracer counts
+    calls = []
+    real = SimplexPoint.exp_step
+
+    def counting(self, scaled_loss):
+        calls.append(1)
+        return real(self, scaled_loss)
+
+    monkeypatch.setattr(SimplexPoint, "exp_step", counting)
+    T = 25
+    a = np.random.default_rng(3).uniform(-1, 1, size=(3, 3))
+    run_full_info_match(a, T)
+    assert len(calls) == 4 * T
+
+
 def test_single_step_scalar_oracle():
     """Two-action player, one round, checked against by-hand arithmetic."""
     T = 10

@@ -1,5 +1,7 @@
 """Mirror map, prox, interleaved round, adaptive step, regret certificate."""
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from omdkit._linalg import project_ball
 from omdkit.mirror import (
     Ball,
+    GapHistory,
     MirrorMap,
     OmdState,
     RegretCertificate,
@@ -215,6 +218,17 @@ def test_adaptive_eta_rejects_bad_input():
         adaptive_eta([-1.0], 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_adaptive_eta_rejects_non_finite_entries(bad):
+    # a NaN entry once gave eta = nan, and an infinite one eta = 0.0
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        adaptive_eta([bad], 1.0)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        adaptive_eta([1.0, bad, 2.0], 1.0)
+    with pytest.raises(ValueError):
+        adaptive_eta([1.0], bad)
+
+
 def test_adaptive_eta_nonincreasing():
     rng = np.random.default_rng(3)
     hist = []
@@ -224,6 +238,94 @@ def test_adaptive_eta_nonincreasing():
         cur = adaptive_eta(hist, 1.7)
         assert cur <= prev + 1e-15
         prev = cur
+
+
+# ---------------------------------------------------------------- GapHistory
+
+# nonnegative floats from the subnormals up to 1e150, with exact zeros
+_gap_entries = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=1e150),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_gap_entries, max_size=60), st.floats(min_value=1e-3, max_value=1e3))
+def test_gap_history_sums_are_fsum_bitwise(xs, r_max):
+    hist = GapHistory(xs)
+    assert hist == xs
+    s1, s2 = hist.sums
+    assert (s1.hex(), s2.hex()) == (math.fsum(xs).hex(), math.fsum(xs[:-1]).hex())
+    # the list form and the running form of the step size agree bit for bit
+    assert adaptive_eta(xs, r_max) == adaptive_eta(hist, r_max)
+    grown = GapHistory()
+    for x in xs:
+        grown.append(x)
+    assert grown.sums == hist.sums
+
+
+class _NoIterHistory(GapHistory):
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("the history was iterated")
+
+
+def test_adaptive_eta_never_iterates_the_state_history():
+    m = MirrorMap.entropy_simplex(4)
+    state = OmdState(secondary=m.divergence_minimizer(), sq_diff_history=_NoIterHistory())
+    rng = np.random.default_rng(5)
+    prediction = np.zeros(4)
+    for _ in range(50):
+        eta = adaptive_eta(state.sq_diff_history, 1.0)
+        loss = rng.uniform(-1, 1, size=4)
+        _, state = omd_round(state, m, prediction, lambda _f, l=loss: l, eta)
+        prediction = loss
+    assert isinstance(state.sq_diff_history, _NoIterHistory)
+    assert len(state.sq_diff_history) == 50
+
+
+def test_gap_history_rejects_bad_entries_and_stale_mutations():
+    hist = GapHistory([1.0, 2.0])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hist.append(bad)
+    # a rejected entry leaves the history and its sums as they were
+    assert hist == [1.0, 2.0] and hist.sums == (3.0, 1.0)
+    huge = GapHistory([1.7e308])
+    assert huge.sums == (1.7e308, 0.0)
+    huge.append(1.7e308)
+    for _ in range(2):  # as math.fsum raises on this sum, and again on a reread
+        with pytest.raises(OverflowError):
+            huge.sums
+    for mutate in (
+        lambda h: h.__setitem__(0, 5.0),
+        lambda h: h.pop(),
+        lambda h: h.insert(0, 1.0),
+        lambda h: h.clear(),
+        lambda h: h.__iadd__([1.0]),
+    ):
+        with pytest.raises(TypeError):
+            mutate(hist)
+    hist.append(4.0)
+    hist.extend([8.0])
+    assert hist.sums == (15.0, 7.0)
+    hist.append(16.0)  # not folded yet when the clones are taken
+    clones = [copy.copy(hist), copy.deepcopy(hist), pickle.loads(pickle.dumps(hist))]
+    assert hist.sums == (31.0, 15.0)
+    for clone in clones:
+        assert type(clone) is GapHistory
+        assert clone == hist and clone.sums == hist.sums
+        clone.append(1.0)
+        assert clone.sums == (32.0, 31.0) and hist.sums == (31.0, 15.0)
+
+
+def test_state_copies_a_plain_history_into_a_gap_history():
+    m = MirrorMap.euclidean_ball(2)
+    state = OmdState(secondary=m.divergence_minimizer(), sq_diff_history=[1.0, 3.0])
+    assert isinstance(state.sq_diff_history, GapHistory)
+    assert state.sq_diff_history.sums == (4.0, 1.0)
 
 
 # ---------------------------------------------------------------- certificate

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import holder_half_problem, huber_vertex_problem, quad_ball_problem
+import omdkit.mirror as mirror
 from omdkit.mirror import MirrorMap, RegretCertificate
 from omdkit.offline import (
     OfflineRound,
@@ -240,3 +241,20 @@ def test_minimizer_must_match_the_map():
     problem, _ = builtin_problems()["quad-ball"]
     with pytest.raises(ValueError, match="minimizer"):
         dataclasses.replace(problem, minimizer=np.zeros(3))
+
+
+def test_mirror_prox_makes_two_prox_steps_per_round(monkeypatch):
+    # the play and the correction each go through mirror.prox_step, the
+    # module global that the benchmark's tracer counts
+    calls = []
+    real = mirror.prox_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "prox_step", counting)
+    T = 40
+    problem, _ = builtin_problems()["quad-ball"]
+    mirror_prox(problem, T)
+    assert len(calls) == 2 * T
