@@ -32,8 +32,10 @@ class AffineSolver:
     def project(self, point: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         b = np.asarray(b, dtype=float)
-        out = point - self._pinv @ (self.matrix @ point - b)
-        resid = self.residual = float(np.max(np.abs(self.matrix @ out - b)))
+        # a non-finite input reports only its ProjectionError, no RuntimeWarning
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = point - self._pinv @ (self.matrix @ point - b)
+            resid = self.residual = float(np.maximum.reduce(np.abs(self.matrix @ out - b)))
         # written so that a NaN residual fails the check too
         if not resid <= tol:
             raise ProjectionError(

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._rows import RowTable
 from .mirror import SimplexPoint
 from .saddle import bilinear_gap
 
@@ -246,7 +247,7 @@ class MatchResult:
     f_average: np.ndarray
     x_average: np.ndarray
     gap: float
-    trace: list[TraceRow]
+    trace: RowTable  # of TraceRow
     row_certificate: SideCertificate | None = None
     col_certificate: SideCertificate | None = None
     # neither match kind keeps per-round records; these stay empty
@@ -260,7 +261,8 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 
     Each round reads both plays (`side.play`), hands each side the payoff
     vector its opponent's play induces, and keeps only running state: the
-    play and payoff sums behind the running gap, and one TraceRow.
+    play and payoff sums behind the running gap, and one TraceRow, stored in
+    the columns of a RowTable.
     side.step(w) advances a side on its loss direction w and returns that
     side's trace entries (eta, lhs, rhs).
     """
@@ -269,7 +271,7 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     x_sum = np.zeros(m)
     fA_sum = np.zeros(m)
     Ax_sum = np.zeros(n)
-    trace: list[TraceRow] = []
+    trace = RowTable(TraceRow)
     for t in range(1, T + 1):
         f = row.play.weights
         x = col.play.weights
@@ -282,7 +284,7 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
         fA_sum += fA
         Ax_sum += Ax
         gap_t = float(np.maximum.reduce(fA_sum) - np.minimum.reduce(Ax_sum)) / t
-        trace.append(TraceRow(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col))
+        trace.append(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col)
     f_avg = f_sum / T
     x_avg = x_sum / T
     return MatchResult(
@@ -478,7 +480,7 @@ class _BanditSide(_Learner):
         ests = (self.n / (2.0 * self.delta)) * (
             ((base + diffs) - (base - diffs))[:, None] * self.basis
         )
-        target = (self.n / (self.n - 1.0)) * (payoff_vector - payoff_vector.mean())
+        target = (self.n / (self.n - 1.0)) * (payoff_vector - np.add.reduce(payoff_vector) / self.n)
         err = float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (self.n - 1.0) - target)))
         self.max_error = max(self.max_error, err)
         return self.eta, self.eta, self.cap

@@ -20,12 +20,12 @@ Exit status (returned by `cli.main`):
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,7 +88,9 @@ class ExperimentResult:
     summary_path: Path
     summary: dict
     trace_header: list[str]
-    trace_rows: list[tuple]
+    # one tuple per trace.csv row; for the kinds whose solver keeps a
+    # RowTable, a read-only view over its columns that builds rows on access
+    trace_rows: Sequence[tuple]
     extra_paths: dict[str, Path] = field(default_factory=dict)
 
 
@@ -289,10 +291,21 @@ def fit_rate(horizons: Sequence[float], values: Sequence[float]) -> float:
 
 
 def _slope_or_nan(ts, values) -> float:
-    pairs = [(t, v) for t, v in zip(ts, values) if v > 0]
-    if len(pairs) < 3:
+    ts = np.asarray(ts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > 0
+    if np.count_nonzero(keep) < 3:
         return math.nan
-    return fit_rate([p[0] for p in pairs], [p[1] for p in pairs])
+    return fit_rate(ts[keep], values[keep])
+
+
+def _cert_failures(table, *sides: tuple[str, str]) -> int:
+    """Rows of a RowTable where some (lhs, rhs) column pair misses
+    lhs <= rhs + CERT_TOL; a NaN misses."""
+    ok = np.ones(len(table), dtype=bool)
+    for lhs, rhs in sides:
+        ok &= table.column(lhs) <= table.column(rhs) + CERT_TOL
+    return len(table) - int(np.count_nonzero(ok))
 
 
 # ---------------------------------------------------------------- runners
@@ -319,30 +332,23 @@ def _run_game(config: ExperimentConfig):
     if config.kind == "game":
         res = run_full_info_match(payoff, T, mixing=config.mixing)
         header = ["t", "eta_row", "eta_col", "gap", "cert_lhs_row", "cert_rhs_row", "cert_lhs_col", "cert_rhs_col"]
-        columns = attrgetter(*header)
+        rows = res.trace.rows(*header)
     else:
         res = run_bandit_match(payoff, T, delta=config.delta, seed=config.seed)
         # the bandit certificate is the step discipline: each eta against its cap
         header = ["t", "eta_row", "eta_col", "gap", "cap_row", "cap_col"]
-        columns = attrgetter("t", "eta_row", "eta_col", "gap", "cert_rhs_row", "cert_rhs_col")
-    rows = []
-    failures = 0
-    for r in res.trace:
-        ok = (
-            r.cert_lhs_row <= r.cert_rhs_row + CERT_TOL
-            and r.cert_lhs_col <= r.cert_rhs_col + CERT_TOL
-        )
-        failures += 0 if ok else 1
-        rows.append(columns(r))
+        rows = res.trace.rows("t", "eta_row", "eta_col", "gap", "cert_rhs_row", "cert_rhs_col")
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
         "rounds": T,
         "gap": res.gap,
         "value_estimate": float(res.f_average @ payoff.entries @ res.x_average),
-        "fitted_slope": _slope_or_nan([r.t for r in res.trace], [r.gap for r in res.trace]),
+        "fitted_slope": _slope_or_nan(res.trace.column("t"), res.trace.column("gap")),
         "cert_checks": len(rows),
-        "cert_failures": failures,
+        "cert_failures": _cert_failures(
+            res.trace, ("cert_lhs_row", "cert_rhs_row"), ("cert_lhs_col", "cert_rhs_col")
+        ),
     }
     run_ok = True
     if config.kind == "game":
@@ -369,8 +375,7 @@ def _run_saddle(config: ExperimentConfig):
     payoff = parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
     T = _rounds_for(config)
     res = saddle_solve(bilinear_problem(payoff.entries), T)
-    rows = [(r.t, r.eta, r.value, r.gap, r.bound) for r in res.trace]
-    failures = sum(1 for r in res.trace if not r.gap <= r.bound + CERT_TOL)
+    rows = res.trace.rows("t", "eta", "value", "gap", "bound")
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
@@ -378,9 +383,9 @@ def _run_saddle(config: ExperimentConfig):
         "eta": res.eta,
         "gap": res.gap,
         "certificate_bound": res.certificate_bound,
-        "fitted_slope": _slope_or_nan([r.t for r in res.trace], [r.gap for r in res.trace]),
+        "fitted_slope": _slope_or_nan(res.trace.column("t"), res.trace.column("gap")),
         "cert_checks": len(rows),
-        "cert_failures": failures,
+        "cert_failures": _cert_failures(res.trace, ("gap", "bound")),
     }
     return ["t", "eta", "value", "gap", "bound"], rows, summary, {}, True
 
@@ -400,16 +405,19 @@ def _run_offline(config: ExperimentConfig):
     T = _rounds_for(config)
     res = mirror_prox(problem, T) if config.kind == "mirror-prox" else holder_optimize(problem, T)
 
-    rows = [(r.t, res.eta, r.value - optimum, r.cert_lhs, r.cert_rhs) for r in res.rounds]
-    failures = sum(1 for r in res.rounds if not r.cert_lhs <= r.cert_rhs + CERT_TOL)
+    eta = res.eta
+    rows = res.rounds.rows(
+        "t", "value", "cert_lhs", "cert_rhs",
+        build=lambda t, value, lhs, rhs: (t, eta, value - optimum, lhs, rhs),
+    )
     summary = {
         "instance": name,
         "rounds": T,
-        "eta": res.eta,
+        "eta": eta,
         "suboptimality": rows[-1][2],
-        "fitted_slope": _slope_or_nan([row[0] for row in rows], [row[2] for row in rows]),
+        "fitted_slope": _slope_or_nan(res.rounds.column("t"), res.rounds.column("value") - optimum),
         "cert_checks": len(rows),
-        "cert_failures": failures,
+        "cert_failures": _cert_failures(res.rounds, ("cert_lhs", "cert_rhs")),
     }
     return ["t", "eta", "suboptimality", "cert_lhs", "cert_rhs"], rows, summary, {}, True
 
@@ -500,7 +508,7 @@ def _run_maxflow(config: ExperimentConfig):
         "cert_failures": failures,
     }
     run_ok = sol.max_violation <= 1e-7 and sol.conservation_residual <= 1e-7
-    extras = {"flows.csv": "\n".join(flows_lines) + "\n"}
+    extras = {"flows.csv": flows_lines}
     header = ["candidate", "target", "rounds", "max_constraint", "accepted", "stop"]
     return header, rows, summary, extras, run_ok
 
@@ -530,18 +538,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_fresh(path: Path, text: str) -> None:
+def _write_fresh(path: Path, lines: Iterable[str]) -> None:
+    """Write `lines` (each without its newline) to `path` as they come."""
     # rewriting an existing file in place forces a flush when it is closed
     # (ext4 does this); unlinking it first makes the write a new file
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_format_cell, row)))
-    _write_fresh(path, "\n".join(lines) + "\n")
+    lines = (",".join(map(_format_cell, row)) for row in rows)
+    _write_fresh(path, itertools.chain([",".join(header)], lines))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -567,14 +576,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.txt"
     _write_csv(trace_path, header, rows)
-    _write_fresh(
-        summary_path,
-        "\n".join(f"{key}={_format_cell(value)}" for key, value in full_summary.items()) + "\n",
-    )
+    _write_fresh(summary_path, (f"{key}={_format_cell(value)}" for key, value in full_summary.items()))
     extra_paths = {}
-    for filename, text in extras.items():
+    for filename, lines in extras.items():
         extra_paths[filename] = out_dir / filename
-        _write_fresh(extra_paths[filename], text)
+        _write_fresh(extra_paths[filename], lines)
     return ExperimentResult(
         status=status,
         out_dir=out_dir,

@@ -12,6 +12,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._rows import RowTable
 from .mirror import MirrorMap, OmdState, RegretCertificate, RoundLog, omd_round, point_weights
 
 
@@ -69,10 +70,11 @@ class OfflineResult:
     """Averaged iterate, one OfflineRound per round, and the step size.
 
     A run keeps no iterates; the per-round vectors come from `trajectory`.
+    The rows are stored in the columns of a RowTable.
     """
 
     average: np.ndarray
-    rounds: list[OfflineRound]
+    rounds: RowTable  # of OfflineRound
     eta: float
 
 
@@ -127,12 +129,12 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
     comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
     cert = RegretCertificate(m, eta, comparator)
     total = np.zeros(m.dim)
-    rows = []
+    rows = RowTable(OfflineRound)
     for t, log in enumerate(trajectory(problem, T, eta), start=1):
         total += log.played
         cert.update(log)
         value = math.nan if problem.value is None else problem.value(total / t)
-        rows.append(OfflineRound(t, value, cert.lhs, cert.rhs))
+        rows.append(t, value, cert.lhs, cert.rhs)
     return OfflineResult(average=total / T, rounds=rows, eta=eta)
 
 

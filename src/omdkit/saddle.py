@@ -8,11 +8,12 @@ saddle point at a rate set by the worst smoothness exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._rows import RowTable
 from .mirror import MirrorMap, point_weights, prox_step
 
 
@@ -72,7 +73,7 @@ class SaddleResult:
     gap: float
     certificate_bound: float
     eta: float
-    trace: list = field(default_factory=list)
+    trace: RowTable  # of SaddleRound
 
 
 def saddle_eta(radius_f: float, radius_x: float, holder_const: float, gamma: float, T: int) -> float:
@@ -119,7 +120,8 @@ def bilinear_problem(A) -> SaddleProblem:
 def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> SaddleResult:
     """Run the coupled dynamics for T rounds and average both sides.
 
-    Only the running sums of the plays are kept. Each trace row carries the
+    Only the running sums of the plays are kept. Each trace row (a
+    SaddleRound, stored in the columns of a RowTable) carries the
     gap of the prefix averages, exact when the problem has a gap oracle
     (bilinear payoffs) and otherwise the realized certificate bound on the
     average's suboptimality. The result's gap and certificate_bound are the
@@ -136,7 +138,7 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
     sec_x = mx.divergence_minimizer()
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
-    trace = []
+    trace = RowTable(SaddleRound)
     var_f = var_x = neg_cross = 0.0
     g_prev_f = point_weights(sec_f)
     g_prev_x = point_weights(sec_x)
@@ -168,7 +170,7 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             gap = float(problem.gap_oracle(f_total / t, x_total / t))
         else:
             gap = running
-        trace.append(SaddleRound(t=t, value=value, eta=eta, gap=gap, bound=running))
+        trace.append(t, value, eta, gap, running)
         g_prev_f = point_weights(sec_f)
         g_prev_x = point_weights(sec_x)
     return SaddleResult(

@@ -79,6 +79,8 @@ def test_project_affine_reports_infeasible():
     assert err.value.residual > 0.1
 
 
+# a non-finite input reports its ProjectionError and nothing else
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_project_affine_rejects_non_finite_output(bad):
     with pytest.raises(ProjectionError):

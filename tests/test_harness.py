@@ -1,5 +1,7 @@
 """Experiment front end: parsing, rate fitting, trace emission, exit codes."""
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from omdkit import cli
 from omdkit import harness
 from omdkit._linalg import ProjectionError
-from omdkit.games import bandit_cap
+from omdkit.games import TraceRow, bandit_cap
 from omdkit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,7 +21,8 @@ from omdkit.harness import (
     run_experiment,
 )
 from omdkit.mirror import RegretCertificate
-from omdkit.offline import builtin_problems, mirror_prox, trajectory
+from omdkit.offline import OfflineRound, builtin_problems, mirror_prox, trajectory
+from omdkit.saddle import SaddleRound
 
 
 # ---------------------------------------------------------------- fit_rate
@@ -329,6 +332,90 @@ def test_rerun_into_same_out_keeps_only_new_output(tmp_path):
     assert second.trace_path.read_bytes() == fresh.trace_path.read_bytes()
     keys = [line.split("=")[0] for line in second.summary_path.read_text().splitlines()]
     assert keys == list(fresh.summary)
+
+
+def _parse_cell(cell: str):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+# kind -> (solver the harness calls, the solver row a trace.csv line was made from)
+_SOLVER_ROWS = {
+    "game": ("run_full_info_match", lambda t, *rest: TraceRow(t, *rest)),
+    # the bandit rows' lhs columns are the step sizes themselves
+    "game-bandit": (
+        "run_bandit_match",
+        lambda t, eta_row, eta_col, gap, cap_row, cap_col: TraceRow(
+            t, eta_row, eta_col, gap, eta_row, cap_row, eta_col, cap_col
+        ),
+    ),
+    "saddle": ("saddle_solve", lambda t, eta, value, gap, bound: SaddleRound(t, value, eta, gap, bound)),
+    # the bundled instances' optimum is 0.0, so the suboptimality is the value
+    "mirror-prox": ("mirror_prox", lambda t, eta, sub, lhs, rhs: OfflineRound(t, sub, lhs, rhs)),
+    "holder": ("holder_optimize", lambda t, eta, sub, lhs, rhs: OfflineRound(t, sub, lhs, rhs)),
+}
+
+
+def test_trace_rows_are_the_file_and_solver_rows_are_built_on_access(tmp_path, monkeypatch):
+    solved = {}
+    for solver, _ in _SOLVER_ROWS.values():
+        def capture(*args, _real=getattr(harness, solver), _name=solver, **kwargs):
+            solved[_name] = _real(*args, **kwargs)
+            return solved[_name]
+
+        monkeypatch.setattr(harness, solver, capture)
+    matrix = _matrix_file(tmp_path, "0.5,-1,0.25\n-0.5,1,0\n")
+    for kind, extra in [
+        ("game", {"matrix": matrix, "rounds": 40}),
+        ("game-bandit", {"matrix": matrix, "rounds": 40, "seed": 4}),
+        ("saddle", {"matrix": matrix, "rounds": 40}),
+        ("mirror-prox", {"rounds": 40}),
+        ("holder", {"instance": "vertex-pull", "rounds": 40}),
+        ("cvxprog", {"instance": "tied", "epsilon": 0.2}),
+        ("maxflow", {"graph": _graph_file(tmp_path), "epsilon": 0.2}),
+    ]:
+        result = run_experiment(ExperimentConfig(kind=kind, out=str(tmp_path / kind), **extra))
+        lines = result.trace_path.read_text().splitlines()
+        rows = result.trace_rows
+        assert [",".join(map(harness._format_cell, row)) for row in rows] == lines[1:], kind
+        assert len(rows) == len(lines) - 1 == result.summary["cert_checks"], kind
+        assert rows[-1] == tuple(rows)[-1], kind
+        if kind not in _SOLVER_ROWS:
+            continue
+        solver, solver_row = _SOLVER_ROWS[kind]
+        res = solved.pop(solver)
+        table = res.rounds if kind in ("mirror-prox", "holder") else res.trace
+        fresh = [solver_row(*map(_parse_cell, line.split(","))) for line in lines[1:]]
+        assert list(table) == fresh, kind
+        assert len(table) == len(fresh) and table[-1] == fresh[-1], kind
+        assert type(table[-1]) is type(fresh[-1]), kind
+
+
+@pytest.mark.parametrize("kind", ["mirror-prox", "saddle", "game", "game-bandit"])
+def test_trace_memory_per_round_stays_small(tmp_path, kind):
+    # each round keeps a handful of scalars: 8 bytes each in the solver's
+    # columns, plus what the slope fit and the failure count allocate for a
+    # moment; a per-round Python object (a row, a tuple, a line) costs more
+    if kind == "mirror-prox":
+        extra = {"instance": "quad-ball"}
+    else:
+        a = np.random.default_rng(10).uniform(-1, 1, size=(10, 10))
+        extra = {"matrix": _matrix_file(tmp_path, "\n".join(",".join(map(repr, row)) for row in a.tolist()))}
+    peaks = []
+    for T in (2000, 20000):
+        config = ExperimentConfig(kind=kind, rounds=T, out=str(tmp_path / f"run{T}"), **extra)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.status == 0
+        del result
+    assert (peaks[1] - peaks[0]) / 18000 <= 200
 
 
 # ---------------------------------------------------------------- cli
