@@ -5,7 +5,9 @@ saddle point of phi(f, x) = sum_i x(i) G_i(f): a Euclidean-regularized
 variable player restricted to the slice {ambient equalities, c^T f = F*}
 plays against an exponential-weights constraint player on the d-simplex.
 Averaged play blended toward a strictly feasible anchor yields a point that
-meets every constraint and concedes at most an epsilon fraction of F*.
+meets every constraint and concedes at most an epsilon fraction of F*. Each
+run certifies itself round by round: its trace holds max_i G_i of the
+running average next to the bound 1 + psi/t.
 
 Max flow on unit-capacity undirected graphs is the bundled instantiation:
 signed edge flows, capacities as 2d one-sided linear constraints,
@@ -21,9 +23,11 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import AffineSolver
+from ._rows import RowTable
 from .mirror import AffineSubspace, MirrorMap, Simplex, SimplexPoint, prox_step
 
 FEAS_TOL = 1e-9
+FLOW_TOL = 1e-7  # conservation polish and the final flow's checks
 
 
 def cp_step_sizes(B: float, d: float, H: float = 0.0) -> tuple[float, float]:
@@ -55,12 +59,6 @@ def cp_step_sizes(B: float, d: float, H: float = 0.0) -> tuple[float, float]:
     return eta, 1.0 / eta - H
 
 
-def psi_optimum(B: float, d: float, H: float) -> float:
-    """Optimal regularized potential psi(eta) = B^2/eta + eta log d/(1 - eta H)."""
-    eta, _ = cp_step_sizes(B, d, H)
-    return B * B / eta + eta * math.log(d) / (1.0 - eta * H)
-
-
 @dataclass
 class SmoothCP:
     """Convex program data: maximize objective @ f s.t. G_i(f) <= 1 on the
@@ -87,6 +85,9 @@ class SmoothCP:
         self.anchor = np.asarray(self.anchor, dtype=float)
         if self.objective.shape != self.anchor.shape or self.objective.ndim != 1:
             raise ValueError("objective and anchor must be vectors of equal length")
+        for name in ("objective", "anchor", "target", "radius", "smoothness"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.d < 2:
             raise ValueError("need at least two constraints")
         if self.smoothness < 0:
@@ -135,6 +136,16 @@ class SmoothCP:
 
 
 @dataclass
+class CpRound:
+    """One round's certificate: max_constraint_avg = max_i G_i(f_bar_t) of the
+    running average must stay at most bound = 1 + psi/t."""
+
+    t: int
+    max_constraint_avg: float
+    bound: float
+
+
+@dataclass
 class CpReport:
     f_hat: np.ndarray
     f_bar: np.ndarray
@@ -148,19 +159,27 @@ class CpReport:
     objective_ok: bool
     max_slice_residual: float
     target: float
+    trace: RowTable  # of CpRound, one per round run
 
 
-def _blend(problem: SmoothCP, epsilon: float, f_bar: np.ndarray) -> tuple[float, np.ndarray]:
-    """(alpha, f_hat): the averaged play moved toward the anchor by
-    alpha = epsilon / (epsilon + margin), the step that turns a constraint
-    excess of epsilon into none."""
-    alpha = epsilon / (epsilon + problem.margin)
-    return alpha, (1.0 - alpha) * f_bar + alpha * problem.anchor
+def _alpha(problem: SmoothCP, epsilon: float) -> float:
+    """The blend's step toward the anchor, epsilon / (epsilon + margin): the
+    step that turns a constraint excess of epsilon into none."""
+    return epsilon / (epsilon + problem.margin)
+
+
+def _steps(problem: SmoothCP, epsilon: float) -> tuple[float, float, float, int]:
+    """(eta, eta', psi, auto horizon) from one step-size computation: psi is
+    B^2/eta + eta log d/(1 - eta H) at eta, the horizon the least T above psi/epsilon."""
+    B, d, H = problem.radius, problem.d, problem.smoothness
+    eta, eta_prime = cp_step_sizes(B, d, H)
+    psi = B * B / eta + eta * math.log(d) / (1.0 - eta * H)
+    return eta, eta_prime, psi, int(math.floor(psi / epsilon)) + 1
 
 
 def auto_rounds(problem: SmoothCP, epsilon: float) -> int:
     """Smallest horizon exceeding psi*/epsilon (the guarantee threshold)."""
-    return int(math.floor(psi_optimum(problem.radius, problem.d, problem.smoothness) / epsilon)) + 1
+    return _steps(problem, epsilon)[3]
 
 
 def solve_cp(
@@ -169,7 +188,7 @@ def solve_cp(
     rounds: int | None = None,
     solver: AffineSolver | None = None,
     target: float | None = None,
-    stop_when: Callable[[int, np.ndarray], bool] | None = None,
+    stop_when: Callable[[int, float], bool] | None = None,
 ) -> tuple[np.ndarray, CpReport]:
     """Run the coupled dynamics and blend the averaged play with the anchor.
 
@@ -179,21 +198,23 @@ def solve_cp(
     blend satisfies max_i G_i(f_hat) <= 1 and
     objective @ f_hat >= (1 - epsilon/margin) * target.
 
-    stop_when, the one per-round hook, is called after each round with
-    (t, f_bar), the running average f_sum / t of the plays so far; a true
-    result ends the run at round t, and that f_bar is the one blended into
-    f_hat. The plays do not depend on the hook, so a run it never stops is
-    the run without it, and report.rounds is the number of rounds actually
-    run.
+    The run folds its own certificate: after round t it appends
+    CpRound(t, max G(f_bar_t), 1 + psi/t) to report.trace, where f_bar_t is
+    the running average f_sum / t of the plays and psi the potential of the
+    step sizes. stop_when, the one per-round hook, is then called with
+    (t, max_constraint_avg); a true result ends the run at round t, and that
+    f_bar_t is the one blended into f_hat. The plays do not depend on the
+    hook, so a run it never stops is the run without it, and report.rounds
+    is the number of rounds actually run.
     """
     # written so that NaN fails the check too
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     tgt = problem.target if target is None else target
-    T = auto_rounds(problem, epsilon) if rounds is None else rounds
+    eta, eta_prime, psi, horizon = _steps(problem, epsilon)
+    T = horizon if rounds is None else rounds
     if T < 1:
         raise ValueError("rounds must be positive")
-    eta, eta_prime = cp_step_sizes(problem.radius, problem.d, problem.smoothness)
 
     m_slice, b_slice = problem.slice_equalities(tgt)
     if solver is None:
@@ -206,6 +227,7 @@ def solve_cp(
     y = SimplexPoint.uniform(problem.d)
     vals_g = np.asarray(problem.values(g_f), dtype=float)
     f_sum = np.zeros(problem.dim)
+    trace = RowTable(CpRound)
     max_resid = solver.residual  # the start point's, checked by its projection
     for t in range(1, T + 1):
         pred_f = problem.jacobian(y.weights, g_f)
@@ -220,14 +242,14 @@ def solve_cp(
         vals_g = np.asarray(problem.values(g_f), dtype=float)
 
         f_sum += f_t
-        if stop_when is not None:
-            f_bar = f_sum / t
-            if stop_when(t, f_bar):
-                break
-    else:
-        f_bar = f_sum / T
+        f_bar = f_sum / t
+        max_avg = float(np.maximum.reduce(np.asarray(problem.values(f_bar), dtype=float)))
+        trace.append(t, max_avg, 1.0 + psi / t)
+        if stop_when is not None and stop_when(t, max_avg):
+            break
 
-    alpha, f_hat = _blend(problem, epsilon, f_bar)
+    alpha = _alpha(problem, epsilon)
+    f_hat = (1.0 - alpha) * f_bar + alpha * problem.anchor
     max_g = float(np.max(problem.values(f_hat)))
     obj = float(problem.objective @ f_hat)
     report = CpReport(
@@ -243,6 +265,7 @@ def solve_cp(
         objective_ok=obj >= (1.0 - epsilon / problem.margin) * tgt - FEAS_TOL,
         max_slice_residual=max_resid,
         target=tgt,
+        trace=trace,
     )
     return f_hat, report
 
@@ -305,13 +328,60 @@ class FlowNetwork:
         return self.sink in seen
 
 
+@dataclass(frozen=True)
+class FlowCandidate:
+    """One binary-search candidate: its solve_cp verdicts and why it stopped.
+
+    accepted is solve_cp's `feasible`, objective_ok its claim that the blend
+    carries at least (1 - epsilon/2) * target. An accepted candidate raises
+    the search's lower end, so its row `holds` only if both are true. stop is
+    "accepted-early" (before the auto horizon) or "horizon".
+    """
+
+    target: float
+    rounds: int
+    max_constraint: float
+    objective: float
+    accepted: bool
+    objective_ok: bool
+    stop: str
+
+    @property
+    def holds(self) -> bool:
+        return self.objective_ok or not self.accepted
+
+
 @dataclass
 class FlowSolution:
+    """The polished best flow, its checks, and one row per search candidate."""
+
     flows: np.ndarray
     value: float
     max_violation: float
     conservation_residual: float
-    stats: dict = field(default_factory=dict)
+    candidates: list[FlowCandidate] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        """Every capacity and conservation holds to FLOW_TOL."""
+        return self.max_violation <= FLOW_TOL and self.conservation_residual <= FLOW_TOL
+
+    @property
+    def solves(self) -> int:
+        return len(self.candidates)
+
+    @property
+    def total_rounds(self) -> int:
+        return sum(c.rounds for c in self.candidates)
+
+    @property
+    def early_stops(self) -> int:
+        return sum(c.stop == "accepted-early" for c in self.candidates)
+
+    @property
+    def accepted_target(self) -> float:
+        """The largest accepted target (the search's final lower end), or 0."""
+        return max((c.target for c in self.candidates if c.accepted), default=0.0)
 
 
 def _flow_problem(network: FlowNetwork, target: float) -> SmoothCP:
@@ -365,87 +435,52 @@ def max_flow(network: FlowNetwork, epsilon: float) -> FlowSolution:
     blend turns a 1 + epsilon/2 constraint excess into exactly 1. The best
     flow is polished by one projection onto the conservation equalities.
 
-    Each solve stops at the first round whose blended running average
-    already meets every capacity (solve_cp's stop_when). That stop is
-    certified, not estimated: the predicate is the acceptance test itself,
-    on the same f_bar, alpha and blend that give f_hat, and every play lies
-    on the value slice, so the accepted blend carries value (1 - alpha) *
-    target whatever the round. A candidate that never passes runs the
-    unchanged trajectory to its horizon and gets the verdict it would get
-    without the predicate, so no rejection is premature. stats counts the
-    early stops, and each candidate records its rounds and why it stopped
-    ("accepted-early" or "horizon").
+    Each solve stops at the first round whose certificate row already shows
+    an acceptable blend: (1 - alpha) * max_constraint_avg <= 1 + FEAS_TOL.
+    That stop is certified, not estimated. The anchor is 0 and G(f) is
+    (f, -f), so max G of the blend (1 - alpha) * f_bar is (1 - alpha) times
+    max G(f_bar), bit for bit, since rounding a product by a positive factor
+    is monotone: the stop test is the acceptance test on that f_bar. Every
+    play lies on the value slice, so the accepted blend carries value
+    (1 - alpha) * target whatever the round. A candidate that never passes
+    runs the unchanged trajectory to its horizon and gets the verdict it
+    would get without the predicate, so no rejection is premature.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     d_edges = network.edge_count
     best: np.ndarray | None = None
-    best_target = 0.0
-    candidates: list[dict] = []
-    total_rounds = 0
+    candidates: list[FlowCandidate] = []
     if d_edges > 0 and network.connects():
         problem = _flow_problem(network, 0.0)
-        m_slice, _ = problem.slice_equalities(0.0)
-        solver = AffineSolver(m_slice)  # one pseudo-inverse serves every candidate
+        solver = AffineSolver(problem.slice_equalities()[0])  # one pseudo-inverse serves every candidate
         eps_c = epsilon / 2.0
         horizon = auto_rounds(problem, eps_c)
+        weight = 1.0 - _alpha(problem, eps_c)  # the blend's weight on f_bar
 
-        def meets_capacities(t: int, f_bar: np.ndarray) -> bool:
-            # solve_cp's own feasibility test on its own blend of this f_bar
-            _, f_hat = _blend(problem, eps_c, f_bar)
-            # max(values(f_hat)) = max(f_hat, -f_hat), without the concatenation
-            return float(np.abs(f_hat).max()) <= 1.0 + FEAS_TOL
+        def acceptable(t: int, max_constraint_avg: float) -> bool:
+            return weight * max_constraint_avg <= 1.0 + FEAS_TOL
 
         lo, hi = 0.0, float(network.source_degree())
         while hi - lo > epsilon / 2.0:
             mid = 0.5 * (lo + hi)
-            f_hat, report = solve_cp(
-                problem, eps_c, solver=solver, target=mid, stop_when=meets_capacities
-            )
-            total_rounds += report.rounds
-            candidates.append(
-                {
-                    "target": mid,
-                    "rounds": report.rounds,
-                    "max_constraint": report.max_constraint,
-                    "objective": report.objective_value,
-                    "accepted": report.feasible,
-                    "stop": "accepted-early" if report.rounds < horizon else "horizon",
-                }
-            )
+            f_hat, report = solve_cp(problem, eps_c, solver=solver, target=mid, stop_when=acceptable)
+            stop = "accepted-early" if report.rounds < horizon else "horizon"
+            candidates.append(FlowCandidate(
+                mid, report.rounds, report.max_constraint, report.objective_value,
+                report.feasible, report.objective_ok, stop,
+            ))
             if report.feasible:
-                lo, best, best_target = mid, f_hat, mid
+                lo, best = mid, f_hat
             else:
                 hi = mid
-    stats = {
-        "solves": len(candidates),
-        "total_rounds": total_rounds,
-        "early_stops": sum(c["stop"] == "accepted-early" for c in candidates),
-        "accepted_target": best_target,
-        "candidates": candidates,
-    }
     if best is None:
-        return FlowSolution(
-            flows=np.zeros(d_edges),
-            value=0.0,
-            max_violation=0.0,
-            conservation_residual=0.0,
-            stats=stats,
-        )
+        return FlowSolution(np.zeros(d_edges), 0.0, 0.0, 0.0, candidates)
 
-    interior = [w for w in range(network.nodes) if w not in (network.source, network.sink)]
-    if interior:
-        incidence = network.incidence()
-        conservation = AffineSolver(incidence[interior])
-        best = conservation.project(best, np.zeros(len(interior)), tol=1e-7)
-    checked = check_flow(network, best)
-    return FlowSolution(
-        flows=best,
-        value=checked["value"],
-        max_violation=checked["max_violation"],
-        conservation_residual=checked["conservation_residual"],
-        stats=stats,
-    )
+    if problem.ambient is not None:  # the conservation equalities
+        conservation, zeros = problem.ambient
+        best = AffineSolver(conservation).project(best, zeros, tol=FLOW_TOL)
+    return FlowSolution(flows=best, candidates=candidates, **check_flow(network, best))
 
 
 # ------------------------------------------------------- bundled instances

@@ -526,6 +526,7 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
         "estimator_error_row": row.max_error,
         "estimator_error_col": col.max_error,
         "estimator_tol": estimator_tol,
+        "estimator_ok": row.max_error <= estimator_tol and col.max_error <= estimator_tol,
         "cap_row": row.cap,
         "cap_col": col.cap,
         "min_perturbed_play": min(row.min_perturbed, col.min_perturbed),

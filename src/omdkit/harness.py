@@ -11,6 +11,12 @@ candidate actually ran, and its `stop` column says why it stopped:
 the auto horizon, `horizon` otherwise; `early_stops` in the summary counts
 the former.
 
+The harness evaluates no inequality of its own. Each solver folds its
+certificate into its rows, as an lhs and an rhs column or as a per-row
+verdict, and states its run-level verdicts. A runner formats the rows and
+counts the failed ones (lhs above rhs + CERT_TOL, or a false verdict); the
+run fails if any row or run-level verdict does.
+
 Exit status (returned by `cli.main`):
   0  every per-round certificate and run-level guarantee held;
   1  a certificate or run-level guarantee failed;
@@ -29,13 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .convexprog import (
-    FlowNetwork,
-    builtin_cp_instances,
-    max_flow,
-    psi_optimum,
-    solve_cp,
-)
+from .convexprog import FlowNetwork, builtin_cp_instances, max_flow, solve_cp
 from .games import PayoffMatrix, run_bandit_match, run_full_info_match
 from .offline import builtin_problems, holder_optimize, mirror_prox
 from .saddle import bilinear_problem, saddle_solve
@@ -350,25 +350,13 @@ def _run_game(config: ExperimentConfig):
             res.trace, ("cert_lhs_row", "cert_rhs_row"), ("cert_lhs_col", "cert_rhs_col")
         ),
     }
-    run_ok = True
     if config.kind == "game":
         summary["mixing"] = config.mixing
-    else:
-        # run-level guard: the tangent estimates must enumerate back to the
-        # true projected payoffs on every round
-        est_row = res.summary["estimator_error_row"]
-        est_col = res.summary["estimator_error_col"]
-        est_tol = res.summary["estimator_tol"]
-        summary.update(
-            delta=res.summary["delta"],
-            estimator_error_row=est_row,
-            estimator_error_col=est_col,
-            estimator_tol=est_tol,
-            min_perturbed_play=res.summary["min_perturbed_play"],
-            estimator_ok=bool(est_row <= est_tol and est_col <= est_tol),
-        )
-        run_ok = summary["estimator_ok"]
-    return header, rows, summary, {}, run_ok
+        return header, rows, summary, {}, ()
+    for key in ("delta", "estimator_error_row", "estimator_error_col", "estimator_tol",
+                "min_perturbed_play", "estimator_ok"):
+        summary[key] = res.summary[key]
+    return header, rows, summary, {}, (res.summary["estimator_ok"],)
 
 
 def _run_saddle(config: ExperimentConfig):
@@ -387,7 +375,7 @@ def _run_saddle(config: ExperimentConfig):
         "cert_checks": len(rows),
         "cert_failures": _cert_failures(res.trace, ("gap", "bound")),
     }
-    return ["t", "eta", "value", "gap", "bound"], rows, summary, {}, True
+    return ["t", "eta", "value", "gap", "bound"], rows, summary, {}, ()
 
 
 def _run_offline(config: ExperimentConfig):
@@ -419,7 +407,7 @@ def _run_offline(config: ExperimentConfig):
         "cert_checks": len(rows),
         "cert_failures": _cert_failures(res.rounds, ("cert_lhs", "cert_rhs")),
     }
-    return ["t", "eta", "suboptimality", "cert_lhs", "cert_rhs"], rows, summary, {}, True
+    return ["t", "eta", "suboptimality", "cert_lhs", "cert_rhs"], rows, summary, {}, ()
 
 
 def _run_cvxprog(config: ExperimentConfig):
@@ -429,29 +417,16 @@ def _run_cvxprog(config: ExperimentConfig):
         raise ConfigError(
             f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
         )
-    problem = instances[name]
-    # the per-round bound on max G of the running average is 1 + psi/t
-    psi = psi_optimum(problem.radius, problem.d, problem.smoothness)
-
-    trace_acc: list[tuple[int, float]] = []
-
-    def record(t: int, f_bar: np.ndarray) -> bool:
-        trace_acc.append((t, float(np.max(np.asarray(problem.values(f_bar), dtype=float)))))
-        return False
-
-    _, report = solve_cp(problem, config.epsilon, rounds=config.rounds, stop_when=record)
-
-    rows = []
-    failures = 0
-    for t, max_avg in trace_acc:
-        bound = 1.0 + psi / t
-        failures += 0 if max_avg <= bound + CERT_TOL else 1
-        rows.append((t, report.eta, max_avg, bound))
+    _, report = solve_cp(instances[name], config.epsilon, rounds=config.rounds)
+    eta = report.eta
+    rows = report.trace.rows(
+        "t", "max_constraint_avg", "bound", build=lambda t, max_avg, bound: (t, eta, max_avg, bound)
+    )
     summary = {
         "instance": name,
         "epsilon": config.epsilon,
         "rounds": report.rounds,
-        "eta": report.eta,
+        "eta": eta,
         "eta_prime": report.eta_prime,
         "alpha": report.alpha,
         "max_constraint": report.max_constraint,
@@ -461,35 +436,22 @@ def _run_cvxprog(config: ExperimentConfig):
         "objective_ok": report.objective_ok,
         "max_slice_residual": report.max_slice_residual,
         "fitted_slope": _slope_or_nan(
-            [row[0] for row in rows], [max(row[2] - 1.0, 0.0) for row in rows]
+            report.trace.column("t"), report.trace.column("max_constraint_avg") - 1.0
         ),
         "cert_checks": len(rows),
-        "cert_failures": failures,
+        "cert_failures": _cert_failures(report.trace, ("max_constraint_avg", "bound")),
     }
-    run_ok = report.feasible and report.objective_ok
-    return ["t", "eta", "max_constraint_avg", "bound"], rows, summary, {}, run_ok
+    header = ["t", "eta", "max_constraint_avg", "bound"]
+    return header, rows, summary, {}, (report.feasible, report.objective_ok)
 
 
 def _run_maxflow(config: ExperimentConfig):
     network = parse_graph(_read_instance(config.graph, "--graph", config.kind), name=str(config.graph))
     sol = max_flow(network, config.epsilon)
-    rows = []
-    failures = 0
-    for idx, cand in enumerate(sol.stats["candidates"], start=1):
-        # accepted candidates must actually meet the capacity certificate;
-        # rejected ones carry no claim
-        ok = (not cand["accepted"]) or cand["max_constraint"] <= 1.0 + 2 * CERT_TOL
-        failures += 0 if ok else 1
-        rows.append(
-            (
-                idx,
-                cand["target"],
-                cand["rounds"],
-                cand["max_constraint"],
-                int(cand["accepted"]),
-                cand["stop"],
-            )
-        )
+    rows = [
+        (idx, c.target, c.rounds, c.max_constraint, int(c.accepted), c.stop)
+        for idx, c in enumerate(sol.candidates, start=1)
+    ]
     flows_lines = ["edge_index,u,v,flow"]
     for idx, ((u, v), flow) in enumerate(zip(network.edges, sol.flows), start=1):
         flows_lines.append(f"{idx},{u + 1},{v + 1},{float(flow)!r}")
@@ -500,17 +462,15 @@ def _run_maxflow(config: ExperimentConfig):
         "value": sol.value,
         "max_violation": sol.max_violation,
         "conservation_residual": sol.conservation_residual,
-        "solves": sol.stats["solves"],
-        "total_rounds": sol.stats["total_rounds"],
-        "early_stops": sol.stats["early_stops"],
-        "accepted_target": sol.stats["accepted_target"],
+        "solves": sol.solves,
+        "total_rounds": sol.total_rounds,
+        "early_stops": sol.early_stops,
+        "accepted_target": sol.accepted_target,
         "cert_checks": len(rows),
-        "cert_failures": failures,
+        "cert_failures": sum(not c.holds for c in sol.candidates),
     }
-    run_ok = sol.max_violation <= 1e-7 and sol.conservation_residual <= 1e-7
-    extras = {"flows.csv": flows_lines}
     header = ["candidate", "target", "rounds", "max_constraint", "accepted", "stop"]
-    return header, rows, summary, extras, run_ok
+    return header, rows, summary, {"flows.csv": flows_lines}, (sol.clean,)
 
 
 _RUNNERS = {
@@ -557,7 +517,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch to the configured kind, write the trace and summary files."""
     started = time.perf_counter()
     try:
-        header, rows, summary, extras, run_ok = _RUNNERS[config.kind](config)
+        header, rows, summary, extras, verdicts = _RUNNERS[config.kind](config)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -565,7 +525,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - started
 
-    status = 0 if summary["cert_failures"] == 0 and run_ok else 1
+    # the solvers' run-level verdicts: the bandit estimator guard, cvxprog's
+    # feasibility and objective, max flow's clean final flow
+    status = 0 if summary["cert_failures"] == 0 and all(verdicts) else 1
     full_summary = {"kind": config.kind, "seed": config.seed}
     full_summary.update(summary)
     full_summary["status"] = status

@@ -206,7 +206,7 @@ def test_criterion_8_max_flow_against_oracle():
         ok = ok and sol.conservation_residual <= 1e-7
         d = network.edge_count
         per_solve = math.ceil(math.sqrt(d * math.log(d)) / eps)
-        ok = ok and sol.stats["total_rounds"] <= per_solve * (1 + 12 * sol.stats["solves"])
+        ok = ok and sol.total_rounds <= per_solve * (1 + 12 * sol.solves)
     ok = ok and time.perf_counter() - started < 30.0
     assert _verdict(8, "max flow within (1 - eps) of exact, clean flows", ok)
 

@@ -198,3 +198,18 @@ def test_bandit_match_builds_one_basis_per_side(monkeypatch):
     a = np.random.default_rng(4).uniform(-1, 1, size=(6, 5))
     run_bandit_match(a, T=20, seed=0)
     assert sorted(calls) == [5, 6]
+
+
+def test_bandit_match_reports_its_estimator_verdict(monkeypatch):
+    a = np.random.default_rng(4).uniform(-1, 1, size=(6, 5))
+    assert run_bandit_match(a, T=20, seed=0).summary["estimator_ok"] is True
+
+    def skewed(n):
+        basis = tangent_basis(n).copy()
+        basis[0] *= 1.001
+        return basis
+
+    monkeypatch.setattr(omdkit.games, "tangent_basis", skewed)
+    summary = run_bandit_match(a, T=20, seed=0).summary
+    assert summary["estimator_ok"] is False
+    assert max(summary["estimator_error_row"], summary["estimator_error_col"]) > summary["estimator_tol"]

@@ -1,4 +1,5 @@
 """Experiment front end: parsing, rate fitting, trace emission, exit codes."""
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from omdkit import cli
 from omdkit import harness
 from omdkit._linalg import ProjectionError
+from omdkit.convexprog import CpRound, FlowSolution
 from omdkit.games import TraceRow, bandit_cap
 from omdkit.harness import (
     ConfigError,
@@ -207,6 +209,26 @@ def test_maxflow_trace_says_why_each_candidate_stopped(tmp_path):
     assert all(line.rsplit(",", 1)[1] in ("accepted-early", "horizon") for line in lines[1:])
 
 
+@pytest.mark.parametrize("fault", ["objective", "violation"])
+def test_maxflow_fails_on_the_solvers_verdicts(tmp_path, monkeypatch, fault):
+    # an accepted candidate whose blend misses (1 - eps/2) * target fails its
+    # row; a final flow off by more than 1e-7 fails the run
+    real = harness.max_flow
+
+    def faulty(network, epsilon):
+        sol = real(network, epsilon)
+        if fault == "objective":
+            sol.candidates[0] = dataclasses.replace(sol.candidates[0], accepted=True, objective_ok=False)
+            return sol
+        return FlowSolution(sol.flows, sol.value, 2e-7, 0.0, sol.candidates)
+
+    monkeypatch.setattr(harness, "max_flow", faulty)
+    config = ExperimentConfig(kind="maxflow", graph=_graph_file(tmp_path), epsilon=0.2, out=str(tmp_path / "run"))
+    result = run_experiment(config)
+    assert result.status == 1
+    assert result.summary["cert_failures"] == (1 if fault == "objective" else 0)
+
+
 def test_summary_counters_match_trace_rows(tmp_path):
     configs = [
         ExperimentConfig(kind="game", matrix=_matrix_file(tmp_path), rounds=12, out=str(tmp_path / "a")),
@@ -355,6 +377,7 @@ _SOLVER_ROWS = {
     # the bundled instances' optimum is 0.0, so the suboptimality is the value
     "mirror-prox": ("mirror_prox", lambda t, eta, sub, lhs, rhs: OfflineRound(t, sub, lhs, rhs)),
     "holder": ("holder_optimize", lambda t, eta, sub, lhs, rhs: OfflineRound(t, sub, lhs, rhs)),
+    "cvxprog": ("solve_cp", lambda t, eta, max_avg, bound: CpRound(t, max_avg, bound)),
 }
 
 
@@ -386,6 +409,8 @@ def test_trace_rows_are_the_file_and_solver_rows_are_built_on_access(tmp_path, m
             continue
         solver, solver_row = _SOLVER_ROWS[kind]
         res = solved.pop(solver)
+        if kind == "cvxprog":
+            res = res[1]  # solve_cp returns (f_hat, report)
         table = res.rounds if kind in ("mirror-prox", "holder") else res.trace
         fresh = [solver_row(*map(_parse_cell, line.split(","))) for line in lines[1:]]
         assert list(table) == fresh, kind
