@@ -210,6 +210,9 @@ def solve_cp(
     # written so that NaN fails the check too
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    # the override skips SmoothCP's own check, so it gets the same one here
+    if target is not None and not math.isfinite(target):
+        raise ValueError("target must be finite")
     tgt = problem.target if target is None else target
     eta, eta_prime, psi, horizon = _steps(problem, epsilon)
     T = horizon if rounds is None else rounds

@@ -81,7 +81,8 @@ class _Learner:
     round before it, the last increment `h_last`, and `eta`, the step size
     the last round corrected with (None before the first round). A subclass
     supplies its step-size rule, `_eta()`, read from this state, and what it
-    observes.
+    observes; it sets whatever else `_eta()` reads before calling this
+    constructor, which evaluates the rule once for the first round.
     """
 
     def __init__(self, n: int, T: int, beta: float):
@@ -93,6 +94,7 @@ class _Learner:
         self.sums = (0.0, 0.0)
         self.h_last = 0.0
         self.eta: float | None = None
+        self._eta_next = self._eta()  # eta_t of the coming round
 
     def _eta(self) -> float:
         raise NotImplementedError
@@ -103,14 +105,17 @@ class _Learner:
         """Fold one round in and form the next play.
 
         eta_t (sums through t-1) corrects g'_{t-1} on `correction`; the
-        result is mixed toward uniform; eta_{t+1} (sums through t, so
-        including `increment`) steps it toward `prediction`. Returns the
-        unmixed secondary iterate g_t.
+        result is mixed toward uniform, which puts every entry of g'_t at or
+        above beta/n exactly; eta_{t+1} (sums through t, so including
+        `increment`) steps it toward `prediction`. eta_{t+1} is also the
+        next round's eta_t, so the rule is evaluated once a round. Nothing
+        is re-checked here: the caller has checked the observation.
+        Returns the unmixed secondary iterate g_t.
         """
-        eta_t = self._eta()
+        eta_t = self._eta_next
         self.sums = (self.sums[0] + increment, self.sums[0])
         self.h_last = increment
-        eta_next = self._eta()
+        self._eta_next = eta_next = self._eta()
         g_t = self.g_prime.exp_step(eta_t * correction)
         self.g_prime = g_t.mix(self.beta)
         self.play = self.g_prime.exp_step(eta_next * prediction)
@@ -156,7 +161,12 @@ class SideCertificate:
 
     @property
     def lhs(self) -> float:
-        return float(np.maximum.reduce(self.lhs_per_vertex))
+        """max(lhs_per_vertex), read as cum_play_loss - min(cum_obs).
+
+        Rounding is monotone, so the two forms agree bit for bit; this one
+        makes no vector.
+        """
+        return float(self.cum_play_loss - np.minimum.reduce(self.cum_obs))
 
     @property
     def rhs(self) -> float:
@@ -431,8 +441,8 @@ class _BanditSide(_Learner):
     and steps with `bandit_eta`."""
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
+        self.opp = opp_dim  # read by _eta(), so set before the learner's constructor
         super().__init__(own_dim, T, 1.0 / (T * T))
-        self.opp = opp_dim
         self.delta = delta
         self.basis = tangent_basis(own_dim)
         self.rng = rng

@@ -39,12 +39,19 @@ class SimplexPoint:
 
     Long products of exponential reweightings underflow in linear space;
     keeping log-weights makes the multiplicative update stable at any horizon.
+    `weights` and `log_weights` describe the same point: `weights` is
+    exp(`log_weights`) up to rounding. The constructor checks its argument;
+    `exp_step` and `mix` build their points from arrays they made themselves,
+    so they skip that check.
     """
 
     __slots__ = ("log_weights", "weights")
 
     def __init__(self, log_weights):
-        z = _as_vector(log_weights)
+        self._normalize(_as_vector(log_weights))
+
+    def _normalize(self, z: np.ndarray) -> None:
+        """Set this point from unnormalized log-weights z, a 1-d float array."""
         z = z - np.maximum.reduce(z)
         w = np.exp(z)
         total = np.add.reduce(w)
@@ -63,15 +70,39 @@ class SimplexPoint:
         return cls(np.log(w))
 
     def exp_step(self, scaled_loss: np.ndarray) -> "SimplexPoint":
-        """Multiplicative update exp(-scaled_loss), renormalized in log-space."""
-        return SimplexPoint(self.log_weights - scaled_loss)
+        """Multiplicative update exp(-scaled_loss), renormalized in log-space.
+
+        The result is bit for bit SimplexPoint(self.log_weights - scaled_loss);
+        only the shape is checked, since the difference is already a float
+        array. A scaled_loss that does not broadcast to this point's shape
+        raises ValueError.
+        """
+        z = self.log_weights - scaled_loss
+        if z.shape != self.log_weights.shape:
+            raise ValueError(f"expected a loss of shape {self.log_weights.shape}, got {z.shape}")
+        out = SimplexPoint.__new__(SimplexPoint)
+        out._normalize(z)
+        return out
 
     def mix(self, beta: float) -> "SimplexPoint":
-        """Blend with the uniform distribution: (1-beta)*w + beta/n."""
+        """Blend with the uniform distribution: w = (1-beta)*weights + beta/n.
+
+        Works in weight space: w is the new point's `weights` and log(w) its
+        `log_weights`, with no renormalization, so every entry meets the
+        floor w >= beta/n exactly in floating point. beta must lie in
+        [0, 1]; beta == 0 returns this point itself.
+        """
+        # written so that NaN fails the check too
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"mixing weight must lie in [0, 1], got {beta!r}")
         if beta == 0.0:
             return self
-        w = (1.0 - beta) * self.weights + beta / self.weights.size
-        return SimplexPoint(np.log(w))
+        w = (1.0 - beta) * self.weights
+        w += beta / w.size
+        out = SimplexPoint.__new__(SimplexPoint)
+        out.weights = w
+        out.log_weights = np.log(w)
+        return out
 
     @property
     def dim(self) -> int:

@@ -232,6 +232,15 @@ def test_solve_cp_rejects_non_finite_epsilon(eps):
         solve_cp(problem, eps)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_solve_cp_rejects_a_non_finite_target(target):
+    # the override once reached the affine projection, which raised
+    # ProjectionError, a numeric fault, in place of an input error
+    problem = builtin_cp_instances()["box"]
+    with pytest.raises(ValueError, match="target must be finite"):
+        solve_cp(problem, 0.1, target=target)
+
+
 def test_flow_network_validation():
     with pytest.raises(ValueError):
         FlowNetwork(2, [(0, 0)], 0, 1)

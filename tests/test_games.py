@@ -10,8 +10,12 @@ from omdkit.games import (
     ETA_CAP,
     FullInfoPlayer,
     PayoffMatrix,
+    _BanditSide,
+    _Learner,
+    bandit_eta,
     full_info_eta,
     full_info_step,
+    run_bandit_match,
     run_full_info_match,
     run_full_info_vs,
 )
@@ -137,6 +141,63 @@ def test_mixing_floor_holds_every_round():
     for _ in range(T):
         _, player = full_info_step(player, rng.uniform(-1, 1, size=4))
         assert player.g_prime.weights.min() >= (beta / 4) * (1 - 1e-12)
+
+
+def _watch_advance(monkeypatch, check):
+    """Wrap _Learner._advance so that check(side, before, prediction) runs
+    after every round of every side; before = (sums, h_last) going in."""
+    real = _Learner._advance
+    rounds = []
+
+    def watched(self, increment, correction, prediction):
+        before = (self.sums, self.h_last)
+        g_t = real(self, increment, correction, prediction)
+        check(self, before, prediction)
+        rounds.append(1)
+        return g_t
+
+    monkeypatch.setattr(_Learner, "_advance", watched)
+    return rounds
+
+
+def _both_match_kinds(T):
+    a = np.random.default_rng(9).uniform(-1, 1, size=(4, 3))
+    run_full_info_match(a, T)
+    run_bandit_match(a, T, seed=2)
+
+
+def test_mixing_floor_holds_exactly_every_round(monkeypatch):
+    # mixing in weight space adds beta/n to a nonnegative number, which
+    # rounding cannot take below beta/n: no slack, on either kind or side
+    def check(side, before, prediction):
+        assert side.beta > 0.0
+        assert side.g_prime.weights.min() >= side.beta / side.n
+
+    T = 40
+    rounds = _watch_advance(monkeypatch, check)
+    _both_match_kinds(T)
+    assert len(rounds) == 4 * T
+
+
+def test_each_round_steps_with_its_rule_from_the_pre_round_sums(monkeypatch):
+    # the correcting eta_t comes from the sums going into the round, and the
+    # play from eta_{t+1} read after it, bit for bit, although the learner
+    # evaluates its rule once a round
+    def rule(side, sums, h_last):
+        if isinstance(side, _BanditSide):
+            return bandit_eta(sums, h_last, side.n, side.opp, side.T)
+        return full_info_eta(sums, side.n, side.T)
+
+    def check(side, before, prediction):
+        assert side.eta == rule(side, *before)
+        eta_next = rule(side, side.sums, side.h_last)
+        play = side.g_prime.exp_step(eta_next * prediction)
+        assert play.weights.tobytes() == side.play.weights.tobytes()
+
+    T = 40
+    rounds = _watch_advance(monkeypatch, check)
+    _both_match_kinds(T)
+    assert len(rounds) == 4 * T
 
 
 def test_mixing_disabled_is_plain_update():
@@ -314,3 +375,16 @@ def test_match_certificates_hold_every_round(case):
     last = res.trace[-1]
     assert (last.cert_lhs_row, last.cert_rhs_row) == (res.row_certificate.lhs, res.row_certificate.rhs)
     assert (last.cert_lhs_col, last.cert_rhs_col) == (res.col_certificate.lhs, res.col_certificate.rhs)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(games_and_opponents())
+def test_certificate_lhs_is_the_largest_vertex_lhs(case):
+    # lhs reads cum_play_loss - min(cum_obs); rounding is monotone, so it is
+    # the largest per-vertex entry bit for bit, on every round
+    a, T, mixing, strategies = case
+    player = FullInfoPlayer(a.shape[0], T, a @ np.full(a.shape[1], 1.0 / a.shape[1]), mixing=mixing)
+    for x in strategies:
+        _, player = full_info_step(player, a @ x)
+        cert = player.certificate
+        assert cert.lhs == float(np.maximum.reduce(cert.lhs_per_vertex))

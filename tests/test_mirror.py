@@ -444,6 +444,44 @@ def test_simplex_point_invariants():
         np.testing.assert_allclose(np.exp(p.log_weights), p.weights, rtol=1e-12, atol=1e-300)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-50, 50)),
+    arrays(float, n, elements=st.floats(-50, 50)),
+)))
+def test_exp_step_is_the_constructor_bit_for_bit(case):
+    z, v = case
+    p = SimplexPoint(z)
+    fast = p.exp_step(v)
+    checked = SimplexPoint(p.log_weights - v)
+    assert fast.weights.tobytes() == checked.weights.tobytes()
+    assert fast.log_weights.tobytes() == checked.log_weights.tobytes()
+
+
+def test_exp_step_rejects_a_loss_of_the_wrong_shape():
+    p = SimplexPoint.uniform(3)
+    for bad in (np.zeros((3, 3)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            p.exp_step(bad)
+
+
+def test_mix_floor_is_exact_and_zero_beta_is_identity():
+    p = SimplexPoint.from_weights([1.0, 1e-300, 1e-300])
+    assert p.mix(0.0) is p
+    beta = 1.0 / 3000**2
+    q = p.mix(beta)
+    assert q.weights.min() >= beta / 3
+    assert np.array_equal(q.log_weights, np.log(q.weights))
+
+
+@pytest.mark.parametrize("beta", [2.0, -0.5, math.nan, math.inf, -math.inf])
+def test_mix_rejects_beta_outside_the_unit_interval(beta):
+    # these once logged negative weights and returned an all-NaN point
+    p = SimplexPoint.from_weights([0.9, 0.05, 0.05])
+    with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\]"):
+        p.mix(beta)
+
+
 def test_simplex_point_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         SimplexPoint.from_weights([0.5, 0.0, 0.5])
