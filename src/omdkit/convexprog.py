@@ -24,7 +24,8 @@ import numpy as np
 
 from ._linalg import AffineSolver
 from ._rows import RowTable
-from .mirror import AffineSubspace, MirrorMap, Simplex, SimplexPoint, prox_step
+from .mirror import MirrorMap, SimplexPoint, prox_step
+from .saddle import coupled_rounds
 
 FEAS_TOL = 1e-9
 FLOW_TOL = 1e-7  # conservation polish and the final flow's checks
@@ -192,10 +193,11 @@ def solve_cp(
 ) -> tuple[np.ndarray, CpReport]:
     """Run the coupled dynamics and blend the averaged play with the anchor.
 
-    Both players predict each round from the previous secondary iterates:
-    the variable player with the constraint-weighted gradient, the
-    constraint player with the constraint values. With the auto horizon the
-    blend satisfies max_i G_i(f_hat) <= 1 and
+    The rounds are saddle.coupled_rounds. Both players predict each round
+    from the previous secondary iterates: the variable player with the
+    constraint-weighted gradient, stepping by one projection onto the value
+    slice, the constraint player with the constraint values. With the auto
+    horizon the blend satisfies max_i G_i(f_hat) <= 1 and
     objective @ f_hat >= (1 - epsilon/margin) * target.
 
     The run folds its own certificate: after round t it appends
@@ -205,7 +207,8 @@ def solve_cp(
     (t, max_constraint_avg); a true result ends the run at round t, and that
     f_bar_t is the one blended into f_hat. The plays do not depend on the
     hook, so a run it never stops is the run without it, and report.rounds
-    is the number of rounds actually run.
+    is the number of rounds actually run; a stopped round's correction is
+    never computed.
     """
     # written so that NaN fails the check too
     if not 0.0 < epsilon < math.inf:
@@ -222,28 +225,22 @@ def solve_cp(
     m_slice, b_slice = problem.slice_equalities(tgt)
     if solver is None:
         solver = AffineSolver(m_slice)
-    var_map = MirrorMap.euclidean_affine(m_slice, b_slice, solver=solver)
-    subspace = var_map.feasible
     con_map = MirrorMap.entropy_simplex(problem.d)
-
-    g_f = var_map.divergence_minimizer()
-    y = SimplexPoint.uniform(problem.d)
-    vals_g = np.asarray(problem.values(g_f), dtype=float)
+    rounds = coupled_rounds(
+        lambda f, y: problem.jacobian(y.weights, f),
+        lambda f, y: -np.asarray(problem.values(f), dtype=float),
+        lambda base, loss: solver.project(base - eta * loss, b_slice),
+        lambda base, loss: prox_step(con_map, base, loss, eta_prime),
+        solver.project(np.zeros(problem.dim), b_slice),
+        SimplexPoint.uniform(problem.d),
+        T,
+    )
     f_sum = np.zeros(problem.dim)
     trace = RowTable(CpRound)
     max_resid = solver.residual  # the start point's, checked by its projection
-    for t in range(1, T + 1):
-        pred_f = problem.jacobian(y.weights, g_f)
-        f_t = subspace.project(g_f - eta * pred_f)
+    for t, (f_t, *_) in enumerate(rounds, 1):
+        # no projection since the play's, so this is the play's residual
         max_resid = max(max_resid, solver.residual)
-        x_t = prox_step(con_map, y, -vals_g, eta_prime)
-
-        vals_f = np.asarray(problem.values(f_t), dtype=float)
-        grad_f = problem.jacobian(x_t.weights, f_t)
-        g_f = subspace.project(g_f - eta * grad_f)
-        y = prox_step(con_map, y, -vals_f, eta_prime)
-        vals_g = np.asarray(problem.values(g_f), dtype=float)
-
         f_sum += f_t
         f_bar = f_sum / t
         max_avg = float(np.maximum.reduce(np.asarray(problem.values(f_bar), dtype=float)))

@@ -1,7 +1,7 @@
 """Optimistic mirror descent primitives.
 
 Implements the two supported mirror maps (negative entropy on the simplex,
-euclidean on simplex/ball/affine feasible sets), Bregman divergences, prox
+euclidean on the simplex or a ball), Bregman divergences, prox
 steps, the interleaved primary/secondary update, the adaptive step-size rule,
 and the running fixed-step regret certificate fed by realized trajectories.
 
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import AffineSolver, project_ball, project_simplex
+from ._linalg import project_ball, project_simplex
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -123,28 +123,13 @@ class Ball:
     radius: float = 1.0
 
 
-class AffineSubspace:
-    """Feasible set {f : M f = b}; its projector computes M's pseudo-inverse once."""
-
-    def __init__(self, matrix, rhs, solver: AffineSolver | None = None):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if self.matrix.shape[0] != self.rhs.size:
-            raise ValueError("equality matrix and rhs disagree on row count")
-        self.dim = self.matrix.shape[1]
-        self._solver = solver if solver is not None else AffineSolver(self.matrix)
-
-    def project(self, point: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        return self._solver.project(point, self.rhs, tol=tol)
-
-
 @dataclass(frozen=True)
 class MirrorMap:
     """Mirror map: `kind` is "entropy" or "euclidean", over a feasible set.
 
     Negative entropy is only valid on the simplex (its prox is the
-    multiplicative update). The euclidean map supports simplex, ball, and
-    affine-subspace feasible sets through euclidean projection.
+    multiplicative update). The euclidean map supports simplex and ball
+    feasible sets through euclidean projection.
     """
 
     kind: str
@@ -155,6 +140,8 @@ class MirrorMap:
             raise ValueError(f"unknown mirror map kind {self.kind!r}")
         if self.kind == ENTROPY and not isinstance(self.feasible, Simplex):
             raise ValueError("negative entropy is defined only over the simplex")
+        if not isinstance(self.feasible, (Simplex, Ball)):
+            raise ValueError(f"unsupported feasible set {self.feasible!r}")
 
     @classmethod
     def entropy_simplex(cls, n: int) -> "MirrorMap":
@@ -167,10 +154,6 @@ class MirrorMap:
     @classmethod
     def euclidean_ball(cls, n: int, radius: float = 1.0) -> "MirrorMap":
         return cls(EUCLIDEAN, Ball(n, radius))
-
-    @classmethod
-    def euclidean_affine(cls, matrix, rhs, solver=None) -> "MirrorMap":
-        return cls(EUCLIDEAN, AffineSubspace(matrix, rhs, solver))
 
     @property
     def dim(self) -> int:
@@ -196,16 +179,12 @@ class MirrorMap:
             return SimplexPoint.uniform(self.dim)
         if isinstance(self.feasible, Ball):
             return np.zeros(self.dim)
-        if isinstance(self.feasible, Simplex):
-            return np.full(self.dim, 1.0 / self.dim)
-        return self.feasible.project(np.zeros(self.dim))
+        return np.full(self.dim, 1.0 / self.dim)
 
     def project(self, point: np.ndarray) -> np.ndarray:
         if isinstance(self.feasible, Simplex):
             return project_simplex(point)
-        if isinstance(self.feasible, Ball):
-            return project_ball(point, self.feasible.radius)
-        return self.feasible.project(point)
+        return project_ball(point, self.feasible.radius)
 
 
 def point_weights(point) -> np.ndarray:

@@ -4,6 +4,10 @@ Each side runs the interleaved update, predicting with the partial gradient
 evaluated at the pair of secondary iterates. Player II's learner receives
 negated gradients so both sides minimize; averaged plays approximate the
 saddle point at a rate set by the worst smoothness exponent.
+
+`coupled_rounds` is that round, written once: `saddle_solve` folds its
+certificate from it, and `convexprog.solve_cp` plays the same round on the
+Lagrangian of a convex program.
 """
 from __future__ import annotations
 
@@ -117,6 +121,31 @@ def bilinear_problem(A) -> SaddleProblem:
     )
 
 
+def coupled_rounds(grad_f, grad_x, step_f, step_x, start_f, start_x, T: int):
+    """Play T coupled optimistic rounds from the secondaries (start_f, start_x).
+
+    Each round predicts with both sides' losses at the previous secondary
+    pair, plays f_t = step_f(prev_f, pred_f) and x_t = step_x(prev_x, pred_x),
+    and takes the losses at the played pair; both sides minimize. It yields
+    (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) before
+    correcting each secondary with its played-pair loss, so a consumer that
+    stops at round t never runs that round's correction.
+    """
+    prev_f, prev_x = start_f, start_x
+    for _ in range(T):
+        pred_f = grad_f(prev_f, prev_x)
+        pred_x = grad_x(prev_f, prev_x)
+        # both plays must exist before either gradient is taken, so each
+        # side's interleaved update is split into its play and correct steps
+        f_t = step_f(prev_f, pred_f)
+        x_t = step_x(prev_x, pred_x)
+        grad_f_t = grad_f(f_t, x_t)
+        grad_x_t = grad_x(f_t, x_t)
+        yield f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x
+        prev_f = step_f(prev_f, grad_f_t)
+        prev_x = step_x(prev_x, grad_x_t)
+
+
 def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> SaddleResult:
     """Run the coupled dynamics for T rounds and average both sides.
 
@@ -134,28 +163,24 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
-    sec_f = mf.divergence_minimizer()
-    sec_x = mx.divergence_minimizer()
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
     trace = RowTable(SaddleRound)
     var_f = var_x = neg_cross = 0.0
-    g_prev_f = point_weights(sec_f)
-    g_prev_x = point_weights(sec_x)
-    for t in range(1, T + 1):
-        pred_f = np.asarray(problem.grad_f(g_prev_f, g_prev_x), dtype=float)
-        pred_x = -np.asarray(problem.grad_x(g_prev_f, g_prev_x), dtype=float)
-        # both plays must exist before either gradient is taken, so each
-        # side's interleaved update is split into its play and correct proxes
-        f_t = point_weights(prox_step(mf, sec_f, pred_f, eta))
-        x_t = point_weights(prox_step(mx, sec_x, pred_x, eta))
-        grad_f_t = np.asarray(problem.grad_f(f_t, x_t), dtype=float)
-        grad_x_t = -np.asarray(problem.grad_x(f_t, x_t), dtype=float)
-        sec_f = prox_step(mf, sec_f, grad_f_t, eta)
-        sec_x = prox_step(mx, sec_x, grad_x_t, eta)
+    rounds = coupled_rounds(
+        lambda f, x: np.asarray(problem.grad_f(point_weights(f), point_weights(x)), dtype=float),
+        lambda f, x: -np.asarray(problem.grad_x(point_weights(f), point_weights(x)), dtype=float),
+        lambda base, loss: prox_step(mf, base, loss, eta),
+        lambda base, loss: prox_step(mx, base, loss, eta),
+        mf.divergence_minimizer(),
+        mx.divergence_minimizer(),
+        T,
+    )
+    for t, (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) in enumerate(rounds, 1):
+        f_t, x_t = point_weights(f_t), point_weights(x_t)
         var_f += eta / 2.0 * mf.dual_norm(grad_f_t - pred_f) ** 2
         var_x += eta / 2.0 * mx.dual_norm(grad_x_t - pred_x) ** 2
-        neg_cross += mf.norm(g_prev_f - f_t) ** 2 + mx.norm(g_prev_x - x_t) ** 2
+        neg_cross += mf.norm(point_weights(prev_f) - f_t) ** 2 + mx.norm(point_weights(prev_x) - x_t) ** 2
         f_total += f_t
         x_total += x_t
         value = problem.value(f_t, x_t) if problem.value is not None else math.nan
@@ -171,8 +196,6 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
         else:
             gap = running
         trace.append(t, value, eta, gap, running)
-        g_prev_f = point_weights(sec_f)
-        g_prev_x = point_weights(sec_x)
     return SaddleResult(
         f_average=f_total / T,
         x_average=x_total / T,

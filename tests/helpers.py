@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 
-from omdkit.mirror import MirrorMap
+from omdkit._linalg import AffineSolver
+from omdkit._rows import RowTable
+from omdkit.convexprog import FEAS_TOL, CpReport, CpRound, _alpha, _steps
+from omdkit.mirror import MirrorMap, SimplexPoint, point_weights, prox_step
 from omdkit.offline import SmoothProblem
+from omdkit.saddle import SaddleResult, SaddleRound, saddle_eta
 
 
 # ---------------------------------------------------------------- offline problems
@@ -169,3 +173,146 @@ def golden_section_min(fn, lo, hi, tol=1e-12):
             d = a + inv_phi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------- reference loops
+#
+# saddle_solve and solve_cp as they were written before both ran the one
+# coupled round, saddle.coupled_rounds: each loop is its own copy of that
+# round. Tests require the library to match them bit for bit. The only code
+# change is in reference_solve_cp, which calls AffineSolver.project where
+# the old loop went through a one-line affine-subspace wrapper around it.
+
+def reference_saddle_solve(problem, T, eta=None):
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    if eta is None:
+        eta = saddle_eta(
+            problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
+        )
+    mf, mx = problem.map_f, problem.map_x
+    sec_f = mf.divergence_minimizer()
+    sec_x = mx.divergence_minimizer()
+    f_total = np.zeros(mf.dim)
+    x_total = np.zeros(mx.dim)
+    trace = RowTable(SaddleRound)
+    var_f = var_x = neg_cross = 0.0
+    g_prev_f = point_weights(sec_f)
+    g_prev_x = point_weights(sec_x)
+    for t in range(1, T + 1):
+        pred_f = np.asarray(problem.grad_f(g_prev_f, g_prev_x), dtype=float)
+        pred_x = -np.asarray(problem.grad_x(g_prev_f, g_prev_x), dtype=float)
+        f_t = point_weights(prox_step(mf, sec_f, pred_f, eta))
+        x_t = point_weights(prox_step(mx, sec_x, pred_x, eta))
+        grad_f_t = np.asarray(problem.grad_f(f_t, x_t), dtype=float)
+        grad_x_t = -np.asarray(problem.grad_x(f_t, x_t), dtype=float)
+        sec_f = prox_step(mf, sec_f, grad_f_t, eta)
+        sec_x = prox_step(mx, sec_x, grad_x_t, eta)
+        var_f += eta / 2.0 * mf.dual_norm(grad_f_t - pred_f) ** 2
+        var_x += eta / 2.0 * mx.dual_norm(grad_x_t - pred_x) ** 2
+        neg_cross += mf.norm(g_prev_f - f_t) ** 2 + mx.norm(g_prev_x - x_t) ** 2
+        f_total += f_t
+        x_total += x_t
+        value = problem.value(f_t, x_t) if problem.value is not None else math.nan
+        running = (
+            problem.radius_f**2 / eta
+            + problem.radius_x**2 / eta
+            + var_f
+            + var_x
+            - neg_cross / (2.0 * eta)
+        ) / t
+        if problem.gap_oracle is not None:
+            gap = float(problem.gap_oracle(f_total / t, x_total / t))
+        else:
+            gap = running
+        trace.append(t, value, eta, gap, running)
+        g_prev_f = point_weights(sec_f)
+        g_prev_x = point_weights(sec_x)
+    return SaddleResult(
+        f_average=f_total / T,
+        x_average=x_total / T,
+        gap=gap,
+        certificate_bound=running,
+        eta=eta,
+        trace=trace,
+    )
+
+
+def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, stop_when=None):
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if target is not None and not math.isfinite(target):
+        raise ValueError("target must be finite")
+    tgt = problem.target if target is None else target
+    eta, eta_prime, psi, horizon = _steps(problem, epsilon)
+    T = horizon if rounds is None else rounds
+    if T < 1:
+        raise ValueError("rounds must be positive")
+
+    m_slice, b_slice = problem.slice_equalities(tgt)
+    if solver is None:
+        solver = AffineSolver(m_slice)
+    con_map = MirrorMap.entropy_simplex(problem.d)
+
+    g_f = solver.project(np.zeros(problem.dim), b_slice)
+    y = SimplexPoint.uniform(problem.d)
+    vals_g = np.asarray(problem.values(g_f), dtype=float)
+    f_sum = np.zeros(problem.dim)
+    trace = RowTable(CpRound)
+    max_resid = solver.residual
+    for t in range(1, T + 1):
+        pred_f = problem.jacobian(y.weights, g_f)
+        f_t = solver.project(g_f - eta * pred_f, b_slice)
+        max_resid = max(max_resid, solver.residual)
+        x_t = prox_step(con_map, y, -vals_g, eta_prime)
+
+        vals_f = np.asarray(problem.values(f_t), dtype=float)
+        grad_f = problem.jacobian(x_t.weights, f_t)
+        g_f = solver.project(g_f - eta * grad_f, b_slice)
+        y = prox_step(con_map, y, -vals_f, eta_prime)
+        vals_g = np.asarray(problem.values(g_f), dtype=float)
+
+        f_sum += f_t
+        f_bar = f_sum / t
+        max_avg = float(np.maximum.reduce(np.asarray(problem.values(f_bar), dtype=float)))
+        trace.append(t, max_avg, 1.0 + psi / t)
+        if stop_when is not None and stop_when(t, max_avg):
+            break
+
+    alpha = _alpha(problem, epsilon)
+    f_hat = (1.0 - alpha) * f_bar + alpha * problem.anchor
+    max_g = float(np.max(problem.values(f_hat)))
+    obj = float(problem.objective @ f_hat)
+    report = CpReport(
+        f_hat=f_hat,
+        f_bar=f_bar,
+        rounds=t,
+        eta=eta,
+        eta_prime=eta_prime,
+        alpha=alpha,
+        max_constraint=max_g,
+        objective_value=obj,
+        feasible=max_g <= 1.0 + FEAS_TOL,
+        objective_ok=obj >= (1.0 - epsilon / problem.margin) * tgt - FEAS_TOL,
+        max_slice_residual=max_resid,
+        target=tgt,
+        trace=trace,
+    )
+    return f_hat, report
+
+
+def assert_same_bits(a, b):
+    """Field by field equal, bit for bit: arrays by their bytes, RowTables
+    column by column, everything else by repr (which tells every float apart,
+    -0.0 from 0.0 included)."""
+    assert type(a) is type(b)
+    for key, value in vars(a).items():
+        other = getattr(b, key)
+        if isinstance(value, RowTable):
+            assert value.names == other.names, key
+            for name in value.names:
+                assert value.column(name).tobytes() == other.column(name).tobytes(), (key, name)
+        elif isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), key
+        else:
+            assert repr(value) == repr(other), key

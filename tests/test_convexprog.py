@@ -1,11 +1,13 @@
 """Convex programming solver, step sizes, projections, and max flow."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omdkit import convexprog
 from omdkit._linalg import AffineSolver, ProjectionError
 from omdkit.convexprog import (
     FEAS_TOL,
@@ -20,7 +22,13 @@ from omdkit.convexprog import (
     solve_cp,
 )
 
-from helpers import augmenting_path_max_flow, golden_section_min, random_connected_graph
+from helpers import (
+    assert_same_bits,
+    augmenting_path_max_flow,
+    golden_section_min,
+    random_connected_graph,
+    reference_solve_cp,
+)
 
 
 def closed_form_eta(B, d, H):
@@ -424,3 +432,72 @@ def test_flow_stop_scalar_is_the_blends_max_constraint_on_every_round(graph, sha
         _, report = solve_cp(problem, eps, rounds=k)
         assert len(report.trace) == k
         assert report.max_constraint == (1 - report.alpha) * report.trace[k - 1].max_constraint_avg
+
+
+# ---------------------------------------------------------------- the coupled round
+
+@pytest.mark.parametrize("name", sorted(builtin_cp_instances()))
+@pytest.mark.parametrize("eps", [0.01, 0.15])
+def test_solve_cp_matches_the_reference_loop(name, eps):
+    problem = builtin_cp_instances()[name]
+    f_hat, report = solve_cp(problem, eps)
+    ref_hat, ref = reference_solve_cp(problem, eps)
+    assert f_hat.tobytes() == ref_hat.tobytes()
+    assert_same_bits(report, ref)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(builtin_cp_instances())), st.integers(1, 40), st.integers(1, 50))
+def test_stopped_solve_cp_matches_the_reference_loop(name, rounds, stop_at):
+    problem = builtin_cp_instances()[name]
+
+    def stop(t, max_constraint_avg):
+        return t == stop_at
+
+    f_hat, report = solve_cp(problem, 0.05, rounds=rounds, stop_when=stop)
+    ref_hat, ref = reference_solve_cp(problem, 0.05, rounds=rounds, stop_when=stop)
+    assert report.rounds == min(rounds, stop_at)
+    assert f_hat.tobytes() == ref_hat.tobytes()
+    assert_same_bits(report, ref)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_connected_graphs(), st.sampled_from([0.1, 0.2]))
+def test_max_flow_matches_the_reference_loop(graph, eps):
+    net = FlowNetwork(*graph)
+    sol = max_flow(net, eps)
+    with mock.patch.object(convexprog, "solve_cp", reference_solve_cp):
+        ref = max_flow(net, eps)
+    assert_same_bits(sol, ref)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("stop_at", [1, 2, 7, None])
+def test_solve_cp_skips_the_stopped_rounds_correction(monkeypatch, stop_at):
+    # a run stopped at round k projects the start, k plays and k - 1
+    # corrections, and steps the constraint player k plays and k - 1
+    # corrections; an unstopped run of T rounds corrects every round
+    projections = _count_calls(monkeypatch, AffineSolver, "project")
+    proxes = _count_calls(monkeypatch, convexprog, "prox_step")
+    T = 12
+
+    def stop(t, max_constraint_avg):
+        return t == stop_at
+
+    _, report = solve_cp(builtin_cp_instances()["tied"], 0.05, rounds=T, stop_when=stop)
+    if stop_at is None:
+        assert report.rounds == T and len(projections) == 2 * T + 1 and len(proxes) == 2 * T
+    else:
+        k = stop_at
+        assert report.rounds == k and len(projections) == 2 * k and len(proxes) == 2 * k - 1

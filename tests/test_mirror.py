@@ -150,6 +150,13 @@ def test_entropy_requires_simplex():
         MirrorMap("entropy", Ball(2, 1.0))
 
 
+@pytest.mark.parametrize("feasible", [object(), 3, (np.eye(2), np.zeros(2)), None])
+def test_euclidean_requires_simplex_or_ball(feasible):
+    # project would otherwise treat any other set as a Ball
+    with pytest.raises(ValueError, match="unsupported feasible set"):
+        MirrorMap("euclidean", feasible)
+
+
 # ---------------------------------------------------------------- omd_round
 
 def test_omd_round_euclidean_frozen():

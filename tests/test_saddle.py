@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omdkit import saddle
 from omdkit.mirror import MirrorMap
@@ -13,6 +15,8 @@ from omdkit.saddle import (
     saddle_eta,
     saddle_solve,
 )
+
+from helpers import assert_same_bits, reference_saddle_solve
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -180,3 +184,36 @@ def test_saddle_computes_each_play_once(monkeypatch):
     a = np.random.default_rng(7).uniform(-1, 1, size=(4, 3))
     saddle_solve(bilinear_problem(a), T)
     assert len(calls) == 2 * 2 * T
+
+
+# ---------------------------------------------------------------- reference identity
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_bilinear_saddle_matches_the_reference_loop(n, m, T, seed):
+    a = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
+    eta = None if T >= 2 else 0.5  # the default step size needs T >= 2
+    problem = bilinear_problem(a)
+    assert_same_bits(saddle_solve(problem, T, eta), reference_saddle_solve(problem, T, eta))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_euclidean_saddle_without_gap_oracle_matches_the_reference_loop(n, m, T, seed):
+    # phi = 0.5||f||^2 + f.Bx - 0.5||x||^2, f in the unit ball, x in the
+    # simplex, both euclidean; rows carry the certificate bound as their gap
+    b = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
+    problem = SaddleProblem(
+        grad_f=lambda f, x: f + b @ x,
+        grad_x=lambda f, x: f @ b - x,
+        map_f=MirrorMap.euclidean_ball(n),
+        map_x=MirrorMap.euclidean_simplex(m),
+        smoothness=(1.0, 1.0, 1.0, 1.0),
+        exponents=(1.0, 1.0, 1.0, 1.0),
+        radius_f=1.0,
+        radius_x=1.0,
+    )
+    eta = None if T >= 2 else 0.5
+    res = saddle_solve(problem, T, eta)
+    assert res.gap == res.certificate_bound
+    assert_same_bits(res, reference_saddle_solve(problem, T, eta))
