@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rows import RowTable
 from .mirror import SimplexPoint
-from .saddle import bilinear_gap
+from .saddle import _payoff_matrix, bilinear_gap
 
 ETA_CAP = 1.0 / 11.0
 
@@ -35,11 +35,7 @@ class PayoffMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError("payoff matrix must be a nonempty 2-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("payoff matrix entries must be finite")
+        a = _payoff_matrix(np.atleast_2d(self.entries))
         if np.any(np.abs(a) > 1.0):
             bad = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
             raise ValueError(

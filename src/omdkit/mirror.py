@@ -7,9 +7,11 @@ and the running fixed-step regret certificate fed by realized trajectories.
 
 Every operation here except omd_round and the certificate is a pure
 function. omd_round advances the OmdState it is given in place and returns
-it; its squared-gap history keeps exact running sums, so a round and the
-adaptive step size after it cost the same at any horizon. Each oracle
-vector is checked once, by the prox step that consumes it.
+it; its squared-gap history, a GapHistory, keeps exact running sums, so a
+round and the adaptive step size after it cost the same at any horizon.
+omd_round and GapHistory serve only that adaptive rule: the fixed-step
+solvers play their prox steps themselves and keep no squared-gap history.
+Each oracle vector is checked once, by the prox step that consumes it.
 """
 from __future__ import annotations
 
@@ -54,7 +56,8 @@ class SimplexPoint:
         """Set this point from unnormalized log-weights z, a 1-d float array."""
         z = z - np.maximum.reduce(z)
         w = np.exp(z)
-        total = np.add.reduce(w)
+        # a Python float divides faster than a numpy scalar, to the same bits
+        total = float(np.add.reduce(w))
         self.weights = w / total
         self.log_weights = z - math.log(total)
 
@@ -229,7 +232,7 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     if eta <= 0 or not math.isfinite(eta):
         raise ValueError(f"step size must be positive and finite, got {eta}")
     loss = _as_vector(loss, mirror_map.dim)
-    if not np.isfinite(loss).all():
+    if not np.logical_and.reduce(np.isfinite(loss)):
         raise ValueError("loss vector has non-finite entries")
     if mirror_map.kind == ENTROPY:
         pt = base if isinstance(base, SimplexPoint) else SimplexPoint.from_weights(base)
@@ -333,7 +336,7 @@ class OmdState:
         return cls(secondary=mirror_map.divergence_minimizer(), r_max=r_max)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundLog:
     """One round of a trajectory, as consumed by RegretCertificate."""
 

@@ -3,6 +3,9 @@
 Covers the smooth case (eta = 1/H, suboptimality H R^2 / T for the averaged
 iterate) and the Holder-smooth interpolation with the exponent-dependent step
 size, which degrades gracefully toward the bounded-gradient-variation regime.
+
+`trajectory` is the round itself, two prox steps; both solvers fold its logs
+through RegretCertificate and keep no squared-gap history.
 """
 from __future__ import annotations
 
@@ -13,7 +16,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._rows import RowTable
-from .mirror import MirrorMap, OmdState, RegretCertificate, RoundLog, omd_round, point_weights
+from . import mirror
+from .mirror import MirrorMap, RegretCertificate, RoundLog, point_weights
 
 
 @dataclass
@@ -97,34 +101,26 @@ def holder_eta(R: float, H: float, alpha: float, T: int) -> float:
 
 
 def trajectory(problem: SmoothProblem, T: int, eta: float) -> Iterator[RoundLog]:
-    """The solvers' dynamics as a generator: one RoundLog per round, T rounds.
+    """The solvers' round itself, as a generator: one RoundLog per round, T rounds.
 
-    Each round predicts with the gradient at the previous secondary iterate
-    and plays against it with fixed step eta. mirror_prox and
-    holder_optimize fold exactly these logs into their rows.
+    Each round predicts with the gradient at the previous secondary iterate,
+    plays against it, and corrects with the gradient at the play: two
+    mirror.prox_step calls with fixed step eta.
     """
     m = problem.mirror_map
-    state = OmdState.initial(m)
-    grad = None  # the gradient the oracle returned this round
-
-    def oracle(f):
-        nonlocal grad
-        grad = np.asarray(problem.gradient(f), dtype=float)
-        return grad
-
+    gradient = problem.gradient
+    secondary = m.divergence_minimizer()
     for _ in range(T):
-        g_prev = point_weights(state.secondary)
-        prediction = np.asarray(problem.gradient(g_prev), dtype=float)
-        f_t, state = omd_round(state, m, prediction, oracle, eta)
-        yield RoundLog(
-            played=point_weights(f_t),
-            secondary=point_weights(state.secondary),
-            gradient=grad,
-            prediction=prediction,
-        )
+        prediction = np.asarray(gradient(point_weights(secondary)), dtype=float)
+        played = point_weights(mirror.prox_step(m, secondary, prediction, eta))
+        grad = np.asarray(gradient(played), dtype=float)
+        secondary = mirror.prox_step(m, secondary, grad, eta)
+        yield RoundLog(played, point_weights(secondary), grad, prediction)
 
 
 def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
+    if T < 1:
+        raise ValueError("T must be at least 1")
     m = problem.mirror_map
     comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
     cert = RegretCertificate(m, eta, comparator)
@@ -147,15 +143,11 @@ def mirror_prox(problem: SmoothProblem, T: int) -> OfflineResult:
     """
     if problem.alpha != 1.0:
         raise ValueError("mirror_prox requires alpha = 1 (plain smoothness)")
-    if T < 1:
-        raise ValueError("T must be at least 1")
     return _prox_loop(problem, T, 1.0 / problem.holder_const)
 
 
 def holder_optimize(problem: SmoothProblem, T: int) -> OfflineResult:
     """Holder-smooth case: same dynamics and rows with the exponent-tuned step size."""
-    if T < 1:
-        raise ValueError("T must be at least 1")
     eta = holder_eta(problem.divergence_radius, problem.holder_const, problem.alpha, T)
     return _prox_loop(problem, T, eta)
 
@@ -170,24 +162,34 @@ def builtin_problems() -> dict[str, tuple[SmoothProblem, float]]:
     """
     w = np.array([1.0, 0.4, 0.1, 0.7])
     p = np.array([0.3, -0.4, 0.1, 0.2])
+
+    def quad_value(f):
+        d = f - p
+        return float(0.5 * d @ (w * d))
+
     quad = SmoothProblem(
         gradient=lambda f: w * (f - p),
         holder_const=float(w.max()),
         alpha=1.0,
         mirror_map=MirrorMap.euclidean_ball(4, radius=1.0),
         divergence_radius=math.sqrt(0.5 * float(p @ p)),
-        value=lambda f: float(0.5 * (f - p) @ (w * (f - p))),
+        value=quad_value,
         minimizer=p.copy(),
     )
 
     c = np.array([0.25, -0.35, 0.15])
+
+    def signed_root(f):
+        d = f - c
+        return np.sign(d) * np.sqrt(np.abs(d))
+
     half = SmoothProblem(
-        gradient=lambda f: np.sign(f - c) * np.sqrt(np.abs(f - c)),
+        gradient=signed_root,
         holder_const=math.sqrt(2.0 * math.sqrt(3.0)),
         alpha=0.5,
         mirror_map=MirrorMap.euclidean_ball(3, radius=1.0),
         divergence_radius=math.sqrt(0.5 * float(c @ c)),
-        value=lambda f: float((2.0 / 3.0) * np.sum(np.abs(f - c) ** 1.5)),
+        value=lambda f: float((2.0 / 3.0) * np.add.reduce(np.abs(f - c) ** 1.5)),
         minimizer=c.copy(),
     )
 
@@ -198,10 +200,10 @@ def builtin_problems() -> dict[str, tuple[SmoothProblem, float]]:
     def huber_value(f):
         d = np.abs(f - vertex)
         small = d <= knee
-        return float(np.sum(np.where(small, d**2 / (2 * knee), d - knee / 2)))
+        return float(np.add.reduce(np.where(small, d**2 / (2 * knee), d - knee / 2)))
 
     pull = SmoothProblem(
-        gradient=lambda f: np.clip((f - vertex) / knee, -1.0, 1.0),
+        gradient=lambda f: np.minimum(np.maximum((f - vertex) / knee, -1.0), 1.0),
         holder_const=2.0,
         alpha=0.0,
         mirror_map=MirrorMap.entropy_simplex(n),

@@ -92,9 +92,20 @@ def saddle_eta(radius_f: float, radius_x: float, holder_const: float, gamma: flo
     return r_sq ** ((1.0 - gamma) / 2.0) / (2.0 * holder_const) * (T / 2.0) ** ((gamma - 1.0) / 2.0)
 
 
+def _payoff_matrix(A) -> np.ndarray:
+    """A as a float matrix; ValueError unless it is 2-d, non-empty and finite."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError(f"payoff matrix must be 2-d and non-empty, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"payoff matrix entry ({i}, {j}) is {float(A[i, j])}, not finite")
+    return A
+
+
 def bilinear_gap(A, f, x) -> float:
     """Equilibrium gap max_j (f^T A)_j - min_i (A x)_i for a matrix game."""
-    A = np.asarray(A, dtype=float)
+    A = _payoff_matrix(A)
     f = point_weights(f)
     x = point_weights(x)
     if f.size != A.shape[0] or x.size != A.shape[1]:
@@ -103,8 +114,8 @@ def bilinear_gap(A, f, x) -> float:
 
 
 def bilinear_problem(A) -> SaddleProblem:
-    """Matrix game f^T A x over two simplices with entropy maps."""
-    A = np.asarray(A, dtype=float)
+    """Matrix game f^T A x over two simplices with entropy maps; A is checked here, once."""
+    A = _payoff_matrix(A)
     n, m = A.shape
     scale = max(float(np.abs(A).max()), 1e-12)
     return SaddleProblem(
@@ -117,7 +128,7 @@ def bilinear_problem(A) -> SaddleProblem:
         radius_f=math.sqrt(math.log(n)),
         radius_x=math.sqrt(math.log(m)),
         value=lambda f, x: float(f @ A @ x),
-        gap_oracle=lambda f, x: bilinear_gap(A, f, x),
+        gap_oracle=lambda f, x: float(np.maximum.reduce(f @ A) - np.minimum.reduce(A @ x)),
     )
 
 
@@ -163,6 +174,10 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
+    value_of, gap_oracle = problem.value, problem.gap_oracle
+    # constants of `running`, hoisted in its own evaluation order: same bits
+    divergence = problem.radius_f**2 / eta + problem.radius_x**2 / eta
+    half_eta, two_eta = eta / 2.0, 2.0 * eta
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
     trace = RowTable(SaddleRound)
@@ -178,23 +193,14 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
     )
     for t, (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) in enumerate(rounds, 1):
         f_t, x_t = point_weights(f_t), point_weights(x_t)
-        var_f += eta / 2.0 * mf.dual_norm(grad_f_t - pred_f) ** 2
-        var_x += eta / 2.0 * mx.dual_norm(grad_x_t - pred_x) ** 2
+        var_f += half_eta * mf.dual_norm(grad_f_t - pred_f) ** 2
+        var_x += half_eta * mx.dual_norm(grad_x_t - pred_x) ** 2
         neg_cross += mf.norm(point_weights(prev_f) - f_t) ** 2 + mx.norm(point_weights(prev_x) - x_t) ** 2
         f_total += f_t
         x_total += x_t
-        value = problem.value(f_t, x_t) if problem.value is not None else math.nan
-        running = (
-            problem.radius_f**2 / eta
-            + problem.radius_x**2 / eta
-            + var_f
-            + var_x
-            - neg_cross / (2.0 * eta)
-        ) / t
-        if problem.gap_oracle is not None:
-            gap = float(problem.gap_oracle(f_total / t, x_total / t))
-        else:
-            gap = running
+        value = math.nan if value_of is None else value_of(f_t, x_t)
+        running = (divergence + var_f + var_x - neg_cross / two_eta) / t
+        gap = running if gap_oracle is None else float(gap_oracle(f_total / t, x_total / t))
         trace.append(t, value, eta, gap, running)
     return SaddleResult(
         f_average=f_total / T,

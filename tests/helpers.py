@@ -6,8 +6,17 @@ import numpy as np
 from omdkit._linalg import AffineSolver
 from omdkit._rows import RowTable
 from omdkit.convexprog import FEAS_TOL, CpReport, CpRound, _alpha, _steps
-from omdkit.mirror import MirrorMap, SimplexPoint, point_weights, prox_step
-from omdkit.offline import SmoothProblem
+from omdkit.mirror import (
+    MirrorMap,
+    OmdState,
+    RegretCertificate,
+    RoundLog,
+    SimplexPoint,
+    omd_round,
+    point_weights,
+    prox_step,
+)
+from omdkit.offline import OfflineResult, OfflineRound, SmoothProblem
 from omdkit.saddle import SaddleResult, SaddleRound, saddle_eta
 
 
@@ -299,6 +308,80 @@ def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, 
         trace=trace,
     )
     return f_hat, report
+
+
+# mirror_prox/holder_optimize's loop as it was written before
+# offline.trajectory played its own two prox steps: the round goes through
+# omd_round (which also keeps the squared-gap history nobody reads) with a
+# closure that catches the gradient, and the rows fold RegretCertificate
+# over those logs. Tests require the library to match it bit for bit.
+
+def reference_trajectory(problem, T, eta):
+    m = problem.mirror_map
+    state = OmdState.initial(m)
+    grad = None  # the gradient the oracle returned this round
+
+    def oracle(f):
+        nonlocal grad
+        grad = np.asarray(problem.gradient(f), dtype=float)
+        return grad
+
+    for _ in range(T):
+        g_prev = point_weights(state.secondary)
+        prediction = np.asarray(problem.gradient(g_prev), dtype=float)
+        f_t, state = omd_round(state, m, prediction, oracle, eta)
+        yield RoundLog(
+            played=point_weights(f_t),
+            secondary=point_weights(state.secondary),
+            gradient=grad,
+            prediction=prediction,
+        )
+
+
+def reference_prox_loop(problem, T, eta):
+    m = problem.mirror_map
+    comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
+    cert = RegretCertificate(m, eta, comparator)
+    total = np.zeros(m.dim)
+    rows = RowTable(OfflineRound)
+    for t, log in enumerate(reference_trajectory(problem, T, eta), start=1):
+        total += log.played
+        cert.update(log)
+        value = math.nan if problem.value is None else problem.value(total / t)
+        rows.append(t, value, cert.lhs, cert.rhs)
+    return OfflineResult(average=total / T, rounds=rows, eta=eta)
+
+
+def reference_builtin_oracles():
+    """name -> (gradient, value) of each built-in offline instance, in the
+    expressions the library used before it computed each difference once
+    and called the ufuncs directly (np.clip, np.sum, repeated f - c)."""
+    w = np.array([1.0, 0.4, 0.1, 0.7])
+    p = np.array([0.3, -0.4, 0.1, 0.2])
+    c = np.array([0.25, -0.35, 0.15])
+    knee = 0.04
+    vertex = np.zeros(6)
+    vertex[0] = 1.0
+
+    def huber_value(f):
+        d = np.abs(f - vertex)
+        small = d <= knee
+        return float(np.sum(np.where(small, d**2 / (2 * knee), d - knee / 2)))
+
+    return {
+        "quad-ball": (
+            lambda f: w * (f - p),
+            lambda f: float(0.5 * (f - p) @ (w * (f - p))),
+        ),
+        "half-ball": (
+            lambda f: np.sign(f - c) * np.sqrt(np.abs(f - c)),
+            lambda f: float((2.0 / 3.0) * np.sum(np.abs(f - c) ** 1.5)),
+        ),
+        "vertex-pull": (
+            lambda f: np.clip((f - vertex) / knee, -1.0, 1.0),
+            huber_value,
+        ),
+    }
 
 
 def assert_same_bits(a, b):

@@ -143,6 +143,8 @@ def test_prox_rejects_bad_eta_and_loss():
         prox_step(m, SimplexPoint.uniform(2), [0.0, 0.0], -1.0)
     with pytest.raises(ValueError):
         prox_step(m, SimplexPoint.uniform(2), [np.inf, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        prox_step(MirrorMap.euclidean_ball(2), np.zeros(2), [0.0, np.nan], 1.0)
 
 
 def test_entropy_requires_simplex():
@@ -463,6 +465,19 @@ def test_exp_step_is_the_constructor_bit_for_bit(case):
     checked = SimplexPoint(p.log_weights - v)
     assert fast.weights.tobytes() == checked.weights.tobytes()
     assert fast.log_weights.tobytes() == checked.log_weights.tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: arrays(float, n, elements=st.floats(-700, 700))))
+def test_simplex_point_normalizes_as_numpy_scalar_arithmetic_does(z):
+    # the normalizing sum is divided out as a Python float; that is the
+    # same IEEE division as by the numpy scalar the sum comes back as
+    shifted = z - np.maximum.reduce(z)
+    w = np.exp(shifted)
+    total = np.add.reduce(w)
+    p = SimplexPoint(z)
+    assert p.weights.tobytes() == (w / total).tobytes()
+    assert p.log_weights.tobytes() == (shifted - math.log(total)).tobytes()
 
 
 def test_exp_step_rejects_a_loss_of_the_wrong_shape():

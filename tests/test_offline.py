@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import holder_half_problem, huber_vertex_problem, quad_ball_problem
+from helpers import (
+    assert_same_bits,
+    holder_half_problem,
+    huber_vertex_problem,
+    quad_ball_problem,
+    reference_builtin_oracles,
+    reference_prox_loop,
+)
 import omdkit.mirror as mirror
 from omdkit.mirror import MirrorMap, RegretCertificate
 from omdkit.offline import (
@@ -258,3 +265,72 @@ def test_mirror_prox_makes_two_prox_steps_per_round(monkeypatch):
     problem, _ = builtin_problems()["quad-ball"]
     mirror_prox(problem, T)
     assert len(calls) == 2 * T
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; returns the count list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+_SOLVES = [
+    ("quad-ball", mirror_prox),
+    ("quad-ball", holder_optimize),
+    ("half-ball", holder_optimize),
+    ("vertex-pull", holder_optimize),
+]
+_OTHER_SOLVES = _SOLVES[1:]  # quad-ball under mirror_prox is the test above
+
+
+@pytest.mark.parametrize("name, solve", _OTHER_SOLVES, ids=[f"{n}-{s.__name__}" for n, s in _OTHER_SOLVES])
+def test_every_solver_makes_two_prox_steps_per_round(monkeypatch, name, solve):
+    # mirror_prox needs alpha = 1, so only quad-ball runs under both solvers
+    calls = _counting(monkeypatch, mirror, "prox_step")
+    T = 37
+    solve(builtin_problems()[name][0], T)
+    assert len(calls) == 2 * T
+
+
+def test_vertex_pull_makes_two_exp_steps_per_round(monkeypatch):
+    # each entropy prox step is one SimplexPoint.exp_step, the method the
+    # benchmark's tracer counts; the start point is built without one
+    calls = _counting(monkeypatch, mirror.SimplexPoint, "exp_step")
+    T = 29
+    holder_optimize(builtin_problems()["vertex-pull"][0], T)
+    assert len(calls) == 2 * T
+
+
+# ---------------------------------------------------------------- reference identity
+
+def _expected_eta(problem, solve, T):
+    if solve is mirror_prox:
+        return 1.0 / problem.holder_const
+    return holder_eta(problem.divergence_radius, problem.holder_const, problem.alpha, T)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(_SOLVES), st.integers(1, 300))
+def test_builtin_runs_match_the_reference_loop(case, T):
+    # the library's instances and loop against the parent's oracle
+    # expressions run through omd_round: rows, average and eta, bit for bit
+    name, solve = case
+    problem, _ = builtin_problems()[name]
+    gradient, value = reference_builtin_oracles()[name]
+    reference = dataclasses.replace(problem, gradient=gradient, value=value)
+    res = solve(problem, T)
+    assert_same_bits(res, reference_prox_loop(reference, T, _expected_eta(problem, solve, T)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_quadratic_runs())
+def test_quadratic_runs_match_the_reference_loop(case):
+    problem, solve, T = case
+    res = solve(problem, T)
+    assert_same_bits(res, reference_prox_loop(problem, T, _expected_eta(problem, solve, T)))

@@ -1,5 +1,7 @@
 """Coupled optimistic dynamics for saddle points and matrix games."""
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +64,26 @@ def test_bilinear_gap_nonnegative_at_equilibrium_neighborhood():
 def test_bilinear_gap_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         bilinear_gap(PENNIES, np.ones(3) / 3, np.ones(2) / 2)
+
+
+@pytest.mark.parametrize("bad, shape", [([1.0, 2.0], "(2,)"), ([[]], "(1, 0)"), (np.zeros((2, 2, 2)), "(2, 2, 2)")])
+def test_matrix_that_is_not_a_nonempty_2d_array_names_its_shape(bad, shape):
+    uniform = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match=f"2-d and non-empty, got shape {re.escape(shape)}"):
+        bilinear_gap(bad, uniform, uniform)
+    with pytest.raises(ValueError, match=f"got shape {re.escape(shape)}"):
+        bilinear_problem(bad)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_matrix_with_a_non_finite_entry_names_it(entry):
+    a = PENNIES.copy()
+    a[1, 0] = entry
+    uniform = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match=re.escape(f"entry (1, 0) is {entry}, not finite")):
+        bilinear_gap(a, uniform, uniform)
+    with pytest.raises(ValueError, match=re.escape(f"entry (1, 0) is {entry}, not finite")):
+        bilinear_problem(a)
 
 
 # ---------------------------------------------------------------- solve
@@ -194,7 +216,10 @@ def test_bilinear_saddle_matches_the_reference_loop(n, m, T, seed):
     a = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
     eta = None if T >= 2 else 0.5  # the default step size needs T >= 2
     problem = bilinear_problem(a)
-    assert_same_bits(saddle_solve(problem, T, eta), reference_saddle_solve(problem, T, eta))
+    # the reference takes each row's gap through bilinear_gap, as the
+    # problem's gap oracle did before it skipped the repeated checks
+    reference = dataclasses.replace(problem, gap_oracle=lambda f, x: bilinear_gap(a, f, x))
+    assert_same_bits(saddle_solve(problem, T, eta), reference_saddle_solve(reference, T, eta))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
