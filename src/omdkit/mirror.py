@@ -7,8 +7,8 @@ and the running fixed-step regret certificate fed by realized trajectories.
 
 Every operation here except omd_round and the certificate is a pure
 function. omd_round advances the OmdState it is given in place and returns
-it; its squared-gap history, a GapHistory, keeps exact running sums, so a
-round and the adaptive step size after it cost the same at any horizon.
+it; its squared-gap history, a GapHistory, keeps only exact running sums,
+so a round, the step size after it and the state's size stay flat in T.
 omd_round and GapHistory serve only that adaptive rule: the fixed-step
 solvers play their prox steps themselves and keep no squared-gap history.
 Each oracle vector is checked once, by the prox step that consumes it.
@@ -68,8 +68,9 @@ class SimplexPoint:
     @classmethod
     def from_weights(cls, weights) -> "SimplexPoint":
         w = _as_vector(weights)
-        if np.any(w <= 0):
-            raise ValueError("simplex point from weights requires strictly positive entries")
+        # written so that NaN fails the check too
+        if not np.logical_and.reduce((w > 0) & (w < math.inf)):
+            raise ValueError("simplex point from weights requires strictly positive, finite entries")
         return cls(np.log(w))
 
     def exp_step(self, scaled_loss: np.ndarray) -> "SimplexPoint":
@@ -124,6 +125,11 @@ class Simplex:
 class Ball:
     dim: int
     radius: float = 1.0
+
+    def __post_init__(self):
+        # written so that NaN fails the check too
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -265,53 +271,38 @@ def _grow(partials: list[float], x: float) -> list[float]:
     return grown
 
 
-class GapHistory(list):
-    """A squared-gap history that keeps its exact running sums.
+class GapHistory:
+    """The running sums of a squared-gap history, not its entries.
 
-    A list of floats. `append` rejects a negative or non-finite entry;
-    `sums` = (fsum(all entries), fsum(all but the last)) bit for bit. Each
-    entry is folded once into Shewchuk partials, the exact summation
-    `math.fsum` uses, on the first read of `sums` after it arrives, so a
-    read costs O(1) per new entry and a history nobody reads pays only the
-    check. The list grows only through append and extend; every other
-    mutation raises TypeError, since it would leave the sums stale.
+    `append` rejects a negative or non-finite entry and folds an accepted
+    one at once into Shewchuk partials, the exact summation `math.fsum`
+    uses, so `sums` = (fsum(all entries), fsum(all but the last)) bit for
+    bit, and an append or a read costs the same at any length. An entry
+    whose sum overflows raises OverflowError, as math.fsum does; a rejected
+    entry leaves the history as it was. len() counts the entries.
     """
 
-    __slots__ = ("_partials", "_folded", "_sums")
+    __slots__ = ("_partials", "sums", "_count")
 
     def __init__(self, entries=()):
-        super().__init__()
-        self._partials: list[float] = []  # of the first _folded entries
-        self._folded = 0
-        self._sums = (0.0, 0.0)
-        self.extend(entries)
+        self._partials: list[float] = []
+        self.sums = (0.0, 0.0)
+        self._count = 0
+        for h in entries:
+            self.append(h)
 
     def append(self, h) -> None:
         x = float(h)
         # written so that NaN fails the check too
         if not 0.0 <= x < math.inf:
             raise ValueError(f"squared-difference history must be nonnegative and finite, got {x!r}")
-        super().append(x)
+        partials = _grow(self._partials, x)
+        self.sums = (math.fsum(partials), self.sums[0])
+        self._partials = partials
+        self._count += 1
 
-    def extend(self, entries) -> None:
-        for h in entries:
-            self.append(h)
-
-    @property
-    def sums(self) -> tuple[float, float]:
-        partials, (s1, s2) = self._partials, self._sums
-        # index, not iterate: a read touches only the entries not yet folded
-        for k in range(self._folded, len(self)):
-            partials = _grow(partials, self[k])
-            s1, s2 = math.fsum(partials), s1
-        self._partials, self._folded, self._sums = partials, len(self), (s1, s2)
-        return s1, s2
-
-    def _frozen(self, *args, **kwargs):
-        raise TypeError("a GapHistory only grows, by append or extend")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _frozen
-    insert = pop = remove = clear = sort = reverse = _frozen
+    def __len__(self) -> int:
+        return self._count
 
 
 @dataclass
@@ -319,17 +310,20 @@ class OmdState:
     """State threaded through omd_round: secondary iterate, history, bookkeeping.
 
     sq_diff_history is a GapHistory (a plain sequence given here is copied
-    into one), so adaptive_eta reads its sums in O(1).
+    into one), so adaptive_eta reads its sums in O(1); round is its length.
     """
 
     secondary: object
-    round: int = 0
     sq_diff_history: GapHistory = field(default_factory=GapHistory)
     r_max: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.sq_diff_history, GapHistory):
             self.sq_diff_history = GapHistory(self.sq_diff_history)
+
+    @property
+    def round(self) -> int:
+        return len(self.sq_diff_history)
 
     @classmethod
     def initial(cls, mirror_map: MirrorMap, r_max: float | None = None) -> "OmdState":
@@ -338,7 +332,7 @@ class OmdState:
 
 @dataclass(slots=True)
 class RoundLog:
-    """One round of a trajectory, as consumed by RegretCertificate."""
+    """One round of a trajectory, as consumed by RegretCertificate: four 1-d float arrays."""
 
     played: np.ndarray
     secondary: np.ndarray
@@ -360,15 +354,15 @@ def omd_round(
 
     Returns (f_t, state): the given state, advanced in place. It gains the
     squared dual-norm gap ||gradient - prediction||_*^2 in its history.
-    Both vectors are checked by the prox step that consumes them.
+    Both vectors are checked by the prox step that consumes them; a gap the
+    history rejects leaves the state as it was.
     """
     f_t = prox_step(mirror_map, state.secondary, prediction, eta)
     grad = gradient_oracle(point_weights(f_t))
     g_t = prox_step(mirror_map, state.secondary, grad, eta)
     gap = mirror_map.dual_norm(np.subtract(grad, prediction))
-    state.secondary = g_t
-    state.round += 1
     state.sq_diff_history.append(gap * gap)
+    state.secondary = g_t
     return f_t, state
 
 
@@ -407,8 +401,9 @@ class RegretCertificate:
     """
 
     def __init__(self, mirror_map: MirrorMap, eta: float, comparator):
-        if eta <= 0:
-            raise ValueError("eta must be positive")
+        # written so that NaN fails the check too
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta!r}")
         self.mirror_map = mirror_map
         self.eta = eta
         self.comparator = point_weights(comparator)
@@ -421,8 +416,7 @@ class RegretCertificate:
 
     def update(self, log: RoundLog) -> None:
         m = self.mirror_map
-        f = point_weights(log.played)
-        g = point_weights(log.secondary)
+        f, g = log.played, log.secondary
         self.lhs += float((f - self.comparator) @ log.gradient)
         g_dist = m.norm(g - f)
         self.variance_term += m.dual_norm(np.subtract(log.gradient, log.prediction)) * g_dist

@@ -44,10 +44,11 @@ class SmoothProblem:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.holder_const <= 0:
-            raise ValueError("holder_const must be positive")
-        if self.divergence_radius <= 0:
-            raise ValueError("divergence_radius must be positive")
+        for name in ("holder_const", "divergence_radius"):
+            value = getattr(self, name)
+            # written so that NaN fails the check too
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
             if self.minimizer.shape != (self.mirror_map.dim,):
@@ -91,8 +92,9 @@ def holder_eta(R: float, H: float, alpha: float, T: int) -> float:
         raise ValueError("T must be at least 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if R <= 0 or H <= 0:
-        raise ValueError("R and H must be positive")
+    # written so that NaN fails the check too
+    if not (0.0 < R < math.inf and 0.0 < H < math.inf):
+        raise ValueError(f"R and H must be positive and finite, got R={R!r}, H={H!r}")
     one_minus = 1.0 - alpha
     # 0**0 -> 1 at the alpha=1 endpoint
     lo = 1.0 if one_minus == 0.0 else one_minus ** (-one_minus / 2.0)

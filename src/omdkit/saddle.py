@@ -44,8 +44,9 @@ class SaddleProblem:
     gap_oracle: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.smoothness):
-            raise ValueError("smoothness constants must be positive")
+        # written so that NaN fails the check too
+        if not all(0.0 < h < math.inf for h in self.smoothness):
+            raise ValueError(f"smoothness constants must be positive and finite, got {self.smoothness}")
         if any(not 0.0 <= a <= 1.0 for a in self.exponents):
             raise ValueError("smoothness exponents must lie in [0, 1]")
 
@@ -84,8 +85,11 @@ def saddle_eta(radius_f: float, radius_x: float, holder_const: float, gamma: flo
     """Shared step size (R1^2+R2^2)^((1-gamma)/2) / (2H) * (T/2)^((gamma-1)/2)."""
     if T < 2:
         raise ValueError("T must be at least 2")
-    if holder_const <= 0:
-        raise ValueError("holder_const must be positive")
+    # written so that NaN fails these checks too
+    if not (0.0 <= radius_f < math.inf and 0.0 <= radius_x < math.inf):
+        raise ValueError(f"radii must be nonnegative and finite, got {radius_f!r}, {radius_x!r}")
+    if not 0.0 < holder_const < math.inf:
+        raise ValueError(f"holder_const must be positive and finite, got {holder_const!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     r_sq = radius_f**2 + radius_x**2

@@ -88,7 +88,7 @@ def test_criterion_3_adaptive_regret_streams():
             cumulative += loss
             prediction = loss
         regret = played - float(cumulative.min())
-        bound = 3.5 * r_max * (math.sqrt(math.fsum(state.sq_diff_history)) + 1.0)
+        bound = 3.5 * r_max * (math.sqrt(state.sq_diff_history.sums[0]) + 1.0)
         ok = ok and regret <= bound
     assert _verdict(3, "adaptive regret within 3.5 R (sqrt variation + 1)", ok)
 

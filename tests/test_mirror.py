@@ -1,7 +1,9 @@
 """Mirror map, prox, interleaved round, adaptive step, regret certificate."""
 import copy
+import gc
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from omdkit.mirror import (
     point_weights,
     prox_step,
 )
+from omdkit.offline import SmoothProblem, holder_eta
+from omdkit.saddle import SaddleProblem, saddle_eta
 
 
 # ---------------------------------------------------------------- oracles
@@ -152,6 +156,15 @@ def test_entropy_requires_simplex():
         MirrorMap("entropy", Ball(2, 1.0))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_ball_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # a radius of -1 once projected (3, 4) to (-0.6, -0.8), and NaN to NaN
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        MirrorMap.euclidean_ball(2, radius=radius)
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        Ball(2, radius)
+
+
 @pytest.mark.parametrize("feasible", [object(), 3, (np.eye(2), np.zeros(2)), None])
 def test_euclidean_requires_simplex_or_ball(feasible):
     # project would otherwise treat any other set as a Ball
@@ -169,7 +182,8 @@ def test_omd_round_euclidean_frozen():
     f1, state = omd_round(state, m, [0.0, 0.0], lambda f: np.array([1.0, 0.0]), 1.0)
     np.testing.assert_allclose(f1, [0.0, 0.0], atol=0)
     np.testing.assert_allclose(point_weights(state.secondary), [-1.0, 0.0], atol=0)
-    assert state.sq_diff_history == [1.0]
+    assert state.sq_diff_history.sums == (1.0, 0.0)
+    assert len(state.sq_diff_history) == state.round == 1
 
 
 def test_omd_round_entropy_frozen():
@@ -180,8 +194,8 @@ def test_omd_round_entropy_frozen():
     expect = np.array([math.exp(-1.0), 1.0]) / (math.exp(-1.0) + 1.0)
     np.testing.assert_allclose(f1.weights, expect, atol=1e-15)
     np.testing.assert_allclose(point_weights(state.secondary), expect, atol=1e-15)
-    assert state.sq_diff_history == [0.0]
-    assert state.round == 1
+    assert state.sq_diff_history.sums == (0.0, 0.0)
+    assert len(state.sq_diff_history) == state.round == 1
 
 
 def test_state_history_length_tracks_round():
@@ -206,6 +220,19 @@ def test_omd_round_advances_its_state_in_place():
         assert returned is state
     assert state.sq_diff_history is history
     assert state.round == len(history) == 100
+
+
+def test_omd_round_with_a_rejected_gap_leaves_the_state_as_it_was():
+    # (1e308 - (-1e308))^2 overflows, so the history refuses the gap; the
+    # state once took the new secondary and counted the round regardless
+    m = MirrorMap.euclidean_ball(2)
+    state = OmdState.initial(m)
+    secondary = state.secondary
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonnegative and finite"):
+        omd_round(state, m, [-1e308, 0.0], lambda f: np.array([1e308, 0.0]), 1.0)
+    assert state.secondary is secondary
+    assert state.round == len(state.sq_diff_history) == 0
+    assert state.sq_diff_history.sums == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------- adaptive_eta
@@ -263,7 +290,7 @@ _gap_entries = st.one_of(
 @given(st.lists(_gap_entries, max_size=60), st.floats(min_value=1e-3, max_value=1e3))
 def test_gap_history_sums_are_fsum_bitwise(xs, r_max):
     hist = GapHistory(xs)
-    assert hist == xs
+    assert len(hist) == len(xs)
     s1, s2 = hist.sums
     assert (s1.hex(), s2.hex()) == (math.fsum(xs).hex(), math.fsum(xs[:-1]).hex())
     # the list form and the running form of the step size agree bit for bit
@@ -271,7 +298,7 @@ def test_gap_history_sums_are_fsum_bitwise(xs, r_max):
     grown = GapHistory()
     for x in xs:
         grown.append(x)
-    assert grown.sums == hist.sums
+    assert grown.sums == hist.sums and len(grown) == len(hist)
 
 
 class _NoIterHistory(GapHistory):
@@ -301,33 +328,56 @@ def test_gap_history_rejects_bad_entries_and_stale_mutations():
         with pytest.raises(ValueError):
             hist.append(bad)
     # a rejected entry leaves the history and its sums as they were
-    assert hist == [1.0, 2.0] and hist.sums == (3.0, 1.0)
+    assert len(hist) == 2 and hist.sums == (3.0, 1.0)
     huge = GapHistory([1.7e308])
     assert huge.sums == (1.7e308, 0.0)
-    huge.append(1.7e308)
-    for _ in range(2):  # as math.fsum raises on this sum, and again on a reread
+    for _ in range(2):  # as math.fsum raises on this sum, and again on a retry
         with pytest.raises(OverflowError):
-            huge.sums
+            huge.append(1.7e308)
+        assert len(huge) == 1 and huge.sums == (1.7e308, 0.0)
+    # the history grows only by append: no entry can be changed or removed
     for mutate in (
         lambda h: h.__setitem__(0, 5.0),
         lambda h: h.pop(),
         lambda h: h.insert(0, 1.0),
         lambda h: h.clear(),
         lambda h: h.__iadd__([1.0]),
+        lambda h: h.extend([1.0]),
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises((TypeError, AttributeError)):
             mutate(hist)
+    assert len(hist) == 2 and hist.sums == (3.0, 1.0)
     hist.append(4.0)
-    hist.extend([8.0])
+    hist.append(8.0)
     assert hist.sums == (15.0, 7.0)
-    hist.append(16.0)  # not folded yet when the clones are taken
+    hist.append(16.0)
     clones = [copy.copy(hist), copy.deepcopy(hist), pickle.loads(pickle.dumps(hist))]
     assert hist.sums == (31.0, 15.0)
     for clone in clones:
         assert type(clone) is GapHistory
-        assert clone == hist and clone.sums == hist.sums
+        assert len(clone) == len(hist) == 5 and clone.sums == hist.sums
         clone.append(1.0)
         assert clone.sums == (32.0, 31.0) and hist.sums == (31.0, 15.0)
+        assert len(clone) == 6 and len(hist) == 5
+
+
+def test_gap_history_memory_does_not_grow_with_its_length():
+    # a history that stored its entries would grow about 3.2 MB here
+    xs = np.random.default_rng(7).uniform(0.0, 4.0, size=100_000).tolist()
+    hist = GapHistory()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            hist.append(x)
+            hist.sums
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hist) == 100_000
+    assert grown < 4096, grown
 
 
 def test_state_copies_a_plain_history_into_a_gap_history():
@@ -534,3 +584,47 @@ def test_euclidean_norms_match_numpy_bitwise():
             assert np.float64(euc.dual_norm(v)).tobytes() == np.float64(ref).tobytes()
             expected = v.copy() if ref <= 1.5 else v * (1.5 / ref)
             assert project_ball(v, 1.5).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------- non-finite arguments
+
+_NAN, _INF = math.nan, math.inf
+_ENT2 = MirrorMap.entropy_simplex(2)
+
+
+def _smooth(holder_const=1.0, divergence_radius=1.0):
+    return SmoothProblem(lambda f: f, holder_const, 0.5, _ENT2, divergence_radius)
+
+
+def _saddle(smoothness):
+    return SaddleProblem(lambda f, x: x, lambda f, x: f, _ENT2, _ENT2, smoothness, (1.0,) * 4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # each of these once returned a NaN point or step, or a zero or infinite one
+        pytest.param(lambda: SimplexPoint.from_weights([_NAN, 1.0]), id="from_weights-nan"),
+        pytest.param(lambda: SimplexPoint.from_weights([_INF, 1.0]), id="from_weights-inf"),
+        pytest.param(lambda: prox_step(_ENT2, [_NAN, 1.0], [0.0, 0.0], 1.0), id="prox_step-nan-base"),
+        pytest.param(lambda: RegretCertificate(_ENT2, _NAN, [0.5, 0.5]), id="certificate-eta-nan"),
+        pytest.param(lambda: RegretCertificate(_ENT2, _INF, [0.5, 0.5]), id="certificate-eta-inf"),
+        pytest.param(lambda: holder_eta(_NAN, 1.0, 0.5, 10), id="holder_eta-R-nan"),
+        pytest.param(lambda: holder_eta(_INF, 1.0, 0.5, 10), id="holder_eta-R-inf"),
+        pytest.param(lambda: holder_eta(1.0, _NAN, 0.5, 10), id="holder_eta-H-nan"),
+        pytest.param(lambda: holder_eta(1.0, _INF, 0.5, 10), id="holder_eta-H-inf"),
+        pytest.param(lambda: saddle_eta(_NAN, 1.0, 1.0, 1.0, 10), id="saddle_eta-radius-nan"),
+        pytest.param(lambda: saddle_eta(1.0, _INF, 1.0, 1.0, 10), id="saddle_eta-radius-inf"),
+        pytest.param(lambda: saddle_eta(1.0, 1.0, _NAN, 1.0, 10), id="saddle_eta-H-nan"),
+        pytest.param(lambda: saddle_eta(1.0, 1.0, _INF, 1.0, 10), id="saddle_eta-H-inf"),
+        pytest.param(lambda: _smooth(holder_const=_NAN), id="smooth-holder_const-nan"),
+        pytest.param(lambda: _smooth(holder_const=_INF), id="smooth-holder_const-inf"),
+        pytest.param(lambda: _smooth(divergence_radius=_NAN), id="smooth-radius-nan"),
+        pytest.param(lambda: _smooth(divergence_radius=_INF), id="smooth-radius-inf"),
+        pytest.param(lambda: _saddle((1.0, _NAN, 1.0, 1.0)), id="saddle-smoothness-nan"),
+        pytest.param(lambda: _saddle((1.0, 1.0, _INF, 1.0)), id="saddle-smoothness-inf"),
+    ],
+)
+def test_checks_reject_nan_and_inf(call):
+    with pytest.raises(ValueError):
+        call()
