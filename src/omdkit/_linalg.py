@@ -59,7 +59,18 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    norm = math.sqrt(float(v.dot(v)))  # np.linalg.norm's own formula for 1-d v
+    # np.linalg.norm's own formula for 1-d v; vdot is the same BLAS dot as
+    # v.dot, but an overflow gives inf without a RuntimeWarning
+    sq = float(np.vdot(v, v))
+    if sq == math.inf:
+        scale = float(np.maximum.reduce(np.abs(v)))
+        if scale < math.inf:  # the square overflowed, not v itself
+            unit = v / scale
+            norm = math.sqrt(float(unit.dot(unit)))
+            if scale * norm <= radius:
+                return v.copy()
+            return unit * radius / norm
+    norm = math.sqrt(sq)
     if norm <= radius:
         return v.copy()
     return v * (radius / norm)

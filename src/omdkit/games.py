@@ -5,7 +5,10 @@ observation made each round both as the correction for the current round and
 as the prediction for the next one, with a uniform-mixing floor and a
 data-dependent step size. The bandit variant estimates the observation vector
 from four scalar payoffs at perturbed plays along a fixed tangent basis, and
-corrects with one estimate while predicting with the other.
+corrects with one estimate while predicting with the other. Its estimator
+guard checks the enumeration identity for every round and every basis index,
+in blocks of `_GUARD_BLOCK` rounds; reading a side's `max_error` checks the
+rounds still buffered.
 
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
@@ -26,6 +29,8 @@ from .mirror import SimplexPoint
 from .saddle import _payoff_matrix, bilinear_gap
 
 ETA_CAP = 1.0 / 11.0
+# rounds a bandit side buffers before its estimator guard checks them
+_GUARD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -446,7 +451,12 @@ class _BanditSide(_Learner):
         self.last_bar = np.zeros(own_dim)
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self.min_perturbed = math.inf
-        self.max_error = 0.0  # largest estimator enumeration error so far
+        # the rounds the estimator guard has yet to check: payoff vectors
+        # and the base payoffs f @ w, one row each
+        self._pending_w = np.empty((_GUARD_BLOCK, own_dim))
+        self._pending_base = np.empty((_GUARD_BLOCK, 1))
+        self._pending = 0
+        self._max_error = 0.0  # largest enumeration error of the checked rounds
 
     def _eta(self) -> float:
         return bandit_eta(self.sums, self.h_last, self.n, self.opp, self.T)
@@ -457,7 +467,9 @@ class _BanditSide(_Learner):
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
         Returns (eta_t, eta_t, cap): the step discipline is the certificate.
-        `max_error` keeps the largest estimator enumeration error so far.
+        The round's payoff vector and base payoff join the estimator guard's
+        buffer, which is checked every `_GUARD_BLOCK` rounds; `max_error`
+        checks what is left and reports the largest error so far.
         """
         f = self.play.weights
         base = float(f @ payoff_vector)
@@ -480,16 +492,50 @@ class _BanditSide(_Learner):
         self.prev_index = new_index
         self.last_bar = est_bar
 
-        # enumeration identity: averaging the estimate over every basis index
-        # must reproduce (n/(n-1)) * tangent projection of the payoff vector
-        diffs = self.delta * (self.basis @ payoff_vector)
-        ests = (self.n / (2.0 * self.delta)) * (
-            ((base + diffs) - (base - diffs))[:, None] * self.basis
-        )
-        target = (self.n / (self.n - 1.0)) * (payoff_vector - np.add.reduce(payoff_vector) / self.n)
-        err = float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (self.n - 1.0) - target)))
-        self.max_error = max(self.max_error, err)
+        i = self._pending
+        self._pending_w[i] = payoff_vector
+        self._pending_base[i, 0] = base
+        self._pending = i + 1
+        if i + 1 == _GUARD_BLOCK:
+            self._check_pending()
         return self.eta, self.eta, self.cap
+
+    @property
+    def max_error(self) -> float:
+        """Largest estimator enumeration error over every round stepped so far
+        (NaN once any round's error was NaN)."""
+        self._check_pending()
+        return self._max_error
+
+    def _check_pending(self) -> None:
+        """Run the enumeration identity on every buffered round at once.
+
+        Averaging the estimate over every basis index must reproduce
+        (n/(n-1)) * the tangent projection of the payoff vector. Each row
+        enumerates one round, the regrouped difference (base + d) - (base - d)
+        and its n / (2 delta) amplification included; the sums over the basis
+        run as one matrix product per block, whose summation order differs
+        from a product per round by about n 2^-53 times terms of size O(n)
+        in the error. `_estimator_tol` bounds the regrouping
+        term n 2^-53 (1 + delta sqrt(n)) / delta, at least 1e6 times larger
+        for the default delta <= 1e-6, and is floored at 1e-9, which the
+        summation term stays below up to n of a few thousand; so the
+        tolerance is unchanged.
+        """
+        k = self._pending
+        if k == 0:
+            return
+        self._pending = 0
+        w = self._pending_w[:k]
+        b = self._pending_base[:k]
+        n = self.n
+        diffs = self.delta * (w @ self.basis.T)
+        ests = (n / (2.0 * self.delta)) * (((b + diffs) - (b - diffs)) @ self.basis)
+        target = (n / (n - 1.0)) * (w - np.add.reduce(w, axis=1, keepdims=True) / n)
+        err = float(np.maximum.reduce(np.abs(ests / (n - 1.0) - target), axis=None))
+        # np.maximum keeps a NaN from either side, so a NaN error fails the
+        # guard and no later block's finite error replaces it
+        self._max_error = float(np.maximum(self._max_error, err))
 
 
 def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:

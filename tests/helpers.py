@@ -184,6 +184,21 @@ def golden_section_min(fn, lo, hi, tol=1e-12):
     return 0.5 * (a + b)
 
 
+# ---------------------------------------------------------------- bandit guard
+#
+# The estimator guard as games._BanditSide.step ran it inside every round,
+# before the guard checked buffered rounds in blocks: the dense enumeration
+# over every basis index for one payoff vector w at base payoff f @ w.
+# Returns that round's enumeration error.
+
+def reference_bandit_guard(basis, delta, w, base):
+    n = basis.shape[1]
+    diffs = delta * (basis @ w)
+    ests = (n / (2.0 * delta)) * (((base + diffs) - (base - diffs))[:, None] * basis)
+    target = (n / (n - 1.0)) * (w - np.add.reduce(w) / n)
+    return float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (n - 1.0) - target)))
+
+
 # ---------------------------------------------------------------- reference loops
 #
 # saddle_solve and solve_cp as they were written before both ran the one

@@ -6,8 +6,10 @@ import pytest
 
 import omdkit.games
 from omdkit.games import (
+    _GUARD_BLOCK,
     _BanditSide,
     _estimator_tol,
+    _self_play,
     bandit_cap,
     bandit_estimate,
     bandit_eta,
@@ -15,6 +17,8 @@ from omdkit.games import (
     simplex_floor_delta,
     tangent_basis,
 )
+
+from helpers import reference_bandit_guard
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -213,3 +217,102 @@ def test_bandit_match_reports_its_estimator_verdict(monkeypatch):
     summary = run_bandit_match(a, T=20, seed=0).summary
     assert summary["estimator_ok"] is False
     assert max(summary["estimator_error_row"], summary["estimator_error_col"]) > summary["estimator_tol"]
+
+
+class _FirstIndex:
+    """Stands in for a side's generator: every draw is basis index 0."""
+
+    def integers(self, high):
+        return 0
+
+
+def test_estimator_guard_fails_on_a_nan_basis_row():
+    # row 3 is never drawn, so only the guard reads it; max() once dropped
+    # the NaN error and the run reported estimator_ok=True
+    n, T = 6, 200
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    side = _BanditSide(n, n, T, delta, _FirstIndex())
+    tol = max(1e-9, _estimator_tol(tangent_basis(n), delta))
+    w = np.random.default_rng(2).uniform(-1, 1, size=n)
+    side.basis[3] = np.nan
+    side.step(w)
+    assert not side.max_error <= tol
+    # once seen, the NaN stays: a later block's finite error does not replace it
+    side.basis[3] = tangent_basis(n)[3]
+    for _ in range(_GUARD_BLOCK + 1):
+        side.step(w)
+    assert not side.max_error <= tol
+
+
+class _ReferenceGuardSide(_BanditSide):
+    """A bandit side that also runs the per-round reference guard, and reads
+    its own blocked guard's `max_error` after round `read_at`, keeping both
+    errors as they stood then in `at_read`."""
+
+    def __init__(self, *args, read_at=None):
+        super().__init__(*args)
+        self.read_at = read_at
+        self.rounds = 0
+        self.reference_error = 0.0
+        self.at_read = None
+
+    def step(self, w):
+        base = float(self.play.weights @ w)
+        out = super().step(w)
+        self.rounds += 1
+        self.reference_error = max(
+            self.reference_error, reference_bandit_guard(self.basis, self.delta, w, base)
+        )
+        if self.rounds == self.read_at:
+            self.at_read = (self.max_error, self.reference_error)
+        return out
+
+
+def _bandit_sides(a, T, seed, side_class, **kwargs):
+    """Both sides as run_bandit_match builds them, and its default delta."""
+    n, m = a.shape
+    delta = min(1e-6, 0.5 * min(simplex_floor_delta(n, T), simplex_floor_delta(m, T)))
+    row_rng, col_rng = np.random.default_rng(seed).spawn(2)
+    row = side_class(n, m, T, delta, row_rng, **kwargs)
+    col = side_class(m, n, T, delta, col_rng, **kwargs)
+    return row, col, delta
+
+
+@pytest.mark.parametrize("T, read_at", [(1, None), (63, None), (64, None), (65, 30), (200, 100)])
+def test_blocked_guard_matches_the_per_round_reference(T, read_at):
+    a = np.random.default_rng(11).uniform(-1, 1, size=(20, 7))
+    row, col, delta = _bandit_sides(a, T, 5, _BanditSide)
+    plain = _self_play(a, T, row, col)
+    ref_row, ref_col, _ = _bandit_sides(a, T, 5, _ReferenceGuardSide, read_at=read_at)
+    checked = _self_play(a, T, ref_row, ref_col)
+    # buffering the guard, and reading it mid-block, leave the dynamics alone
+    assert plain.trace.names == checked.trace.names
+    for name in plain.trace.names:
+        assert plain.trace.column(name).tobytes() == checked.trace.column(name).tobytes(), name
+    tol = max(1e-9, _estimator_tol(row.basis, delta), _estimator_tol(col.basis, delta))
+    pairs = [(row.max_error, ref_row.reference_error), (col.max_error, ref_col.reference_error)]
+    pairs += [(ref.max_error, ref.reference_error) for ref in (ref_row, ref_col)]
+    if read_at is not None:
+        pairs += [ref.at_read for ref in (ref_row, ref_col)]
+    for blocked, reference in pairs:
+        assert reference > 0.0
+        assert abs(blocked - reference) <= 1e-3 * tol
+
+
+@pytest.mark.parametrize("p", [1, _GUARD_BLOCK, _GUARD_BLOCK + 1, 150])
+def test_blocked_guard_checks_every_round(p):
+    # a zero payoff vector has an enumeration error of exactly 0, so the one
+    # nonzero vector, at round p, is the only round that can make it positive:
+    # at a block's first or last round, the next block's first, or in the
+    # final partial block
+    n, T = 20, 150
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    w = np.random.default_rng(3).uniform(-1, 1, size=n)
+    zero = np.zeros(n)
+    idle = _BanditSide(n, n, T, delta, np.random.default_rng(0))
+    side = _BanditSide(n, n, T, delta, np.random.default_rng(0))
+    for t in range(1, T + 1):
+        idle.step(zero)
+        side.step(w if t == p else zero)
+    assert idle.max_error == 0.0
+    assert side.max_error > 0.0

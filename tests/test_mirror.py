@@ -108,6 +108,14 @@ def test_euclidean_prox_ball():
     np.testing.assert_allclose(out, [-0.6, 0.8], atol=1e-12)
 
 
+def test_ball_projection_survives_an_overflowing_square():
+    # v . v overflows for these finite points; the projection once returned
+    # the origin, since v * (radius / inf) is zero
+    m = MirrorMap.euclidean_ball(2)
+    assert m.project([1e308, 0.0]).tolist() == [1.0, 0.0]
+    assert m.project([3e154, 4e154]).tolist() == [0.6, 0.8]
+
+
 def test_euclidean_prox_simplex_projection():
     m = MirrorMap.euclidean_simplex(3)
     out = prox_step(m, np.full(3, 1.0 / 3.0), [1.0, 0.0, 0.0], 0.5)
@@ -571,7 +579,8 @@ def test_norm_pairs():
 
 def test_euclidean_norms_match_numpy_bitwise():
     # sqrt(v . v) is np.linalg.norm's own formula for a 1-d float vector,
-    # including underflow to 0 and overflow to inf
+    # including underflow to 0 and overflow to inf; project_ball matches it
+    # bit for bit wherever that norm is finite
     euc = MirrorMap.euclidean_ball(5, radius=1.5)
     rng = np.random.default_rng(12)
     cases = [np.zeros(5), np.zeros(0), np.array([-0.0, 0.0, 3.0, -4.0, 0.0])]
@@ -582,8 +591,14 @@ def test_euclidean_norms_match_numpy_bitwise():
             ref = float(np.linalg.norm(v))
             assert np.float64(euc.norm(v)).tobytes() == np.float64(ref).tobytes()
             assert np.float64(euc.dual_norm(v)).tobytes() == np.float64(ref).tobytes()
-            expected = v.copy() if ref <= 1.5 else v * (1.5 / ref)
-            assert project_ball(v, 1.5).tobytes() == expected.tobytes()
+            got = project_ball(v, 1.5)
+            if ref < math.inf:
+                expected = v.copy() if ref <= 1.5 else v * (1.5 / ref)
+                assert got.tobytes() == expected.tobytes()
+            else:
+                # v . v overflowed: the projection still lands on the boundary
+                unit = v / np.abs(v).max()
+                np.testing.assert_allclose(got, 1.5 * unit / np.linalg.norm(unit), rtol=1e-15)
 
 
 # ---------------------------------------------------------------- non-finite arguments
