@@ -48,7 +48,9 @@ class AffineSolver:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based, ties deterministic)."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
+    u = np.sort(v)[::-1]  # a NaN sorts first
+    if not -math.inf < u[-1] <= u[0] < math.inf:
+        raise ValueError("cannot project onto the simplex: the point is not finite")
     cumulative = np.cumsum(u) - 1.0
     counts = np.arange(1, v.size + 1)
     mask = u - cumulative / counts > 0
@@ -62,14 +64,15 @@ def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     # np.linalg.norm's own formula for 1-d v; vdot is the same BLAS dot as
     # v.dot, but an overflow gives inf without a RuntimeWarning
     sq = float(np.vdot(v, v))
-    if sq == math.inf:
-        scale = float(np.maximum.reduce(np.abs(v)))
-        if scale < math.inf:  # the square overflowed, not v itself
-            unit = v / scale
-            norm = math.sqrt(float(unit.dot(unit)))
-            if scale * norm <= radius:
-                return v.copy()
-            return unit * radius / norm
+    if not sq < math.inf:  # the square overflowed, or v is not finite
+        scale = float(np.maximum.reduce(np.abs(v)))  # NaN if v holds one
+        if not scale < math.inf:
+            raise ValueError("cannot project onto the ball: the point is not finite")
+        unit = v / scale
+        norm = math.sqrt(float(unit.dot(unit)))
+        if scale * norm <= radius:
+            return v.copy()
+        return unit * radius / norm
     norm = math.sqrt(sq)
     if norm <= radius:
         return v.copy()

@@ -1,6 +1,8 @@
 """Command-line entry point: one subcommand per experiment kind.
 
 Values come from an optional key=value config file plus flags; flags win.
+The subcommands and their flags come from the harness's KINDS and
+CONFIG_KEYS tables, and a flag's text is parsed like a config file value.
 The run writes trace.csv and summary.txt (and flows.csv for maxflow) into
 --out, prints the summary, and exits 0 when every certificate held, 1 on a
 certificate violation, 2 on unusable input, 3 on a numeric fault inside a
@@ -12,17 +14,7 @@ import argparse
 import sys
 
 from ._linalg import ProjectionError
-from .harness import KINDS, ConfigError, config_from_sources, load_config, run_experiment
-
-_KIND_HELP = {
-    "mirror-prox": "smooth offline minimization of a bundled instance",
-    "holder": "offline minimization with a Holder-smooth gradient",
-    "saddle": "bilinear saddle point via coupled mirror updates",
-    "game": "strongly uncoupled zero-sum self-play, full payoff vectors",
-    "game-bandit": "zero-sum self-play from four scalar payoffs per round",
-    "cvxprog": "approximate smooth convex programming on a bundled instance",
-    "maxflow": "approximate max flow on a unit-capacity graph file",
-}
+from .harness import CONFIG_KEYS, KIND_KEY, KINDS, ConfigError, config_from_sources, load_config, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,43 +22,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omdkit",
         description="Run a predictable-sequence experiment and emit CSV traces.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True, metavar="kind")
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=_KIND_HELP[kind])
+    sub = parser.add_subparsers(dest=KIND_KEY, required=True, metavar=KIND_KEY)
+    for kind, (_, kind_help) in KINDS.items():
+        p = sub.add_parser(kind, help=kind_help)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--matrix", help="payoff matrix file, one comma-separated row per line")
-        p.add_argument("--graph", help="graph file: `p <nodes> <edges> <source> <sink>` then `e <u> <v>` lines")
-        p.add_argument("--rounds", type=int, help="horizon T")
-        p.add_argument("--seed", type=int, help="seed for the bandit kind's draws")
-        p.add_argument("--delta", type=float, help="bandit perturbation size")
-        p.add_argument("--epsilon", type=float, help="accuracy for cvxprog/maxflow")
-        p.add_argument("--out", help="output directory (default: runs)")
-        p.add_argument(
-            "--no-mixing",
-            action="store_true",
-            default=None,
-            help="disable the uniform mixing step of the game update",
-        )
-        p.add_argument("--instance", help="bundled instance name for offline/cvxprog kinds")
+        for key, f in CONFIG_KEYS.items():
+            # every flag keeps its text, for config_from_sources to parse
+            switch = {"action": "store_const", "const": "true"} if f.metadata["switch"] else {}
+            p.add_argument(f"--{key}", dest=key, help=f.metadata["help"], **switch)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    kind, config_path = args.pop(KIND_KEY), args.pop("config")
     try:
-        file_map = load_config(args.config) if args.config else {}
-        overrides = {
-            "matrix": args.matrix,
-            "graph": args.graph,
-            "rounds": args.rounds,
-            "seed": args.seed,
-            "delta": args.delta,
-            "epsilon": args.epsilon,
-            "instance": args.instance,
-            "no-mixing": args.no_mixing,
-            "out": args.out,
-        }
-        config = config_from_sources(args.kind, file_map, overrides)
+        file_map = load_config(config_path) if config_path else {}
+        config = config_from_sources(kind, file_map, args)
         result = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,12 @@ candidate actually ran, and its `stop` column says why it stopped:
 the auto horizon, `horizon` otherwise; `early_stops` in the summary counts
 the former.
 
+Each config key is named once: an ExperimentConfig field whose metadata gives
+the key, the parser of its text and its flag's help (CONFIG_KEYS collects
+them). Each kind is named once, in KINDS, with its runner and help text. The
+CLI builds its subcommands and flags from these two tables, and a flag value
+is parsed from its text like a config file line.
+
 The harness evaluates no inequality of its own. Each solver folds its
 certificate into its rows, as an lhs and an rhs column or as a per-row
 verdict, and states its run-level verdicts. A runner formats the rows and
@@ -20,7 +26,9 @@ run fails if any row or run-level verdict does.
 Exit status (returned by `cli.main`):
   0  every per-round certificate and run-level guarantee held;
   1  a certificate or run-level guarantee failed;
-  2  unusable input (ConfigError: a bad flag, config line or instance file);
+  2  unusable input (ConfigError: a bad flag value or config line, naming its
+     key; an unreadable or malformed instance file, naming its line; an
+     output directory that cannot be written);
   3  internal numeric fault inside a solver (ProjectionError), reported with
      its residual; the input was accepted but the run could not finish.
 """
@@ -29,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,34 +48,51 @@ from .games import PayoffMatrix, run_bandit_match, run_full_info_match
 from .offline import builtin_problems, holder_optimize, mirror_prox
 from .saddle import bilinear_problem, saddle_solve
 
-KINDS = ("mirror-prox", "holder", "saddle", "game", "game-bandit", "cvxprog", "maxflow")
 CERT_TOL = 1e-9
-
-_DEFAULT_ROUNDS = {
-    "mirror-prox": 200,
-    "holder": 200,
-    "saddle": 1000,
-    "game": 1000,
-    "game-bandit": 1000,
-}
 
 
 class ConfigError(ValueError):
-    """Unusable config, flag value, or instance file (exit status 2)."""
+    """Unusable config, flag value, instance file or output directory (exit status 2)."""
+
+
+def _parse_number(caster):
+    def parse(text: str):
+        try:
+            return caster(text)
+        except ValueError:
+            raise ConfigError(f"expected a number, got {text!r}") from None
+    return parse
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _key(parse, help: str, default=None, key: str | None = None, switch: bool = False):
+    """A config key: its field's default, the parser of its text and its flag's
+    help. `key` names it where the field name does not; a `switch` flag takes
+    no value and sets the key to true."""
+    return field(default=default, metadata={"key": key, "parse": parse, "help": help, "switch": switch})
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    matrix: str | None = None
-    graph: str | None = None
-    rounds: int | None = None
-    seed: int = 0
-    delta: float | None = None
-    epsilon: float = 0.1
-    instance: str | None = None
-    mixing: bool = True
-    out: str = "runs"
+    matrix: str | None = _key(str, "payoff matrix file, one comma-separated row per line")
+    graph: str | None = _key(str, "graph file: `p <nodes> <edges> <source> <sink>` then `e <u> <v>` lines")
+    rounds: int | None = _key(_parse_number(int), "horizon T")
+    seed: int = _key(_parse_number(int), "seed for the bandit kind's draws", default=0)
+    delta: float | None = _key(_parse_number(float), "bandit perturbation size")
+    epsilon: float = _key(_parse_number(float), "accuracy for cvxprog/maxflow", default=0.1)
+    instance: str | None = _key(str, "bundled instance name for offline/cvxprog kinds")
+    mixing: bool = _key(lambda text: not _parse_bool(text), "disable the uniform mixing step of the game update",
+                        default=True, key="no-mixing", switch=True)
+    out: str = _key(str, "output directory (default: runs)", default="runs")
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,6 +103,11 @@ class ExperimentConfig:
             # written so that NaN fails the check too
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+
+
+# every config key but `kind`, which the subcommand names: key -> field
+CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.metadata}
+KIND_KEY = "kind"
 
 
 @dataclass
@@ -96,26 +126,12 @@ class ExperimentResult:
 
 # ---------------------------------------------------------------- parsing
 
-_CONFIG_KEYS = (
-    "kind",
-    "matrix",
-    "graph",
-    "rounds",
-    "seed",
-    "delta",
-    "epsilon",
-    "instance",
-    "no-mixing",
-    "out",
-)
-
-
 def load_config(path) -> dict[str, str]:
     """Read key=value lines; blank lines and # comments are skipped."""
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,7 +142,7 @@ def load_config(path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS and key != KIND_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -134,59 +150,31 @@ def load_config(path) -> dict[str, str]:
     return mapping
 
 
-def _parse_bool(value: str, context: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{context}: expected a boolean, got {value!r}")
-
-
-def _parse_number(value: str, context: str, caster):
-    try:
-        return caster(value)
-    except ValueError:
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
-
-
 def config_from_sources(kind: str, file_map: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from a parsed file mapping plus flag overrides.
 
-    Overrides win key by key; a `kind` entry in the file must agree with the
-    requested kind (it guards against pointing one subcommand at another
-    experiment's config).
+    Overrides win key by key, and a None override is no override. Every value
+    is parsed from its text, str(value), so a flag and a file line take the
+    same path. A `kind` entry in the file must agree with the requested kind
+    (it guards against pointing one subcommand at another experiment's
+    config).
     """
-    merged: dict[str, str] = dict(file_map or {})
-    if "kind" in merged:
-        if merged["kind"] != kind:
-            raise ConfigError(f"config is for kind {merged['kind']!r}, requested {kind!r}")
-        del merged["kind"]
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged = dict(file_map or {})
+    file_kind = merged.pop(KIND_KEY, kind)
+    if file_kind != kind:
+        raise ConfigError(f"config is for kind {file_kind!r}, requested {kind!r}")
+    merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
 
-    kwargs: dict = {"kind": kind}
+    kwargs: dict = {}
     for key, value in merged.items():
-        if isinstance(value, str):
-            context = f"key {key!r}"
-            if key == "rounds":
-                kwargs["rounds"] = _parse_number(value, context, int)
-            elif key == "seed":
-                kwargs["seed"] = _parse_number(value, context, int)
-            elif key == "delta":
-                kwargs["delta"] = _parse_number(value, context, float)
-            elif key == "epsilon":
-                kwargs["epsilon"] = _parse_number(value, context, float)
-            elif key == "no-mixing":
-                kwargs["mixing"] = not _parse_bool(value, context)
-            else:
-                kwargs[key] = value
-        elif key == "no-mixing":
-            kwargs["mixing"] = not bool(value)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+        spec = CONFIG_KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            kwargs[spec.name] = spec.metadata["parse"](str(value))
+        except ConfigError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
+    return ExperimentConfig(kind, **kwargs)
 
 
 def parse_matrix(text: str, name: str = "matrix") -> PayoffMatrix:
@@ -316,19 +304,25 @@ def _read_instance(path_str: str | None, flag: str, kind: str) -> str:
     path = Path(path_str)
     try:
         return path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _rounds_for(config: ExperimentConfig) -> int:
-    if config.rounds is not None:
-        return config.rounds
-    return _DEFAULT_ROUNDS[config.kind]
+def _read_matrix(config: ExperimentConfig) -> PayoffMatrix:
+    return parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
+
+
+def _builtin(instances: dict, name: str):
+    if name not in instances:
+        raise ConfigError(
+            f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
+        )
+    return instances[name]
 
 
 def _run_game(config: ExperimentConfig):
-    payoff = parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
-    T = _rounds_for(config)
+    payoff = _read_matrix(config)
+    T = config.rounds or 1000
     if config.kind == "game":
         res = run_full_info_match(payoff, T, mixing=config.mixing)
         header = ["t", "eta_row", "eta_col", "gap", "cert_lhs_row", "cert_rhs_row", "cert_lhs_col", "cert_rhs_col"]
@@ -360,8 +354,8 @@ def _run_game(config: ExperimentConfig):
 
 
 def _run_saddle(config: ExperimentConfig):
-    payoff = parse_matrix(_read_instance(config.matrix, "--matrix", config.kind), name=str(config.matrix))
-    T = _rounds_for(config)
+    payoff = _read_matrix(config)
+    T = config.rounds or 1000
     res = saddle_solve(bilinear_problem(payoff.entries), T)
     rows = res.trace.rows("t", "eta", "value", "gap", "bound")
     summary = {
@@ -379,18 +373,13 @@ def _run_saddle(config: ExperimentConfig):
 
 
 def _run_offline(config: ExperimentConfig):
-    instances = builtin_problems()
     name = config.instance or ("quad-ball" if config.kind == "mirror-prox" else "half-ball")
-    if name not in instances:
-        raise ConfigError(
-            f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
-        )
-    problem, optimum = instances[name]
+    problem, optimum = _builtin(builtin_problems(), name)
     if config.kind == "mirror-prox" and problem.alpha != 1.0:
         raise ConfigError(
             f"instance {name!r} has exponent {problem.alpha}; mirror-prox needs 1.0"
         )
-    T = _rounds_for(config)
+    T = config.rounds or 200
     res = mirror_prox(problem, T) if config.kind == "mirror-prox" else holder_optimize(problem, T)
 
     eta = res.eta
@@ -411,13 +400,9 @@ def _run_offline(config: ExperimentConfig):
 
 
 def _run_cvxprog(config: ExperimentConfig):
-    instances = builtin_cp_instances()
     name = config.instance or "interval"
-    if name not in instances:
-        raise ConfigError(
-            f"unknown instance {name!r}; choose from {', '.join(sorted(instances))}"
-        )
-    _, report = solve_cp(instances[name], config.epsilon, rounds=config.rounds)
+    # no default horizon: solve_cp derives one from epsilon
+    _, report = solve_cp(_builtin(builtin_cp_instances(), name), config.epsilon, rounds=config.rounds)
     eta = report.eta
     rows = report.trace.rows(
         "t", "max_constraint_avg", "bound", build=lambda t, max_avg, bound: (t, eta, max_avg, bound)
@@ -473,14 +458,16 @@ def _run_maxflow(config: ExperimentConfig):
     return header, rows, summary, {"flows.csv": flows_lines}, (sol.clean,)
 
 
-_RUNNERS = {
-    "game": _run_game,
-    "game-bandit": _run_game,
-    "saddle": _run_saddle,
-    "mirror-prox": _run_offline,
-    "holder": _run_offline,
-    "cvxprog": _run_cvxprog,
-    "maxflow": _run_maxflow,
+# each kind: its runner and its help text; the runner reads the solvers
+# through this module's globals when it runs, so patching one takes effect
+KINDS = {
+    "mirror-prox": (_run_offline, "smooth offline minimization of a bundled instance"),
+    "holder": (_run_offline, "offline minimization with a Holder-smooth gradient"),
+    "saddle": (_run_saddle, "bilinear saddle point via coupled mirror updates"),
+    "game": (_run_game, "strongly uncoupled zero-sum self-play, full payoff vectors"),
+    "game-bandit": (_run_game, "zero-sum self-play from four scalar payoffs per round"),
+    "cvxprog": (_run_cvxprog, "approximate smooth convex programming on a bundled instance"),
+    "maxflow": (_run_maxflow, "approximate max flow on a unit-capacity graph file"),
 }
 
 
@@ -517,7 +504,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch to the configured kind, write the trace and summary files."""
     started = time.perf_counter()
     try:
-        header, rows, summary, extras, verdicts = _RUNNERS[config.kind](config)
+        header, rows, summary, extras, verdicts = KINDS[config.kind][0](config)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -534,15 +521,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     full_summary["wall_time_s"] = elapsed
 
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.txt"
-    _write_csv(trace_path, header, rows)
-    _write_fresh(summary_path, (f"{key}={_format_cell(value)}" for key, value in full_summary.items()))
-    extra_paths = {}
-    for filename, lines in extras.items():
-        extra_paths[filename] = out_dir / filename
-        _write_fresh(extra_paths[filename], lines)
+    extra_paths = {filename: out_dir / filename for filename in extras}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(trace_path, header, rows)
+        _write_fresh(summary_path, (f"{key}={_format_cell(value)}" for key, value in full_summary.items()))
+        for filename, lines in extras.items():
+            _write_fresh(extra_paths[filename], lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     return ExperimentResult(
         status=status,
         out_dir=out_dir,

@@ -1,4 +1,5 @@
 """Experiment front end: parsing, rate fitting, trace emission, exit codes."""
+import argparse
 import dataclasses
 import gc
 import math
@@ -6,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from omdkit import cli
 from omdkit import harness
@@ -131,6 +134,8 @@ def test_config_kind_mismatch_and_bad_values(tmp_path):
         config_from_sources("game", {"rounds": "soon"})
     with pytest.raises(ConfigError, match="expected a boolean"):
         config_from_sources("game", {"no-mixing": "maybe"})
+    with pytest.raises(ConfigError, match="unknown key 'mixing'"):
+        config_from_sources("game", {}, {"mixing": False})  # a field name, not a key
     with pytest.raises(ConfigError, match="unknown kind"):
         ExperimentConfig(kind="tictactoe")
     path = tmp_path / "bad.cfg"
@@ -143,6 +148,99 @@ def test_config_kind_mismatch_and_bad_values(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ConfigError, match=r":1: expected key=value"):
         load_config(path)
+
+
+# text near the parsers' grammar, so that most draws get past the first line
+_PARSER_TOKENS = st.sampled_from(
+    ["p", "e", " ", ",", "\n", "#", "=", "-", ".", "0", "1", "2", "7", "1e308", "1e999",
+     "nan", "inf", "-1", "0.5", "kind", "rounds", "no-mixing", "\t", "\r", "\x00", "é"]
+)
+_PARSER_TEXT = st.one_of(st.text(), st.lists(_PARSER_TOKENS, max_size=40).map("".join))
+
+
+@settings(max_examples=400, deadline=1000)
+@given(text=_PARSER_TEXT)
+def test_instance_parsers_raise_only_config_error(text):
+    for parse in (parse_matrix, parse_graph):
+        try:
+            parse(text)
+        except ConfigError:
+            pass
+
+
+@settings(max_examples=200, deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(), _PARSER_TEXT.map(lambda t: t.encode("utf-8", "surrogatepass"))))
+def test_load_config_raises_only_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
+
+
+def test_undecodable_config_and_matrix_are_config_errors(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"rounds=5\nout=caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
+    path.write_bytes(b"1,-1\n\xff,1\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        run_experiment(ExperimentConfig(kind="game", matrix=str(path), out=str(tmp_path / "x")))
+
+
+# each key's text drawn from values that parse; the path-like keys take any
+# text without surrounding blanks or a line break, except "--", which
+# argparse drops even from `--out=--`
+_WORD = st.text(alphabet="ab/._-=#0 ", min_size=1, max_size=12).map(str.strip).filter(lambda w: w not in ("", "--"))
+_KEY_TEXT = {
+    "matrix": _WORD,
+    "graph": _WORD,
+    "rounds": st.integers(1, 10**6).map(str),
+    "seed": st.integers(-(10**6), 10**6).map(str),
+    "delta": st.floats(1e-9, 1.0).map(repr),
+    "epsilon": st.floats(1e-6, 100.0).map(str),
+    "instance": _WORD,
+    "no-mixing": st.sampled_from(["true", "false", "True", "NO", "1", "0", "on", "off", "yes"]),
+    "out": _WORD,
+}
+
+
+def test_key_table_is_the_config_fields():
+    assert set(harness.CONFIG_KEYS) == set(_KEY_TEXT)
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "kind", "matrix", "graph", "rounds", "seed", "delta", "epsilon", "instance", "mixing", "out",
+    ]
+    assert ExperimentConfig("game") == ExperimentConfig(
+        "game", matrix=None, graph=None, rounds=None, seed=0, delta=None,
+        epsilon=0.1, instance=None, mixing=True, out="runs",
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(list(harness.KINDS)),
+    values=st.fixed_dictionaries({}, optional=_KEY_TEXT),
+    kind_line=st.booleans(),
+)
+def test_file_overrides_and_flags_build_one_config(tmp_path, kind, values, kind_line):
+    path = tmp_path / "run.cfg"
+    lines = [f"kind={kind}"] if kind_line else []
+    path.write_text("".join(f"{line}\n" for line in lines + [f"{k}={v}" for k, v in values.items()]))
+    from_file = config_from_sources(kind, load_config(path))
+
+    from_overrides = config_from_sources(kind, {}, values)
+
+    switch = values.get("no-mixing", "false").lower() in ("true", "1", "yes", "on")
+    argv = [kind] + [f"--{k}={v}" for k, v in values.items() if k != "no-mixing"]
+    args = vars(cli.build_parser().parse_args(argv + (["--no-mixing"] if switch else [])))
+    assert args.pop(harness.KIND_KEY) == kind and args.pop("config") is None
+    from_flags = config_from_sources(kind, {}, args)
+
+    assert from_file == from_overrides == from_flags
+    assert from_flags.rounds == (int(values["rounds"]) if "rounds" in values else None)
+    assert from_flags.epsilon == (float(values["epsilon"]) if "epsilon" in values else 0.1)
+    assert from_flags.mixing is not switch
 
 
 # ---------------------------------------------------------------- experiments
@@ -299,9 +397,9 @@ def test_unknown_instance_and_missing_inputs(tmp_path):
 def test_certificate_failure_sets_status_one(tmp_path, monkeypatch):
     def broken(config):
         header = ["t", "cert_lhs", "cert_rhs"]
-        return header, [(1, 2.0, 1.0)], {"cert_checks": 1, "cert_failures": 1}, {}, True
+        return header, [(1, 2.0, 1.0)], {"cert_checks": 1, "cert_failures": 1}, {}, (True,)
 
-    monkeypatch.setitem(harness._RUNNERS, "game", broken)
+    monkeypatch.setitem(harness.KINDS, "game", (broken, "a runner whose certificate fails"))
     result = run_experiment(
         ExperimentConfig(kind="game", matrix=_matrix_file(tmp_path), out=str(tmp_path / "x"))
     )
@@ -524,3 +622,41 @@ def test_cli_non_finite_delta_epsilon_exit_two(tmp_path, capsys, argv, key):
     assert code == 2
     assert captured.err.startswith(f"error: {key} must be positive and finite")
     assert not (tmp_path / "run").exists()
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_flags_are_the_key_table():
+    subcommands = _subcommands(cli.build_parser())
+    assert list(subcommands) == list(harness.KINDS)
+    for kind, parser in subcommands.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert flags - {"--help", "--config"} == {f"--{key}" for key in harness.CONFIG_KEYS}, kind
+
+
+@pytest.mark.parametrize("flag, text", [("--rounds", "x"), ("--seed", "1.5"), ("--delta", "tiny")])
+def test_cli_bad_flag_value_exit_two_names_the_key(tmp_path, capsys, flag, text):
+    code = cli.main(["game-bandit", "--matrix", _matrix_file(tmp_path), flag, text, "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: key {flag[2:]!r}: expected a number, got {text!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("blocker", ["out", "out/trace.csv"])
+def test_cli_unusable_out_exit_two(tmp_path, capsys, blocker):
+    # a regular file where the directory should be, or a directory where
+    # trace.csv should be: the solver runs, the writing fails
+    out = tmp_path / "out"
+    if blocker == "out":
+        out.write_text("not a directory\n")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
+    code = cli.main(["game", "--matrix", _matrix_file(tmp_path), "--rounds", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -116,6 +116,17 @@ def test_ball_projection_survives_an_overflowing_square():
     assert m.project([3e154, 4e154]).tolist() == [0.6, 0.8]
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "m", [MirrorMap.euclidean_ball(2), MirrorMap.euclidean_simplex(2)], ids=["ball", "simplex"]
+)
+def test_projection_rejects_a_non_finite_point(m, entry):
+    # once: NaN entries or an IndexError, with a RuntimeWarning on the way;
+    # errstate turns any such warning into a FloatingPointError, not a ValueError
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="point is not finite"):
+        m.project([entry, 0.0])
+
+
 def test_euclidean_prox_simplex_projection():
     m = MirrorMap.euclidean_simplex(3)
     out = prox_step(m, np.full(3, 1.0 / 3.0), [1.0, 0.0, 0.0], 0.5)
