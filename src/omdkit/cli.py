@@ -37,6 +37,11 @@ def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     kind, config_path = args.pop(KIND_KEY), args.pop("config")
     try:
+        for key, value in args.items():
+            # argparse drops a value of exactly "--", even from --out=--,
+            # and hands over [] in its place
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"key {key!r}: no usable flag value (a value of exactly '--' is dropped)")
         file_map = load_config(config_path) if config_path else {}
         config = config_from_sources(kind, file_map, args)
         result = run_experiment(config)

@@ -13,6 +13,12 @@ rounds still buffered.
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
 
+Each side keeps the one running sum of the loss directions it was handed,
+and finds its smallest entry once a round; the match's running gap reads
+both sides' minima. A full-information side's sum is its certificate's
+`cum_obs`, which the certificate's `lhs` reads too; a bandit side keeps its
+own `loss_sum`.
+
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
 """
@@ -131,11 +137,20 @@ class SideCertificate:
     checkable after every round:
     (1/eta_1 + 1/eta_t) log(n T^2) + sum_s ||obs_s - obs_{s-1}||_inf ||g_s - f_s||_1
     - (1/2) sum_s eta_s^-1 (||g'_s - f_s||_1^2 + ||g'_{s-1} - f_s||_1^2) + 1.
+
+    `cum_obs` is the player's running observation sum, the only one the
+    match keeps for this side, and `min_obs` its smallest entry, found once
+    per update; `lhs` and the match's gap both read it.
     """
 
     def __init__(self, n: int, T: int):
         self.r_sq = math.log(n * T * T)
         self.cum_obs = np.zeros(n)
+        self.min_obs = 0.0
+        # the round's three ell_1 differences to f_t, one row each, taken
+        # in one abs and one row-wise sum
+        self._dist = np.empty((3, n))
+        self._dist_rows = tuple(self._dist)
         self.cum_play_loss = 0.0
         self.variance = 0.0
         self.negative = 0.0
@@ -145,13 +160,20 @@ class SideCertificate:
     def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
         """Fold in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
         g_t, and the mixed iterates g'_{t-1} and g'_t."""
-        self.cum_obs += observation
+        cum = self.cum_obs
+        cum += observation
+        self.min_obs = float(np.minimum.reduce(cum))
         self.cum_play_loss += float(play @ observation)
-        self.variance += math.sqrt(increment) * float(np.add.reduce(np.abs(secondary - play)))
-        self.negative += (1.0 / eta) * (
-            float(np.add.reduce(np.abs(mixed - play))) ** 2
-            + float(np.add.reduce(np.abs(mixed_prev - play))) ** 2
-        )
+        d = self._dist
+        d_secondary, d_mixed, d_mixed_prev = self._dist_rows
+        np.subtract(secondary, play, out=d_secondary)
+        np.subtract(mixed, play, out=d_mixed)
+        np.subtract(mixed_prev, play, out=d_mixed_prev)
+        np.abs(d, out=d)
+        # a row-wise sum is each row's own sum, bit for bit
+        l1_secondary, l1_mixed, l1_mixed_prev = np.add.reduce(d, axis=1).tolist()
+        self.variance += math.sqrt(increment) * l1_secondary
+        self.negative += (1.0 / eta) * (l1_mixed**2 + l1_mixed_prev**2)
         if self.eta_first is None:
             self.eta_first = eta
         self.eta_last = eta
@@ -162,12 +184,12 @@ class SideCertificate:
 
     @property
     def lhs(self) -> float:
-        """max(lhs_per_vertex), read as cum_play_loss - min(cum_obs).
+        """max(lhs_per_vertex), read as cum_play_loss - min_obs.
 
         Rounding is monotone, so the two forms agree bit for bit; this one
         makes no vector.
         """
-        return float(self.cum_play_loss - np.minimum.reduce(self.cum_obs))
+        return self.cum_play_loss - self.min_obs
 
     @property
     def rhs(self) -> float:
@@ -202,15 +224,20 @@ class FullInfoPlayer(_Learner):
         self.last_observation = np.asarray(initial_observation, dtype=float)
         if self.last_observation.shape != (n,):
             raise ValueError("initial observation has the wrong dimension")
+        # full_info_step's check of each observation relies on this one
+        if not np.isfinite(self.last_observation).all():
+            raise ValueError("initial observation has non-finite entries")
         self.certificate = SideCertificate(n, T)
 
     def _eta(self) -> float:
         return full_info_eta(self.sums, self.n, self.T)
 
-    def step(self, w: np.ndarray) -> tuple[float, float, float]:
-        """One round on loss direction w; returns (eta_t, cert lhs, cert rhs)."""
+    def step(self, w: np.ndarray) -> tuple[float, float, float, float]:
+        """One round on loss direction w; returns (eta_t, cert lhs, cert rhs,
+        the smallest entry of the running observation sum)."""
         full_info_step(self, w)
-        return self.eta, self.certificate.lhs, self.certificate.rhs
+        cert = self.certificate
+        return self.eta, cert.lhs, cert.rhs, cert.min_obs
 
 
 def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, FullInfoPlayer]:
@@ -221,16 +248,21 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     mixing floor, forms the next play with eta_{t+1} (sums through t), and
     folds the round into the player's certificate. This is where an
     observation is checked: its shape, and that every entry is finite.
+    The last observation is finite, so the largest difference is finite
+    unless an entry is not (or the difference overflows, which the step
+    rule rejects); only then are the entries scanned.
     Returns (next play, updated player).
     """
     obs = np.asarray(observation, dtype=float)
     if obs.shape != (player.n,):
         raise ValueError("observation has the wrong dimension")
-    if not np.isfinite(obs).all():
-        raise ValueError("observation has non-finite entries")
     played = player.play.weights
     mixed_prev = player.g_prime.weights
-    increment = float(np.maximum.reduce(np.abs(obs - player.last_observation))) ** 2
+    diff = float(np.maximum.reduce(np.abs(obs - player.last_observation)))
+    # written so that NaN takes the scan too
+    if not diff < math.inf and not np.isfinite(obs).all():
+        raise ValueError("observation has non-finite entries")
+    increment = diff**2
     # constant shifts cancel in the normalization
     shifted = obs - np.maximum.reduce(obs)
     g_t = player._advance(increment, shifted, shifted)
@@ -271,30 +303,29 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     """The self-play round both match kinds share.
 
     Each round reads both plays (`side.play`), hands each side the payoff
-    vector its opponent's play induces, and keeps only running state: the
-    play and payoff sums behind the running gap, and one TraceRow, stored in
-    the columns of a RowTable.
+    vector its opponent's play induces (A x to the row, -f A to the
+    column), and keeps only running state: the play sums behind the
+    averages, and one TraceRow, stored in the columns of a RowTable. The
+    payoff sums behind the running gap are the sides' own running loss sums.
     side.step(w) advances a side on its loss direction w and returns that
-    side's trace entries (eta, lhs, rhs).
+    side's trace entries (eta, lhs, rhs) and the smallest entry of its
+    running sum of w.
     """
     n, m = a.shape
     f_sum = np.zeros(n)
     x_sum = np.zeros(m)
-    fA_sum = np.zeros(m)
-    Ax_sum = np.zeros(n)
     trace = RowTable(TraceRow)
     for t in range(1, T + 1):
         f = row.play.weights
         x = col.play.weights
-        Ax = a @ x
-        fA = f @ a
-        eta_row, lhs_row, rhs_row = row.step(Ax)
-        eta_col, lhs_col, rhs_col = col.step(-fA)
+        eta_row, lhs_row, rhs_row, low_row = row.step(a @ x)
+        eta_col, lhs_col, rhs_col, low_col = col.step(-(f @ a))
         f_sum += f
         x_sum += x
-        fA_sum += fA
-        Ax_sum += Ax
-        gap_t = float(np.maximum.reduce(fA_sum) - np.minimum.reduce(Ax_sum)) / t
+        # max(sum f A) - min(sum A x), with max(sum f A) = -low_col; a sum
+        # run from +0.0 is never -0.0, so 0.0 - low_col is +0.0 where the
+        # negation would give -0.0, and the bits are max's
+        gap_t = ((0.0 - low_col) - low_row) / t
         trace.append(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col)
     f_avg = f_sum / T
     x_avg = x_sum / T
@@ -449,6 +480,7 @@ class _BanditSide(_Learner):
         self.rng = rng
         self.prev_index = int(rng.integers(own_dim - 1))
         self.last_bar = np.zeros(own_dim)
+        self.loss_sum = np.zeros(own_dim)  # the running sum of the payoff vectors
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self.min_perturbed = math.inf
         # the rounds the estimator guard has yet to check: payoff vectors
@@ -461,12 +493,13 @@ class _BanditSide(_Learner):
     def _eta(self) -> float:
         return bandit_eta(self.sums, self.h_last, self.n, self.opp, self.T)
 
-    def step(self, payoff_vector: np.ndarray) -> tuple[float, float, float]:
+    def step(self, payoff_vector: np.ndarray) -> tuple[float, float, float, float]:
         """One round given this side's loss direction w (own loss = play @ w).
 
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
-        Returns (eta_t, eta_t, cap): the step discipline is the certificate.
+        Returns (eta_t, eta_t, cap, the smallest entry of `loss_sum`): the
+        step discipline is the certificate.
         The round's payoff vector and base payoff join the estimator guard's
         buffer, which is checked every `_GUARD_BLOCK` rounds; `max_error`
         checks what is left and reports the largest error so far.
@@ -491,6 +524,8 @@ class _BanditSide(_Learner):
         self._advance(increment, est_hat, est_bar)
         self.prev_index = new_index
         self.last_bar = est_bar
+        loss_sum = self.loss_sum
+        loss_sum += payoff_vector
 
         i = self._pending
         self._pending_w[i] = payoff_vector
@@ -498,7 +533,7 @@ class _BanditSide(_Learner):
         self._pending = i + 1
         if i + 1 == _GUARD_BLOCK:
             self._check_pending()
-        return self.eta, self.eta, self.cap
+        return self.eta, self.eta, self.cap, float(np.minimum.reduce(loss_sum))
 
     @property
     def max_error(self) -> float:

@@ -28,7 +28,8 @@ Exit status (returned by `cli.main`):
   1  a certificate or run-level guarantee failed;
   2  unusable input (ConfigError: a bad flag value or config line, naming its
      key; an unreadable or malformed instance file, naming its line; an
-     output directory that cannot be written);
+     output directory that cannot be made, found before the solver runs,
+     or written);
   3  internal numeric fault inside a solver (ProjectionError), reported with
      its residual; the input was accepted but the run could not finish.
 """
@@ -501,7 +502,17 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch to the configured kind, write the trace and summary files."""
+    """Make the output directory, dispatch to the configured kind, and write
+    the trace and summary files into it.
+
+    The directory comes first, so an unusable `out` fails before round 1;
+    input that fails later leaves it empty.
+    """
+    out_dir = Path(config.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     started = time.perf_counter()
     try:
         header, rows, summary, extras, verdicts = KINDS[config.kind][0](config)
@@ -520,12 +531,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     full_summary["status"] = status
     full_summary["wall_time_s"] = elapsed
 
-    out_dir = Path(config.out)
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.txt"
     extra_paths = {filename: out_dir / filename for filename in extras}
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(trace_path, header, rows)
         _write_fresh(summary_path, (f"{key}={_format_cell(value)}" for key, value in full_summary.items()))
         for filename, lines in extras.items():

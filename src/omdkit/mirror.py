@@ -42,12 +42,16 @@ class SimplexPoint:
     Long products of exponential reweightings underflow in linear space;
     keeping log-weights makes the multiplicative update stable at any horizon.
     `weights` and `log_weights` describe the same point: `weights` is
-    exp(`log_weights`) up to rounding. The constructor checks its argument;
-    `exp_step` and `mix` build their points from arrays they made themselves,
-    so they skip that check.
+    exp(`log_weights`) up to rounding. A point normalized from log-weights
+    keeps their max-shifted form z and its normalizer, and forms
+    `log_weights` = z - log(normalizer) on first read: a point that is read
+    only through `weights` (a play, or an iterate that `mix` replaces) never
+    pays for it. The constructor checks its argument; `exp_step` and `mix`
+    build their points from arrays they made themselves, so they skip that
+    check.
     """
 
-    __slots__ = ("log_weights", "weights")
+    __slots__ = ("weights", "_log_weights", "_z", "_total")
 
     def __init__(self, log_weights):
         self._normalize(_as_vector(log_weights))
@@ -59,7 +63,17 @@ class SimplexPoint:
         # a Python float divides faster than a numpy scalar, to the same bits
         total = float(np.add.reduce(w))
         self.weights = w / total
-        self.log_weights = z - math.log(total)
+        self._log_weights = None
+        self._z = z
+        self._total = total
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        lw = self._log_weights
+        if lw is None:
+            lw = self._log_weights = self._z - math.log(self._total)
+            self._z = None
+        return lw
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexPoint":
@@ -81,9 +95,10 @@ class SimplexPoint:
         array. A scaled_loss that does not broadcast to this point's shape
         raises ValueError.
         """
-        z = self.log_weights - scaled_loss
-        if z.shape != self.log_weights.shape:
-            raise ValueError(f"expected a loss of shape {self.log_weights.shape}, got {z.shape}")
+        lw = self.log_weights
+        z = lw - scaled_loss
+        if z.shape != lw.shape:
+            raise ValueError(f"expected a loss of shape {lw.shape}, got {z.shape}")
         out = SimplexPoint.__new__(SimplexPoint)
         out._normalize(z)
         return out
@@ -105,7 +120,7 @@ class SimplexPoint:
         w += beta / w.size
         out = SimplexPoint.__new__(SimplexPoint)
         out.weights = w
-        out.log_weights = np.log(w)
+        out._log_weights = np.log(w)
         return out
 
     @property

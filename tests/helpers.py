@@ -1,11 +1,16 @@
 """Shared test fixtures: closed-form problems and independent oracles."""
+import contextlib
 import math
 
 import numpy as np
+import pytest
+
+from omdkit import games
 
 from omdkit._linalg import AffineSolver
 from omdkit._rows import RowTable
 from omdkit.convexprog import FEAS_TOL, CpReport, CpRound, _alpha, _steps
+from omdkit.games import MatchResult, TraceRow, _Learner, full_info_eta
 from omdkit.mirror import (
     MirrorMap,
     OmdState,
@@ -17,7 +22,7 @@ from omdkit.mirror import (
     prox_step,
 )
 from omdkit.offline import OfflineResult, OfflineRound, SmoothProblem
-from omdkit.saddle import SaddleResult, SaddleRound, saddle_eta
+from omdkit.saddle import SaddleResult, SaddleRound, bilinear_gap, saddle_eta
 
 
 # ---------------------------------------------------------------- offline problems
@@ -397,6 +402,150 @@ def reference_builtin_oracles():
             huber_value,
         ),
     }
+
+
+# ---------------------------------------------------------------- self-play
+#
+# The full-information round as games.py wrote it before each side's running
+# loss sum also served the match's gap: _self_play keeps its own payoff sums
+# fA_sum and Ax_sum, full_info_step scans every observation for non-finite
+# entries, and SideCertificate takes min(cum_obs) on each lhs read and each
+# ell_1 distance in its own reduction. Tests require the library to match it
+# bit for bit. The only code change is in reference_self_play, which drops
+# the fourth value a side's step now returns (the smallest entry of the
+# side's running loss sum). `reference_games()` puts these in the games
+# module's place, so the library's match drivers run the old round.
+
+class ReferenceSideCertificate:
+    def __init__(self, n: int, T: int):
+        self.r_sq = math.log(n * T * T)
+        self.cum_obs = np.zeros(n)
+        self.cum_play_loss = 0.0
+        self.variance = 0.0
+        self.negative = 0.0
+        self.eta_first = None
+        self.eta_last = None
+
+    def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
+        self.cum_obs += observation
+        self.cum_play_loss += float(play @ observation)
+        self.variance += math.sqrt(increment) * float(np.add.reduce(np.abs(secondary - play)))
+        self.negative += (1.0 / eta) * (
+            float(np.add.reduce(np.abs(mixed - play))) ** 2
+            + float(np.add.reduce(np.abs(mixed_prev - play))) ** 2
+        )
+        if self.eta_first is None:
+            self.eta_first = eta
+        self.eta_last = eta
+
+    @property
+    def lhs_per_vertex(self) -> np.ndarray:
+        return self.cum_play_loss - self.cum_obs
+
+    @property
+    def lhs(self) -> float:
+        return float(self.cum_play_loss - np.minimum.reduce(self.cum_obs))
+
+    @property
+    def rhs(self) -> float:
+        return (
+            (1.0 / self.eta_first + 1.0 / self.eta_last) * self.r_sq
+            + self.variance
+            - 0.5 * self.negative
+            + 1.0
+        )
+
+    def holds(self, tol: float = 1e-9) -> bool:
+        return self.lhs <= self.rhs + tol
+
+
+class ReferenceFullInfoPlayer(_Learner):
+    def __init__(self, n: int, T: int, initial_observation, mixing: bool = True):
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if T < 2:
+            raise ValueError("T must be at least 2")
+        super().__init__(n, T, 1.0 / (T * T) if mixing else 0.0)
+        self.last_observation = np.asarray(initial_observation, dtype=float)
+        if self.last_observation.shape != (n,):
+            raise ValueError("initial observation has the wrong dimension")
+        self.certificate = ReferenceSideCertificate(n, T)
+
+    def _eta(self) -> float:
+        return full_info_eta(self.sums, self.n, self.T)
+
+    def step(self, w: np.ndarray) -> tuple[float, float, float]:
+        reference_full_info_step(self, w)
+        return self.eta, self.certificate.lhs, self.certificate.rhs
+
+
+def reference_full_info_step(player, observation):
+    obs = np.asarray(observation, dtype=float)
+    if obs.shape != (player.n,):
+        raise ValueError("observation has the wrong dimension")
+    if not np.isfinite(obs).all():
+        raise ValueError("observation has non-finite entries")
+    played = player.play.weights
+    mixed_prev = player.g_prime.weights
+    increment = float(np.maximum.reduce(np.abs(obs - player.last_observation))) ** 2
+    # constant shifts cancel in the normalization
+    shifted = obs - np.maximum.reduce(obs)
+    g_t = player._advance(increment, shifted, shifted)
+    player.certificate.update(
+        played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
+    )
+    player.last_observation = obs
+    return player.play, player
+
+
+def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
+    n, m = a.shape
+    f_sum = np.zeros(n)
+    x_sum = np.zeros(m)
+    fA_sum = np.zeros(m)
+    Ax_sum = np.zeros(n)
+    trace = RowTable(TraceRow)
+    for t in range(1, T + 1):
+        f = row.play.weights
+        x = col.play.weights
+        Ax = a @ x
+        fA = f @ a
+        eta_row, lhs_row, rhs_row = row.step(Ax)[:3]
+        eta_col, lhs_col, rhs_col = col.step(-fA)[:3]
+        f_sum += f
+        x_sum += x
+        fA_sum += fA
+        Ax_sum += Ax
+        gap_t = float(np.maximum.reduce(fA_sum) - np.minimum.reduce(Ax_sum)) / t
+        trace.append(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col)
+    f_avg = f_sum / T
+    x_avg = x_sum / T
+    return MatchResult(
+        f_average=f_avg, x_average=x_avg, gap=bilinear_gap(a, f_avg, x_avg), trace=trace
+    )
+
+
+@contextlib.contextmanager
+def reference_games():
+    """Within the block, run_full_info_match, run_bandit_match and
+    run_full_info_vs play the reference round above."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "_self_play", reference_self_play)
+        mp.setattr(games, "FullInfoPlayer", ReferenceFullInfoPlayer)
+        mp.setattr(games, "full_info_step", reference_full_info_step)
+        yield
+
+
+def certificate_bits(cert):
+    """A side certificate's running sums and inequality, for a bitwise compare."""
+    if cert is None:
+        return None
+    return (
+        cert.cum_obs.tobytes(),
+        cert.lhs_per_vertex.tobytes(),
+        repr((cert.cum_play_loss, cert.variance, cert.negative, cert.eta_first, cert.eta_last)),
+        repr((cert.lhs, cert.rhs, cert.holds())),
+    )
 
 
 def assert_same_bits(a, b):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omdkit.games import (
@@ -21,7 +21,7 @@ from omdkit.games import (
 )
 from omdkit.mirror import SimplexPoint
 
-from helpers import lp_game_value
+from helpers import certificate_bits, lp_game_value, reference_games
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -115,6 +115,19 @@ def test_step_validation():
         full_info_step(player, np.array([np.inf, 0.0]))
     with pytest.raises(ValueError):
         FullInfoPlayer(2, 1, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_observation_is_rejected_before_any_state_moves(bad):
+    # the full scan runs only when the largest difference is not finite,
+    # which a non-finite entry always makes it
+    player = FullInfoPlayer(3, 10, np.zeros(3))
+    full_info_step(player, np.array([0.5, -0.25, 0.0]))
+    sums, play, last, cum_obs = player.sums, player.play, player.last_observation, player.certificate.cum_obs.copy()
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="observation has non-finite entries"):
+        full_info_step(player, np.array([0.25, bad, 0.0]))
+    assert player.sums == sums and player.play is play and player.last_observation is last
+    assert np.array_equal(player.certificate.cum_obs, cum_obs)
 
 
 def test_eta_ordering_excludes_current_increment():
@@ -388,3 +401,97 @@ def test_certificate_lhs_is_the_largest_vertex_lhs(case):
         _, player = full_info_step(player, a @ x)
         cert = player.certificate
         assert cert.lhs == float(np.maximum.reduce(cert.lhs_per_vertex))
+
+
+# ---------------------------------------------------------------- the reference round
+
+
+@st.composite
+def reference_cases(draw, min_dim=1):
+    """A payoff matrix, a horizon, the mixing switch and a numpy seed for
+    the rest. The matrix has uniform entries, or entries on a coarse grid
+    (ties), or is a square circulant whose rows and columns sum to zero, so
+    that running payoff sums cross zero."""
+    n = draw(st.integers(min_dim, 40))
+    m = draw(st.integers(min_dim, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = draw(st.sampled_from(["uniform", "grid", "circulant"]))
+    if shape == "uniform":
+        a = rng.uniform(-1.0, 1.0, size=(n, m))
+    elif shape == "grid":
+        a = rng.integers(-2, 3, size=(n, m)) / 2.0
+    else:
+        g = rng.integers(-1, 2, size=n) / 2.0
+        c = g - np.roll(g, 1)
+        a = np.array([np.roll(c, i) for i in range(n)])
+    return a, draw(st.integers(2, 300)), draw(st.booleans()), seed
+
+
+def _match_bits(res):
+    return (
+        res.f_average.tobytes(),
+        res.x_average.tobytes(),
+        repr(res.gap),
+        {name: res.trace.column(name).tobytes() for name in res.trace.names},
+        certificate_bits(res.row_certificate),
+        certificate_bits(res.col_certificate),
+        repr(res.summary),
+        (res.row_records, res.col_records),
+    )
+
+
+# the gap's first rounds are +0.0 in these: max(sum f A) and min(sum A x) are both zero
+ZERO_SUM_STARTS = [(PENNIES, 40, True, 1), (np.zeros((3, 2)), 20, False, 2)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(reference_cases())
+@example(ZERO_SUM_STARTS[0])
+@example(ZERO_SUM_STARTS[1])
+def test_full_info_match_is_the_reference_round(case):
+    a, T, mixing, _ = case
+    with reference_games():
+        expected = run_full_info_match(a, T, mixing=mixing)
+    assert _match_bits(run_full_info_match(a, T, mixing=mixing)) == _match_bits(expected)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(reference_cases(min_dim=2))
+@example(ZERO_SUM_STARTS[0])
+@example(ZERO_SUM_STARTS[1])
+def test_bandit_match_is_the_reference_round(case):
+    a, T, _, seed = case
+    with reference_games():
+        expected = run_bandit_match(a, T, seed=seed)
+    assert _match_bits(run_bandit_match(a, T, seed=seed)) == _match_bits(expected)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(reference_cases())
+def test_opponent_run_is_the_reference_round(case):
+    a, T, mixing, seed = case
+    rng = np.random.default_rng(seed)
+    m = a.shape[1]
+    # mixed strategies, with a pure one now and then
+    strategies = [rng.dirichlet(np.ones(m)) if rng.random() < 0.8 else np.eye(m)[rng.integers(m)] for _ in range(T)]
+
+    def run():
+        out = run_full_info_vs(a, T, lambda t, f_prev: strategies[t - 1], mixing=mixing)
+        return (certificate_bits(out.certificate), repr((out.regret, out.obs_variation)), out.f_average.tobytes())
+
+    with reference_games():
+        expected = run()
+    assert run() == expected
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 1000), st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1e-8, 1.0, 1e8]))
+def test_row_wise_sum_is_each_rows_own_sum(n, seed, scale):
+    # the certificate sums its three ell_1 distances as the rows of one
+    # (3, n) buffer; each must be the 1-d sum of that row, bit for bit
+    buf = np.empty((3, n))
+    buf[:] = np.abs(np.random.default_rng(seed).standard_normal((3, n))) * scale
+    together = np.add.reduce(buf, axis=1)
+    for i in range(3):
+        assert together[i].tobytes() == np.add.reduce(buf[i]).tobytes()

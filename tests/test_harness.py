@@ -648,8 +648,9 @@ def test_cli_bad_flag_value_exit_two_names_the_key(tmp_path, capsys, flag, text)
 
 @pytest.mark.parametrize("blocker", ["out", "out/trace.csv"])
 def test_cli_unusable_out_exit_two(tmp_path, capsys, blocker):
-    # a regular file where the directory should be, or a directory where
-    # trace.csv should be: the solver runs, the writing fails
+    # a regular file where the directory should be (making the directory
+    # fails before the solver runs), or a directory where trace.csv should
+    # be (the solver runs, the writing fails)
     out = tmp_path / "out"
     if blocker == "out":
         out.write_text("not a directory\n")
@@ -660,3 +661,35 @@ def test_cli_unusable_out_exit_two(tmp_path, capsys, blocker):
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_unusable_out_fails_before_the_solver_runs(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setitem(harness.KINDS, "game", (never, harness.KINDS["game"][1]))
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    code = cli.main(["game", "--matrix", _matrix_file(tmp_path), "--rounds", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def test_bad_input_found_by_the_solver_leaves_an_empty_out(tmp_path, capsys):
+    code = cli.main(["game", "--matrix", _matrix_file(tmp_path, "1,x\n"), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["mirror-prox", "game"])
+def test_cli_flag_value_of_bare_dashes_exit_two_names_the_key(tmp_path, capsys, monkeypatch, kind):
+    # argparse drops the value "--" even from --out=-- and hands over [];
+    # that once ran into a directory named "[]"
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--matrix", _matrix_file(tmp_path)] if kind == "game" else []
+    code = cli.main([kind, *inputs, "--rounds", "5", "--out=--"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: key 'out': ")
+    assert {p.name for p in tmp_path.iterdir()} <= {"payoff.txt"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from omdkit._linalg import project_ball
+from omdkit.games import FullInfoPlayer
 from omdkit.mirror import (
     Ball,
     GapHistory,
@@ -549,6 +550,52 @@ def test_simplex_point_normalizes_as_numpy_scalar_arithmetic_does(z):
     assert p.log_weights.tobytes() == (shifted - math.log(total)).tobytes()
 
 
+def _eager(z):
+    """(weights, log_weights) as the point was set before its log-weights
+    were formed on first read: both at once, from log-weights z."""
+    z = z - np.maximum.reduce(z)
+    w = np.exp(z)
+    total = float(np.add.reduce(w))
+    return w / total, z - math.log(total)
+
+
+def _assert_log_weights(point, expected):
+    first = point.log_weights
+    assert first.tobytes() == expected.tobytes()
+    assert point.log_weights is first  # formed once, then kept
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(float, n, elements=st.floats(-700, 700)),
+    arrays(float, n, elements=st.floats(-50, 50)),
+    arrays(float, n, elements=st.floats(1e-300, 1.0)),
+    st.floats(0.0, 1.0),
+)))
+def test_log_weights_on_first_read_are_the_eager_ones(case):
+    z, v, u, beta = case
+    w, lw = _eager(z)
+    p = SimplexPoint(z)
+    assert p.weights.tobytes() == w.tobytes()
+    _assert_log_weights(p, lw)
+    _assert_log_weights(SimplexPoint.from_weights(u), _eager(np.log(u))[1])
+
+    # a step taken before the source's log-weights were read
+    fresh = SimplexPoint(z)
+    stepped = fresh.exp_step(v)
+    assert stepped.weights.tobytes() == _eager(lw - v)[0].tobytes()
+    _assert_log_weights(stepped, _eager(lw - v)[1])
+    _assert_log_weights(fresh, lw)
+
+    assert p.mix(0.0) is p
+    mixed = stepped.mix(beta)
+    if beta > 0.0:
+        floor = (1.0 - beta) * stepped.weights
+        floor += beta / floor.size
+        assert mixed.weights.tobytes() == floor.tobytes()
+        _assert_log_weights(mixed, np.log(floor))
+
+
 def test_exp_step_rejects_a_loss_of_the_wrong_shape():
     p = SimplexPoint.uniform(3)
     for bad in (np.zeros((3, 3)), np.zeros(4)):
@@ -649,6 +696,10 @@ def _saddle(smoothness):
         pytest.param(lambda: _smooth(divergence_radius=_INF), id="smooth-radius-inf"),
         pytest.param(lambda: _saddle((1.0, _NAN, 1.0, 1.0)), id="saddle-smoothness-nan"),
         pytest.param(lambda: _saddle((1.0, 1.0, _INF, 1.0)), id="saddle-smoothness-inf"),
+        # these once failed only on the first step, after the sums had moved
+        pytest.param(lambda: FullInfoPlayer(2, 10, [_INF, 0.0]), id="full_info_player-initial-inf"),
+        pytest.param(lambda: FullInfoPlayer(2, 10, [0.0, -_INF]), id="full_info_player-initial-minus-inf"),
+        pytest.param(lambda: FullInfoPlayer(2, 10, [_NAN, 0.0]), id="full_info_player-initial-nan"),
     ],
 )
 def test_checks_reject_nan_and_inf(call):
