@@ -60,7 +60,12 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    return _project_ball_own(np.array(v, dtype=float), radius)
+
+
+def _project_ball_own(v: np.ndarray, radius: float) -> np.ndarray:
+    """project_ball of a float array the caller gives up: v itself, or v
+    scaled in place, or a new array."""
     # np.linalg.norm's own formula for 1-d v; vdot is the same BLAS dot as
     # v.dot, but an overflow gives inf without a RuntimeWarning
     sq = float(np.vdot(v, v))
@@ -71,9 +76,12 @@ def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
         unit = v / scale
         norm = math.sqrt(float(unit.dot(unit)))
         if scale * norm <= radius:
-            return v.copy()
-        return unit * radius / norm
+            return v
+        unit *= radius
+        unit /= norm
+        return unit
     norm = math.sqrt(sq)
     if norm <= radius:
-        return v.copy()
-    return v * (radius / norm)
+        return v
+    v *= radius / norm
+    return v

@@ -4,6 +4,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import fields
+from itertools import repeat
 
 import numpy as np
 
@@ -16,22 +17,42 @@ class Rows(Sequence):
     """
 
     def __init__(self, columns, build=None):
-        self._columns = tuple(columns)
-        self._build = build
+        self.columns = tuple(columns)
+        self.build = build
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        values = [column[index] for column in self._columns]
-        return tuple(values) if self._build is None else self._build(*values)
+        values = [column[index] for column in self.columns]
+        return tuple(values) if self.build is None else self.build(*values)
 
     def __iter__(self):
-        if self._build is None:
-            return zip(*self._columns)
-        return map(self._build, *self._columns)
+        if self.build is None:
+            return zip(*self.columns)
+        return map(self.build, *self.columns)
+
+
+class Constant(Sequence):
+    """A column that holds one value n times, stored once."""
+
+    def __init__(self, value, n: int):
+        self.value = value
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.value] * len(range(*index.indices(self._n)))
+        range(self._n)[index]  # an index out of range raises IndexError
+        return self.value
+
+    def __iter__(self):
+        return repeat(self.value, self._n)
 
 
 class RowTable(Rows):
@@ -49,7 +70,7 @@ class RowTable(Rows):
         self.row_type = row_type
         self.names = tuple(f.name for f in fields(row_type))
         super().__init__((array("q" if name == "t" else "d") for name in self.names), row_type)
-        self._appends = tuple(column.append for column in self._columns)
+        self._appends = tuple(column.append for column in self.columns)
 
     def append(self, *values) -> None:
         if len(values) != len(self._appends):
@@ -62,17 +83,17 @@ class RowTable(Rows):
         except (TypeError, OverflowError):
             # a value the column cannot hold: drop the partial row (the last
             # column never received it)
-            size = len(self._columns[-1])
-            for column in self._columns:
+            size = len(self.columns[-1])
+            for column in self.columns:
                 del column[size:]
             raise
 
     def column(self, name: str) -> np.ndarray:
-        data = self._columns[self.names.index(name)]
+        data = self.columns[self.names.index(name)]
         view = np.frombuffer(data, dtype=data.typecode)
         view.flags.writeable = False
         return view
 
     def rows(self, *names: str, build=None) -> Rows:
         """A read-only view of the named columns; see `Rows`."""
-        return Rows((self._columns[self.names.index(name)] for name in names), build)
+        return Rows((self.columns[self.names.index(name)] for name in names), build)

@@ -227,8 +227,7 @@ def solve_cp(
         solver = AffineSolver(m_slice)
     con_map = MirrorMap.entropy_simplex(problem.d)
     rounds = coupled_rounds(
-        lambda f, y: problem.jacobian(y.weights, f),
-        lambda f, y: -np.asarray(problem.values(f), dtype=float),
+        lambda f, y: (problem.jacobian(y, f), -np.asarray(problem.values(f), dtype=float)),
         lambda base, loss: solver.project(base - eta * loss, b_slice),
         lambda base, loss: prox_step(con_map, base, loss, eta_prime),
         solver.project(np.zeros(problem.dim), b_slice),

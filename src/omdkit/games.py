@@ -224,9 +224,9 @@ class FullInfoPlayer(_Learner):
         self.last_observation = np.asarray(initial_observation, dtype=float)
         if self.last_observation.shape != (n,):
             raise ValueError("initial observation has the wrong dimension")
-        # full_info_step's check of each observation relies on this one
         if not np.isfinite(self.last_observation).all():
             raise ValueError("initial observation has non-finite entries")
+        self._last_tame = _tame(self.last_observation)
         self.certificate = SideCertificate(n, T)
 
     def _eta(self) -> float:
@@ -240,6 +240,31 @@ class FullInfoPlayer(_Learner):
         return self.eta, cert.lhs, cert.rhs, cert.min_obs
 
 
+def _tame(obs: np.ndarray) -> bool:
+    """Whether every entry is below 2**510.5 in size (NaN is not), so no
+    difference of two tame observations, its square, or a finite running
+    sum plus one overflows. vdot overflows without a warning."""
+    return float(np.vdot(obs, obs)) < 2.0**1021
+
+
+def _check_wild(player: FullInfoPlayer, obs: np.ndarray) -> None:
+    """ValueError unless obs is finite and none of obs - last, obs - max(obs)
+    and the running observation sum plus obs overflows."""
+    if not np.isfinite(obs).all():
+        raise ValueError("observation has non-finite entries")
+
+    def bounds(v):
+        return float(np.minimum.reduce(v)), float(np.maximum.reduce(v))
+
+    lo, hi = bounds(obs)
+    last_lo, last_hi = bounds(player.last_observation)
+    cum_lo, cum_hi = bounds(player.certificate.cum_obs)
+    # rounding is monotone, so these bound every entry of each result
+    if not (-math.inf < lo - last_hi and hi - last_lo < math.inf and -math.inf < lo - hi
+            and -math.inf < cum_lo + lo and cum_hi + hi < math.inf):
+        raise ValueError("observation overflows: a difference or a running sum is not finite")
+
+
 def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, FullInfoPlayer]:
     """Advance one round on the given observation vector.
 
@@ -247,22 +272,28 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     secondary iterate with eta_t (sums through t-1), applies the uniform
     mixing floor, forms the next play with eta_{t+1} (sums through t), and
     folds the round into the player's certificate. This is where an
-    observation is checked: its shape, and that every entry is finite.
-    The last observation is finite, so the largest difference is finite
-    unless an entry is not (or the difference overflows, which the step
-    rule rejects); only then are the entries scanned.
+    observation is checked: its shape, that every entry is finite, and that
+    no difference, square or running sum made from it overflows. A rejected
+    one raises ValueError before any arithmetic warns and leaves the player
+    as it was; only an observation that is not `_tame` is scanned.
     Returns (next play, updated player).
     """
     obs = np.asarray(observation, dtype=float)
     if obs.shape != (player.n,):
         raise ValueError("observation has the wrong dimension")
+    tame = _tame(obs)
+    if not (tame and player._last_tame):
+        _check_wild(player, obs)
     played = player.play.weights
     mixed_prev = player.g_prime.weights
-    diff = float(np.maximum.reduce(np.abs(obs - player.last_observation)))
-    # written so that NaN takes the scan too
-    if not diff < math.inf and not np.isfinite(obs).all():
-        raise ValueError("observation has non-finite entries")
-    increment = diff**2
+    diff = obs - player.last_observation
+    np.abs(diff, out=diff)
+    try:
+        increment = float(np.maximum.reduce(diff)) ** 2
+    except OverflowError:
+        increment = math.inf
+    if not player.sums[0] + increment < math.inf:
+        raise ValueError("observation overflows: the running sum of squared differences is not finite")
     # constant shifts cancel in the normalization
     shifted = obs - np.maximum.reduce(obs)
     g_t = player._advance(increment, shifted, shifted)
@@ -270,6 +301,7 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
         played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
     )
     player.last_observation = obs
+    player._last_tame = tame
     return player.play, player
 
 
@@ -319,7 +351,8 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
         f = row.play.weights
         x = col.play.weights
         eta_row, lhs_row, rhs_row, low_row = row.step(a @ x)
-        eta_col, lhs_col, rhs_col, low_col = col.step(-(f @ a))
+        fa = f @ a
+        eta_col, lhs_col, rhs_col, low_col = col.step(np.negative(fa, out=fa))
         f_sum += f
         x_sum += x
         # max(sum f A) - min(sum A x), with max(sum f A) = -low_col; a sum

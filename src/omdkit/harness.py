@@ -35,15 +35,16 @@ Exit status (returned by `cli.main`):
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._rows import Constant, Rows
 from .convexprog import FlowNetwork, builtin_cp_instances, max_flow, solve_cp
 from .games import PayoffMatrix, run_bandit_match, run_full_info_match
 from .offline import builtin_problems, holder_optimize, mirror_prox
@@ -358,7 +359,8 @@ def _run_saddle(config: ExperimentConfig):
     payoff = _read_matrix(config)
     T = config.rounds or 1000
     res = saddle_solve(bilinear_problem(payoff.entries), T)
-    rows = res.trace.rows("t", "eta", "value", "gap", "bound")
+    t, value, gap, bound = res.trace.rows("t", "value", "gap", "bound").columns
+    rows = Rows((t, Constant(res.eta, T), value, gap, bound))
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
@@ -384,16 +386,17 @@ def _run_offline(config: ExperimentConfig):
     res = mirror_prox(problem, T) if config.kind == "mirror-prox" else holder_optimize(problem, T)
 
     eta = res.eta
-    rows = res.rounds.rows(
-        "t", "value", "cert_lhs", "cert_rhs",
-        build=lambda t, value, lhs, rhs: (t, eta, value - optimum, lhs, rhs),
-    )
+    suboptimality = array("d", [0.0]) * T
+    subopt = np.frombuffer(suboptimality)  # written through, no copy
+    np.subtract(res.rounds.column("value"), optimum, out=subopt)
+    t, lhs, rhs = res.rounds.rows("t", "cert_lhs", "cert_rhs").columns
+    rows = Rows((t, Constant(eta, T), suboptimality, lhs, rhs))
     summary = {
         "instance": name,
         "rounds": T,
         "eta": eta,
         "suboptimality": rows[-1][2],
-        "fitted_slope": _slope_or_nan(res.rounds.column("t"), res.rounds.column("value") - optimum),
+        "fitted_slope": _slope_or_nan(res.rounds.column("t"), subopt),
         "cert_checks": len(rows),
         "cert_failures": _cert_failures(res.rounds, ("cert_lhs", "cert_rhs")),
     }
@@ -405,9 +408,8 @@ def _run_cvxprog(config: ExperimentConfig):
     # no default horizon: solve_cp derives one from epsilon
     _, report = solve_cp(_builtin(builtin_cp_instances(), name), config.epsilon, rounds=config.rounds)
     eta = report.eta
-    rows = report.trace.rows(
-        "t", "max_constraint_avg", "bound", build=lambda t, max_avg, bound: (t, eta, max_avg, bound)
-    )
+    t, max_avg, bound = report.trace.rows("t", "max_constraint_avg", "bound").columns
+    rows = Rows((t, Constant(eta, len(t)), max_avg, bound))
     summary = {
         "instance": name,
         "epsilon": config.epsilon,
@@ -474,16 +476,24 @@ KINDS = {
 
 # ---------------------------------------------------------------- output
 
-def _format_cell(value) -> str:
-    if type(value) is float:  # most cells; repr is the round-trip form
-        return repr(value)
+def _cell_rule(value):
+    """How a cell is written; the rule depends on the cell's type alone."""
+    cls = type(value)
+    if cls is float:  # most cells; repr is the round-trip form
+        return repr
+    if cls is int:
+        return str
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return lambda v: "true" if v else "false"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return lambda v: str(int(v))
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+        return lambda v: repr(float(v))
+    return str
+
+
+def _format_cell(value) -> str:
+    return _cell_rule(value)(value)
 
 
 def _write_fresh(path: Path, lines: Iterable[str]) -> None:
@@ -496,9 +506,37 @@ def _write_fresh(path: Path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = (",".join(map(_format_cell, row)) for row in rows)
-    _write_fresh(path, itertools.chain([",".join(header)], lines))
+_BLOCK_ROWS = 64  # rows formatted at a time
+
+
+def _column_cells(column):
+    """cells(start, stop): the text of column[start:stop]. A Constant is
+    formatted once; cells of one type (a typed array's always are) take
+    that type's rule, and mixed cells go one by one."""
+    if isinstance(column, Constant):
+        cell = _format_cell(column.value)
+        return lambda start, stop: [cell] * (stop - start)
+    one_type = isinstance(column, array) or len(set(map(type, column))) == 1
+    rule = _cell_rule(column[0]) if one_type and len(column) else _format_cell
+    return lambda start, stop: list(map(rule, column[start:stop]))
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Write `header` and `rows` column by column, a block of rows at a time:
+    the text _format_cell gives cell by cell. A Rows view without `build`
+    hands over its columns, a Constant among them formatted once; other
+    rows are split into columns first."""
+    plain = isinstance(rows, Rows) and rows.build is None
+    columns = [_column_cells(column) for column in (rows.columns if plain else zip(*rows))]
+    n = len(rows)
+
+    def lines():
+        yield ",".join(header)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            yield "\n".join(map(",".join, zip(*(cells(start, stop) for cells in columns))))
+
+    _write_fresh(path, lines())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import project_ball, project_simplex
+from ._linalg import _project_ball_own, project_ball, project_simplex
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -54,15 +54,18 @@ class SimplexPoint:
     __slots__ = ("weights", "_log_weights", "_z", "_total")
 
     def __init__(self, log_weights):
-        self._normalize(_as_vector(log_weights))
+        # a copy: _normalize works in place
+        self._normalize(_as_vector(np.array(log_weights, dtype=float)))
 
     def _normalize(self, z: np.ndarray) -> None:
-        """Set this point from unnormalized log-weights z, a 1-d float array."""
-        z = z - np.maximum.reduce(z)
+        """Set this point from unnormalized log-weights z, a 1-d float array
+        it takes over: z is shifted in place and kept."""
+        z -= np.maximum.reduce(z)
         w = np.exp(z)
         # a Python float divides faster than a numpy scalar, to the same bits
         total = float(np.add.reduce(w))
-        self.weights = w / total
+        w /= total
+        self.weights = w
         self._log_weights = None
         self._z = z
         self._total = total
@@ -71,7 +74,8 @@ class SimplexPoint:
     def log_weights(self) -> np.ndarray:
         lw = self._log_weights
         if lw is None:
-            lw = self._log_weights = self._z - math.log(self._total)
+            lw = self._log_weights = self._z  # this point's own
+            lw -= math.log(self._total)
             self._z = None
         return lw
 
@@ -147,6 +151,19 @@ class Ball:
             raise ValueError(f"ball radius must be positive and finite, got {self.radius!r}")
 
 
+def _l1(v: np.ndarray) -> float:
+    return float(np.add.reduce(np.abs(v)))
+
+
+def _linf(v: np.ndarray) -> float:
+    return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
+
+
+def _l2(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-d float vector
+    return math.sqrt(float(v.dot(v)))
+
+
 @dataclass(frozen=True)
 class MirrorMap:
     """Mirror map: `kind` is "entropy" or "euclidean", over a feasible set.
@@ -183,19 +200,17 @@ class MirrorMap:
     def dim(self) -> int:
         return self.feasible.dim
 
-    # norm pair: ell_1 / ell_inf for entropy, ell_2 / ell_2 for euclidean;
-    # sqrt(v . v) is what np.linalg.norm computes for a 1-d float vector
+    @property
+    def norm_pair(self):
+        """(norm, dual norm) of a 1-d float array, resolved once for a loop:
+        ell_1 / ell_inf for entropy, ell_2 / ell_2 for euclidean."""
+        return (_l1, _linf) if self.kind == ENTROPY else (_l2, _l2)
+
     def norm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if self.kind == ENTROPY:
-            return float(np.add.reduce(np.abs(v)))
-        return math.sqrt(float(v.dot(v)))
+        return self.norm_pair[0](np.asarray(v, dtype=float))
 
     def dual_norm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if self.kind == ENTROPY:
-            return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
-        return math.sqrt(float(v.dot(v)))
+        return self.norm_pair[1](np.asarray(v, dtype=float))
 
     def divergence_minimizer(self):
         """argmin of the mirror map over the feasible set (the canonical start g_0)."""
@@ -206,6 +221,7 @@ class MirrorMap:
         return np.full(self.dim, 1.0 / self.dim)
 
     def project(self, point: np.ndarray) -> np.ndarray:
+        """The nearest feasible point, a fresh array; `point` is left as it was."""
         if isinstance(self.feasible, Simplex):
             return project_simplex(point)
         return project_ball(point, self.feasible.radius)
@@ -248,22 +264,35 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     so the output is invariant under constant shifts of `loss`. Euclidean:
     gradient step followed by projection. Returns the same point type it was
     given (SimplexPoint in, SimplexPoint out). This is where a loss vector is
-    checked: its shape, and that every entry is finite.
+    checked: its shape, and that every entry is finite (for the euclidean
+    map, by the projection of the step: "the point is not finite"). An
+    entropy step also rejects a loss whose scaled spread eta * (min - max)
+    overflows, before any arithmetic warns.
     """
-    if eta <= 0 or not math.isfinite(eta):
+    # written so that NaN fails the check too
+    if not 0.0 < eta < math.inf:
         raise ValueError(f"step size must be positive and finite, got {eta}")
     loss = _as_vector(loss, mirror_map.dim)
-    if not np.logical_and.reduce(np.isfinite(loss)):
-        raise ValueError("loss vector has non-finite entries")
     if mirror_map.kind == ENTROPY:
         pt = base if isinstance(base, SimplexPoint) else SimplexPoint.from_weights(base)
+        hi = np.maximum.reduce(loss)  # NaN if loss holds one
+        # rounding is monotone, so this bounds every shifted, scaled entry
+        if not -math.inf < eta * (float(np.minimum.reduce(loss)) - float(hi)):
+            raise ValueError("loss vector has non-finite entries, or eta * (min - max) overflows")
         # subtracting the max makes shifted losses produce identical updates
-        out = pt.exp_step(eta * (loss - np.maximum.reduce(loss)))
+        scaled = loss - hi
+        scaled *= eta
+        out = pt.exp_step(scaled)
         return out if isinstance(base, SimplexPoint) else out.weights
     basew = point_weights(base)
     if basew.size != mirror_map.dim:
         raise ValueError(f"base has dimension {basew.size}, map expects {mirror_map.dim}")
-    return mirror_map.project(basew - eta * loss)
+    # this call's own array: the ball projection may scale it in place
+    step = loss * eta
+    np.subtract(basew, step, out=step)
+    if isinstance(mirror_map.feasible, Ball):
+        return _project_ball_own(step, mirror_map.feasible.radius)
+    return project_simplex(step)
 
 
 def _grow(partials: list[float], x: float) -> list[float]:
@@ -428,14 +457,34 @@ class RegretCertificate:
         self.divergence_term = bregman(mirror_map, self.comparator, g0) / eta
         self.variance_term = 0.0
         self.negative_term = 0.0
+        self._two_eta = 2.0 * eta
+        # rows: g_t - f_t, gradient - prediction, g_{t-1} - f_t, f_t - comparator
+        diff = np.empty((4, mirror_map.dim))
+        self._diff_rows = tuple(diff)
+        self._dist = diff[:3]
+        self._entropy = mirror_map.kind == ENTROPY
 
     def update(self, log: RoundLog) -> None:
-        m = self.mirror_map
-        f, g = log.played, log.secondary
-        self.lhs += float((f - self.comparator) @ log.gradient)
-        g_dist = m.norm(g - f)
-        self.variance_term += m.dual_norm(np.subtract(log.gradient, log.prediction)) * g_dist
-        self.negative_term += (g_dist**2 + m.norm(self._g_prev - f) ** 2) / (2.0 * self.eta)
+        """Fold in one round; its distances are the map's norms, bit for bit."""
+        f, g, grad = log.played, log.secondary, log.gradient
+        d_secondary, d_gradient, d_prev, d_comparator = self._diff_rows
+        np.subtract(f, self.comparator, out=d_comparator)
+        self.lhs += float(d_comparator @ grad)
+        np.subtract(g, f, out=d_secondary)
+        np.subtract(grad, log.prediction, out=d_gradient)
+        np.subtract(self._g_prev, f, out=d_prev)
+        if self._entropy:
+            # ell_1 / ell_inf: a row-wise sum is each row's own sum, bit for bit
+            d = self._dist
+            np.abs(d, out=d)
+            g_dist, _, prev_dist = np.add.reduce(d, axis=1).tolist()
+            dual = float(np.maximum.reduce(d_gradient))
+        else:
+            g_dist = math.sqrt(float(d_secondary.dot(d_secondary)))
+            dual = math.sqrt(float(d_gradient.dot(d_gradient)))
+            prev_dist = math.sqrt(float(d_prev.dot(d_prev)))
+        self.variance_term += dual * g_dist
+        self.negative_term += (g_dist**2 + prev_dist**2) / self._two_eta
         self._g_prev = g
 
     @property

@@ -112,12 +112,14 @@ def trajectory(problem: SmoothProblem, T: int, eta: float) -> Iterator[RoundLog]
     m = problem.mirror_map
     gradient = problem.gradient
     secondary = m.divergence_minimizer()
+    secondary_w = point_weights(secondary)
     for _ in range(T):
-        prediction = np.asarray(gradient(point_weights(secondary)), dtype=float)
+        prediction = np.asarray(gradient(secondary_w), dtype=float)
         played = point_weights(mirror.prox_step(m, secondary, prediction, eta))
         grad = np.asarray(gradient(played), dtype=float)
         secondary = mirror.prox_step(m, secondary, grad, eta)
-        yield RoundLog(played, point_weights(secondary), grad, prediction)
+        secondary_w = point_weights(secondary)
+        yield RoundLog(played, secondary_w, grad, prediction)
 
 
 def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
@@ -126,13 +128,16 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
     m = problem.mirror_map
     comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
     cert = RegretCertificate(m, eta, comparator)
+    update = cert.update
+    value_of = problem.value
     total = np.zeros(m.dim)
     rows = RowTable(OfflineRound)
+    append = rows.append
     for t, log in enumerate(trajectory(problem, T, eta), start=1):
         total += log.played
-        cert.update(log)
-        value = math.nan if problem.value is None else problem.value(total / t)
-        rows.append(t, value, cert.lhs, cert.rhs)
+        update(log)
+        value = math.nan if value_of is None else value_of(total / t)
+        append(t, value, cert.lhs, cert.rhs)
     return OfflineResult(average=total / T, rounds=rows, eta=eta)
 
 

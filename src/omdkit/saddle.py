@@ -136,29 +136,31 @@ def bilinear_problem(A) -> SaddleProblem:
     )
 
 
-def coupled_rounds(grad_f, grad_x, step_f, step_x, start_f, start_x, T: int):
+def coupled_rounds(losses, step_f, step_x, start_f, start_x, T: int):
     """Play T coupled optimistic rounds from the secondaries (start_f, start_x).
 
     Each round predicts with both sides' losses at the previous secondary
     pair, plays f_t = step_f(prev_f, pred_f) and x_t = step_x(prev_x, pred_x),
-    and takes the losses at the played pair; both sides minimize. It yields
-    (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) before
+    and takes the losses at the played pair; both sides minimize.
+    `losses(f, x)` returns (loss of f, loss of x) at the weights of a pair of
+    points. Each point's weights are taken once, and the round yields them:
+    (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x), before
     correcting each secondary with its played-pair loss, so a consumer that
     stops at round t never runs that round's correction.
     """
-    prev_f, prev_x = start_f, start_x
+    sec_f, sec_x = start_f, start_x
+    prev_f, prev_x = point_weights(sec_f), point_weights(sec_x)
     for _ in range(T):
-        pred_f = grad_f(prev_f, prev_x)
-        pred_x = grad_x(prev_f, prev_x)
+        pred_f, pred_x = losses(prev_f, prev_x)
         # both plays must exist before either gradient is taken, so each
         # side's interleaved update is split into its play and correct steps
-        f_t = step_f(prev_f, pred_f)
-        x_t = step_x(prev_x, pred_x)
-        grad_f_t = grad_f(f_t, x_t)
-        grad_x_t = grad_x(f_t, x_t)
+        f_t = point_weights(step_f(sec_f, pred_f))
+        x_t = point_weights(step_x(sec_x, pred_x))
+        grad_f_t, grad_x_t = losses(f_t, x_t)
         yield f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x
-        prev_f = step_f(prev_f, grad_f_t)
-        prev_x = step_x(prev_x, grad_x_t)
+        sec_f = step_f(sec_f, grad_f_t)
+        sec_x = step_x(sec_x, grad_x_t)
+        prev_f, prev_x = point_weights(sec_f), point_weights(sec_x)
 
 
 def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> SaddleResult:
@@ -178,6 +180,9 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
+    norm_f, dual_f = mf.norm_pair
+    norm_x, dual_x = mx.norm_pair
+    grad_f, grad_x = problem.grad_f, problem.grad_x
     value_of, gap_oracle = problem.value, problem.gap_oracle
     # constants of `running`, hoisted in its own evaluation order: same bits
     divergence = problem.radius_f**2 / eta + problem.radius_x**2 / eta
@@ -185,10 +190,10 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
     trace = RowTable(SaddleRound)
+    append = trace.append
     var_f = var_x = neg_cross = 0.0
     rounds = coupled_rounds(
-        lambda f, x: np.asarray(problem.grad_f(point_weights(f), point_weights(x)), dtype=float),
-        lambda f, x: -np.asarray(problem.grad_x(point_weights(f), point_weights(x)), dtype=float),
+        lambda f, x: (np.asarray(grad_f(f, x), dtype=float), -np.asarray(grad_x(f, x), dtype=float)),
         lambda base, loss: prox_step(mf, base, loss, eta),
         lambda base, loss: prox_step(mx, base, loss, eta),
         mf.divergence_minimizer(),
@@ -196,16 +201,15 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
         T,
     )
     for t, (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) in enumerate(rounds, 1):
-        f_t, x_t = point_weights(f_t), point_weights(x_t)
-        var_f += half_eta * mf.dual_norm(grad_f_t - pred_f) ** 2
-        var_x += half_eta * mx.dual_norm(grad_x_t - pred_x) ** 2
-        neg_cross += mf.norm(point_weights(prev_f) - f_t) ** 2 + mx.norm(point_weights(prev_x) - x_t) ** 2
+        var_f += half_eta * dual_f(grad_f_t - pred_f) ** 2
+        var_x += half_eta * dual_x(grad_x_t - pred_x) ** 2
+        neg_cross += norm_f(prev_f - f_t) ** 2 + norm_x(prev_x - x_t) ** 2
         f_total += f_t
         x_total += x_t
         value = math.nan if value_of is None else value_of(f_t, x_t)
         running = (divergence + var_f + var_x - neg_cross / two_eta) / t
         gap = running if gap_oracle is None else float(gap_oracle(f_total / t, x_total / t))
-        trace.append(t, value, eta, gap, running)
+        append(t, value, eta, gap, running)
     return SaddleResult(
         f_average=f_total / T,
         x_average=x_total / T,

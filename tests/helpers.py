@@ -1,5 +1,6 @@
 """Shared test fixtures: closed-form problems and independent oracles."""
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -7,19 +8,21 @@ import pytest
 
 from omdkit import games
 
-from omdkit._linalg import AffineSolver
+from omdkit._linalg import AffineSolver, project_simplex
+from omdkit.harness import _write_fresh
 from omdkit._rows import RowTable
 from omdkit.convexprog import FEAS_TOL, CpReport, CpRound, _alpha, _steps
 from omdkit.games import MatchResult, TraceRow, _Learner, full_info_eta
 from omdkit.mirror import (
+    ENTROPY,
+    Ball,
     MirrorMap,
     OmdState,
     RegretCertificate,
     RoundLog,
     SimplexPoint,
-    omd_round,
+    _as_vector,
     point_weights,
-    prox_step,
 )
 from omdkit.offline import OfflineResult, OfflineRound, SmoothProblem
 from omdkit.saddle import SaddleResult, SaddleRound, bilinear_gap, saddle_eta
@@ -204,6 +207,124 @@ def reference_bandit_guard(basis, delta, w, base):
     return float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (n - 1.0) - target)))
 
 
+# ---------------------------------------------------------------- reference kernels
+#
+# The prox step, the multiplicative update, the certificate's update, the
+# ball projection and the trace writer as they were written before each
+# round's arithmetic ran in place on its own temporaries, the certificate
+# took its distances from one buffer and the writer formatted by column.
+# The reference loops below run on these copies, so a changed kernel in
+# the library shows as a changed bit. Code changes from the originals:
+# SimplexPoint's methods are functions of the point; the certificate's
+# update calls reference_norm/reference_dual_norm (the old MirrorMap
+# methods), and the prox step reference_project (the old MirrorMap.project).
+
+def reference_normalize(point, z):
+    z = z - np.maximum.reduce(z)
+    w = np.exp(z)
+    # a Python float divides faster than a numpy scalar, to the same bits
+    total = float(np.add.reduce(w))
+    point.weights = w / total
+    point._log_weights = None
+    point._z = z
+    point._total = total
+
+
+def reference_exp_step(point, scaled_loss):
+    lw = point.log_weights
+    z = lw - scaled_loss
+    if z.shape != lw.shape:
+        raise ValueError(f"expected a loss of shape {lw.shape}, got {z.shape}")
+    out = SimplexPoint.__new__(SimplexPoint)
+    reference_normalize(out, z)
+    return out
+
+
+def reference_norm(m, v):
+    v = np.asarray(v, dtype=float)
+    if m.kind == ENTROPY:
+        return float(np.add.reduce(np.abs(v)))
+    return math.sqrt(float(v.dot(v)))
+
+
+def reference_dual_norm(m, v):
+    v = np.asarray(v, dtype=float)
+    if m.kind == ENTROPY:
+        return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
+    return math.sqrt(float(v.dot(v)))
+
+
+def reference_project_ball(v, radius):
+    v = np.asarray(v, dtype=float)
+    # np.linalg.norm's own formula for 1-d v; vdot is the same BLAS dot as
+    # v.dot, but an overflow gives inf without a RuntimeWarning
+    sq = float(np.vdot(v, v))
+    if not sq < math.inf:  # the square overflowed, or v is not finite
+        scale = float(np.maximum.reduce(np.abs(v)))  # NaN if v holds one
+        if not scale < math.inf:
+            raise ValueError("cannot project onto the ball: the point is not finite")
+        unit = v / scale
+        norm = math.sqrt(float(unit.dot(unit)))
+        if scale * norm <= radius:
+            return v.copy()
+        return unit * radius / norm
+    norm = math.sqrt(sq)
+    if norm <= radius:
+        return v.copy()
+    return v * (radius / norm)
+
+
+def reference_project(m, point):
+    if isinstance(m.feasible, Ball):
+        return reference_project_ball(point, m.feasible.radius)
+    return project_simplex(point)
+
+
+def reference_prox_step(mirror_map, base, loss, eta):
+    if eta <= 0 or not math.isfinite(eta):
+        raise ValueError(f"step size must be positive and finite, got {eta}")
+    loss = _as_vector(loss, mirror_map.dim)
+    if not np.logical_and.reduce(np.isfinite(loss)):
+        raise ValueError("loss vector has non-finite entries")
+    if mirror_map.kind == ENTROPY:
+        pt = base if isinstance(base, SimplexPoint) else SimplexPoint.from_weights(base)
+        # subtracting the max makes shifted losses produce identical updates
+        out = reference_exp_step(pt, eta * (loss - np.maximum.reduce(loss)))
+        return out if isinstance(base, SimplexPoint) else out.weights
+    basew = point_weights(base)
+    if basew.size != mirror_map.dim:
+        raise ValueError(f"base has dimension {basew.size}, map expects {mirror_map.dim}")
+    return reference_project(mirror_map, basew - eta * loss)
+
+
+class ReferenceRegretCertificate(RegretCertificate):
+    def update(self, log):
+        m = self.mirror_map
+        f, g = log.played, log.secondary
+        self.lhs += float((f - self.comparator) @ log.gradient)
+        g_dist = reference_norm(m, g - f)
+        self.variance_term += reference_dual_norm(m, np.subtract(log.gradient, log.prediction)) * g_dist
+        self.negative_term += (g_dist**2 + reference_norm(m, self._g_prev - f) ** 2) / (2.0 * self.eta)
+        self._g_prev = g
+
+
+def reference_format_cell(value):
+    if type(value) is float:  # most cells; repr is the round-trip form
+        return repr(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_write_csv(path, header, rows):
+    lines = (",".join(map(reference_format_cell, row)) for row in rows)
+    _write_fresh(path, itertools.chain([",".join(header)], lines))
+
+
 # ---------------------------------------------------------------- reference loops
 #
 # saddle_solve and solve_cp as they were written before both ran the one
@@ -231,15 +352,15 @@ def reference_saddle_solve(problem, T, eta=None):
     for t in range(1, T + 1):
         pred_f = np.asarray(problem.grad_f(g_prev_f, g_prev_x), dtype=float)
         pred_x = -np.asarray(problem.grad_x(g_prev_f, g_prev_x), dtype=float)
-        f_t = point_weights(prox_step(mf, sec_f, pred_f, eta))
-        x_t = point_weights(prox_step(mx, sec_x, pred_x, eta))
+        f_t = point_weights(reference_prox_step(mf, sec_f, pred_f, eta))
+        x_t = point_weights(reference_prox_step(mx, sec_x, pred_x, eta))
         grad_f_t = np.asarray(problem.grad_f(f_t, x_t), dtype=float)
         grad_x_t = -np.asarray(problem.grad_x(f_t, x_t), dtype=float)
-        sec_f = prox_step(mf, sec_f, grad_f_t, eta)
-        sec_x = prox_step(mx, sec_x, grad_x_t, eta)
-        var_f += eta / 2.0 * mf.dual_norm(grad_f_t - pred_f) ** 2
-        var_x += eta / 2.0 * mx.dual_norm(grad_x_t - pred_x) ** 2
-        neg_cross += mf.norm(g_prev_f - f_t) ** 2 + mx.norm(g_prev_x - x_t) ** 2
+        sec_f = reference_prox_step(mf, sec_f, grad_f_t, eta)
+        sec_x = reference_prox_step(mx, sec_x, grad_x_t, eta)
+        var_f += eta / 2.0 * reference_dual_norm(mf, grad_f_t - pred_f) ** 2
+        var_x += eta / 2.0 * reference_dual_norm(mx, grad_x_t - pred_x) ** 2
+        neg_cross += reference_norm(mf, g_prev_f - f_t) ** 2 + reference_norm(mx, g_prev_x - x_t) ** 2
         f_total += f_t
         x_total += x_t
         value = problem.value(f_t, x_t) if problem.value is not None else math.nan
@@ -293,12 +414,12 @@ def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, 
         pred_f = problem.jacobian(y.weights, g_f)
         f_t = solver.project(g_f - eta * pred_f, b_slice)
         max_resid = max(max_resid, solver.residual)
-        x_t = prox_step(con_map, y, -vals_g, eta_prime)
+        x_t = reference_prox_step(con_map, y, -vals_g, eta_prime)
 
         vals_f = np.asarray(problem.values(f_t), dtype=float)
         grad_f = problem.jacobian(x_t.weights, f_t)
         g_f = solver.project(g_f - eta * grad_f, b_slice)
-        y = prox_step(con_map, y, -vals_f, eta_prime)
+        y = reference_prox_step(con_map, y, -vals_f, eta_prime)
         vals_g = np.asarray(problem.values(g_f), dtype=float)
 
         f_sum += f_t
@@ -335,6 +456,17 @@ def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, 
 # omd_round (which also keeps the squared-gap history nobody reads) with a
 # closure that catches the gradient, and the rows fold RegretCertificate
 # over those logs. Tests require the library to match it bit for bit.
+# reference_omd_round is mirror.omd_round run on the reference kernels.
+
+def reference_omd_round(state, mirror_map, prediction, gradient_oracle, eta):
+    f_t = reference_prox_step(mirror_map, state.secondary, prediction, eta)
+    grad = gradient_oracle(point_weights(f_t))
+    g_t = reference_prox_step(mirror_map, state.secondary, grad, eta)
+    gap = reference_dual_norm(mirror_map, np.subtract(grad, prediction))
+    state.sq_diff_history.append(gap * gap)
+    state.secondary = g_t
+    return f_t, state
+
 
 def reference_trajectory(problem, T, eta):
     m = problem.mirror_map
@@ -349,7 +481,7 @@ def reference_trajectory(problem, T, eta):
     for _ in range(T):
         g_prev = point_weights(state.secondary)
         prediction = np.asarray(problem.gradient(g_prev), dtype=float)
-        f_t, state = omd_round(state, m, prediction, oracle, eta)
+        f_t, state = reference_omd_round(state, m, prediction, oracle, eta)
         yield RoundLog(
             played=point_weights(f_t),
             secondary=point_weights(state.secondary),
@@ -361,7 +493,7 @@ def reference_trajectory(problem, T, eta):
 def reference_prox_loop(problem, T, eta):
     m = problem.mirror_map
     comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
-    cert = RegretCertificate(m, eta, comparator)
+    cert = ReferenceRegretCertificate(m, eta, comparator)
     total = np.zeros(m.dim)
     rows = RowTable(OfflineRound)
     for t, log in enumerate(reference_trajectory(problem, T, eta), start=1):

@@ -495,3 +495,43 @@ def test_row_wise_sum_is_each_rows_own_sum(n, seed, scale):
     together = np.add.reduce(buf, axis=1)
     for i in range(3):
         assert together[i].tobytes() == np.add.reduce(buf[i]).tobytes()
+
+
+def _player_state(p):
+    cert = p.certificate
+    return (p.sums, p.h_last, p.eta, p._eta_next, p.last_observation.tobytes(), p.play.weights.tobytes(),
+            p.g_prime.weights.tobytes(), cert.cum_obs.tobytes(), cert.min_obs, cert.cum_play_loss,
+            cert.variance, cert.negative, cert.eta_first)
+
+
+@pytest.mark.parametrize(
+    "initial, observation",
+    [
+        ([-1e308, 0.0], [1e308, 0.0]),  # the difference overflows
+        ([0.0, 0.0], [1e308, -1e308]),  # so does the shift by the maximum
+        ([0.0, 0.0], [1e200, 0.0]),  # the squared difference overflows
+        ([0.0, 0.0], [math.inf, 0.0]),
+        ([0.0, 0.0], [0.0, math.nan]),
+    ],
+)
+def test_full_info_step_rejects_an_overflow_and_keeps_its_state(initial, observation):
+    # an overflowing difference once moved the sums to inf, after which every
+    # step raised; now the step raises ValueError before any arithmetic warns
+    p = FullInfoPlayer(2, 10, initial)
+    before = _player_state(p)
+    with np.errstate(all="raise"), pytest.raises(ValueError):
+        full_info_step(p, observation)
+    assert _player_state(p) == before
+    full_info_step(p, np.add(initial, [0.0, 0.5]))  # an ordinary step still works
+    assert p.sums == (0.25, 0.0)
+
+
+def test_full_info_step_takes_large_finite_observations():
+    # an observation too large for the quick check is scanned, and stepped
+    # on when nothing overflows
+    p = FullInfoPlayer(2, 10, [1e160, -1e160])
+    with np.errstate(over="raise", invalid="raise"):
+        full_info_step(p, [1e160, -1e160])
+        full_info_step(p, [1e160, -1e160 + 1e146])
+    assert p.sums == (((-1e160 + 1e146) + 1e160) ** 2, 0.0)
+    assert np.isfinite(p.play.weights).all()

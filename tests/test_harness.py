@@ -1,17 +1,20 @@
 """Experiment front end: parsing, rate fitting, trace emission, exit codes."""
 import argparse
 import dataclasses
+from array import array
 import gc
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_write_csv
 from omdkit import cli
 from omdkit import harness
+from omdkit._rows import Constant, Rows
 from omdkit._linalg import ProjectionError
 from omdkit.convexprog import CpRound, FlowSolution
 from omdkit.games import TraceRow, bandit_cap
@@ -693,3 +696,48 @@ def test_cli_flag_value_of_bare_dashes_exit_two_names_the_key(tmp_path, capsys, 
     assert code == 2
     assert captured.err.startswith("error: key 'out': ")
     assert {p.name for p in tmp_path.iterdir()} <= {"payoff.txt"}
+
+
+# ---------------------------------------------------------------- trace writer
+
+_SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5)
+
+
+@st.composite
+def _trace_columns(draw):
+    """Columns of one length: floats over the special values, a Constant,
+    ints, bools, and a list mixing cell types."""
+    n = draw(st.integers(0, 3 * harness._BLOCK_ROWS + 1))
+    cells = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    kinds = draw(st.lists(st.sampled_from(["float", "constant", "int", "bool", "mixed"]), min_size=1, max_size=6))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            columns.append(array("d", draw(st.lists(cells, min_size=n, max_size=n))))
+        elif kind == "constant":
+            columns.append(Constant(draw(cells | st.integers() | st.booleans()), n))
+        elif kind == "int":
+            columns.append(array("q", draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))))
+        elif kind == "bool":
+            columns.append(draw(st.lists(st.booleans() | st.just(np.bool_(True)), min_size=n, max_size=n)))
+        else:
+            mixed = cells | st.integers() | st.booleans() | st.just("horizon") | st.just(np.float64(-0.0)) | st.just(np.int64(7))
+            columns.append(draw(st.lists(mixed, min_size=n, max_size=n)))
+    return columns
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_trace_columns())
+# equal values of two bit patterns, one column each
+@example(columns=[array("d", [0.0] * 70 + [-0.0]), array("d", [math.nan] * 70 + [-math.nan])])
+def test_column_writer_is_the_row_writer(tmp_path, columns):
+    # byte for byte against the writer as it was, cell by cell, for a
+    # Rows view over columns and for a plain list of row tuples
+    header = [f"c{k}" for k in range(len(columns))]
+    rows = Rows(columns)
+    expected = tmp_path / "expected.csv"
+    reference_write_csv(expected, header, rows)
+    for given_rows in (rows, list(rows)):
+        got = tmp_path / "got.csv"
+        harness._write_csv(got, header, given_rows)
+        assert got.read_bytes() == expected.read_bytes()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import ReferenceRegretCertificate, reference_prox_step
 from omdkit._linalg import project_ball
 from omdkit.games import FullInfoPlayer
 from omdkit.mirror import (
@@ -680,6 +681,11 @@ def _saddle(smoothness):
         pytest.param(lambda: SimplexPoint.from_weights([_NAN, 1.0]), id="from_weights-nan"),
         pytest.param(lambda: SimplexPoint.from_weights([_INF, 1.0]), id="from_weights-inf"),
         pytest.param(lambda: prox_step(_ENT2, [_NAN, 1.0], [0.0, 0.0], 1.0), id="prox_step-nan-base"),
+        # these finite losses once gave NaN weights, with only a RuntimeWarning
+        pytest.param(lambda: prox_step(_ENT2, SimplexPoint.uniform(2), [1e308, -1e308], 1.0),
+                     id="prox_step-spread-overflows"),
+        pytest.param(lambda: prox_step(_ENT2, SimplexPoint.uniform(2), [1e300, 0.0], 1e10),
+                     id="prox_step-scaled-spread-overflows"),
         pytest.param(lambda: RegretCertificate(_ENT2, _NAN, [0.5, 0.5]), id="certificate-eta-nan"),
         pytest.param(lambda: RegretCertificate(_ENT2, _INF, [0.5, 0.5]), id="certificate-eta-inf"),
         pytest.param(lambda: holder_eta(_NAN, 1.0, 0.5, 10), id="holder_eta-R-nan"),
@@ -705,3 +711,111 @@ def _saddle(smoothness):
 def test_checks_reject_nan_and_inf(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("loss, eta", [([1e308, -1e308], 1.0), ([1e300, 0.0], 1e10), ([-1e308, 1e308, 0.0], 0.5)])
+def test_entropy_prox_rejects_an_overflowing_spread_before_any_warning(loss, eta):
+    m = MirrorMap.entropy_simplex(len(loss))
+    base = SimplexPoint.uniform(len(loss))
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows"):
+        prox_step(m, base, loss, eta)
+    # the largest spread that does not overflow still steps
+    out = prox_step(m, base, [1e308, 0.0, -7e307][: len(loss)], 1.0)
+    assert np.all(np.isfinite(out.weights)) and out.weights[0] == 0.0
+
+
+# ---------------------------------------------------------------- aliasing
+
+@pytest.mark.parametrize("v", [[0.1, -0.2], [3.0, 4.0], [1e308, 0.0]], ids=["inside", "outside", "overflowing"])
+def test_projections_return_a_fresh_array(v):
+    v = np.array(v)
+    before = v.tobytes()
+    outs = [project_ball(v, 1.0), MirrorMap.euclidean_ball(2).project(v), project_ball(v, 1e300)]
+    if v[0] < 1e300:
+        outs.append(MirrorMap.euclidean_simplex(2).project(v))
+    for out in outs:
+        assert out is not v and not np.shares_memory(out, v)
+    assert v.tobytes() == before
+
+
+def test_simplex_point_leaves_its_argument_alone():
+    lw = np.array([0.0, -1.0, 2.0])
+    before = lw.tobytes()
+    p = SimplexPoint(lw)
+    p.exp_step(np.ones(3))
+    assert not np.shares_memory(p.log_weights, lw) and not np.shares_memory(p.weights, lw)
+    assert lw.tobytes() == before
+
+
+# ---------------------------------------------------------------- reference kernels
+
+_KERNEL_MAPS = {
+    "entropy": MirrorMap.entropy_simplex,
+    "ball": lambda n: MirrorMap.euclidean_ball(n, radius=1.5),
+    "simplex": MirrorMap.euclidean_simplex,
+}
+# from tiny steps to ones whose squares overflow (the ball's scaled route)
+_SCALES = (1e-3, 1.0, 1e3, 1e160)
+
+
+def _kernel_base(kind, n, rng):
+    """A feasible base point; an entropy one with unread log-weights half the time."""
+    m = _KERNEL_MAPS[kind](n)
+    if kind != "entropy":
+        return m.project(rng.normal(size=n) * 2.0)
+    base = SimplexPoint.from_weights(rng.dirichlet(np.ones(n)))
+    if rng.random() < 0.5:
+        base = reference_prox_step(m, base, rng.normal(size=n), 0.5)
+    return base
+
+
+def _bits(point):
+    if isinstance(point, SimplexPoint):
+        return point.weights.tobytes(), point.log_weights.tobytes()
+    return point.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_MAPS)), st.integers(1, 64), st.sampled_from(_SCALES),
+       st.floats(1e-3, 10.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_prox_step_is_the_reference_kernel(kind, n, scale, eta, as_weights, seed):
+    # bit for bit against the kernel as written before it worked in place;
+    # neither the loss nor the base moves
+    rng = np.random.default_rng(seed)
+    m = _KERNEL_MAPS[kind](n)
+    loss = rng.normal(size=n) * scale
+    base = _kernel_base(kind, n, rng)
+    if as_weights:
+        base = point_weights(base).copy()
+    base_bits, loss_bits = _bits(base), loss.tobytes()
+    try:
+        expected = _bits(reference_prox_step(m, base, loss, eta))
+    except (ValueError, IndexError) as exc:  # the simplex projection of a huge step
+        with pytest.raises(type(exc)):
+            prox_step(m, base, loss, eta)
+        return
+    got = prox_step(m, base, loss, eta)
+    assert _bits(base) == base_bits and loss.tobytes() == loss_bits
+    assert _bits(got) == expected
+    if not isinstance(got, SimplexPoint):
+        assert not np.shares_memory(got, loss) and not np.shares_memory(got, point_weights(base))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_MAPS)), st.integers(1, 64), st.sampled_from(_SCALES[:3]),
+       st.floats(1e-3, 10.0), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_certificate_sums_are_the_reference_update(kind, n, scale, eta, T, seed):
+    rng = np.random.default_rng(seed)
+    m = _KERNEL_MAPS[kind](n)
+    comparator = point_weights(_kernel_base(kind, n, rng))
+    cert = RegretCertificate(m, eta, comparator)
+    ref = ReferenceRegretCertificate(m, eta, comparator)
+    for _ in range(T):
+        played, secondary = (point_weights(_kernel_base(kind, n, rng)) for _ in range(2))
+        gradient, prediction = (rng.normal(size=n) * scale for _ in range(2))
+        log = RoundLog(played, secondary, gradient, prediction)
+        cert.update(log)
+        ref.update(log)
+        assert repr((cert.lhs, cert.variance_term, cert.negative_term, cert.holds())) == repr(
+            (ref.lhs, ref.variance_term, ref.negative_term, ref.holds())
+        )

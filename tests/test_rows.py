@@ -1,10 +1,11 @@
 """Column-backed row tables: rows built on access, columns as numpy views."""
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from omdkit._rows import Rows, RowTable
+from omdkit._rows import Constant, Rows, RowTable
 
 
 @dataclass
@@ -69,3 +70,13 @@ def test_views_select_and_derive_columns():
     assert derived[1] == (2, -1.0) and len(derived) == 3
     table.append(4, 0.0, 0.0)  # a view follows its table
     assert len(plain) == 4
+
+
+def test_constant_column_reads_like_a_stored_one():
+    column = Constant(0.25, 4)
+    assert len(column) == 4 and list(column) == [0.25] * 4
+    assert column[-1] == column[3] == 0.25 and column[1:3] == [0.25, 0.25]
+    with pytest.raises(IndexError):
+        column[4]
+    rows = Rows((array("q", [1, 2, 3, 4]), column))
+    assert list(rows) == [(t, 0.25) for t in (1, 2, 3, 4)] and rows[-1] == (4, 0.25)
