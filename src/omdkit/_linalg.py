@@ -46,17 +46,31 @@ class AffineSolver:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based, ties deterministic)."""
+    """Euclidean projection onto the probability simplex (sort-based, ties deterministic).
+
+    The projection is max(v - theta, 0) for the theta that makes it sum to 1.
+    Shifting v by its largest entry leaves the projection as it is and puts
+    theta in [-1, 0), so an entry 1 or more below the largest gets no weight:
+    theta is found among the others, whose sums stay of the size of n
+    however large v is.
+    """
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]  # a NaN sorts first
-    if not -math.inf < u[-1] <= u[0] < math.inf:
+    top = u[0]
+    if not -math.inf < u[-1] <= top < math.inf:
         raise ValueError("cannot project onto the simplex: the point is not finite")
-    cumulative = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    mask = u - cumulative / counts > 0
+    # a spread past the largest float gives -inf, which gets no weight either
+    with np.errstate(over="ignore"):
+        shifted = v - top
+        u -= top
+    near = u[u > -1.0]
+    cumulative = np.cumsum(near) - 1.0
+    counts = np.arange(1, near.size + 1)
+    mask = near - cumulative / counts > 0
     rho = counts[mask][-1]
     theta = cumulative[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    shifted -= theta
+    return np.maximum(shifted, 0.0, out=shifted)
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:

@@ -7,8 +7,10 @@ data-dependent step size. The bandit variant estimates the observation vector
 from four scalar payoffs at perturbed plays along a fixed tangent basis, and
 corrects with one estimate while predicting with the other. Its estimator
 guard checks the enumeration identity for every round and every basis index,
-in blocks of `_GUARD_BLOCK` rounds; reading a side's `max_error` checks the
-rounds still buffered.
+in blocks of `_GUARD_BLOCK` rounds; the smallest perturbed-play entry, over
+every round and both of its basis rows, is folded in the same blocks.
+Reading a side's `max_error` or `min_perturbed` checks the rounds still
+buffered.
 
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
@@ -463,17 +465,20 @@ def bandit_eta(
     last increment; a zero h_last (no round yet, or a repeated estimate)
     takes the cap branch.
     """
+    return _bandit_eta(sums, h_last, math.sqrt(math.log(own_dim * T)), bandit_cap(own_dim, opp_dim, T))
+
+
+def _bandit_eta(sums: tuple[float, float], h_last: float, root_log: float, cap: float) -> float:
+    """`bandit_eta` given its constants: root_log = sqrt(log(own T)) and the cap."""
     s1, s2 = sums
     # written so that NaN fails the check too
     if not (0.0 <= s1 < math.inf and 0.0 <= s2 < math.inf and 0.0 <= h_last < math.inf):
         raise ValueError(
             f"sums and the last increment must be nonnegative and finite, got {sums!r}, {h_last!r}"
         )
-    cap = bandit_cap(own_dim, opp_dim, T)
     if h_last == 0.0:
         return cap
-    val = math.sqrt(math.log(own_dim * T)) * (math.sqrt(s1) - math.sqrt(s2)) / h_last
-    return min(val, cap)
+    return min(root_log * (math.sqrt(s1) - math.sqrt(s2)) / h_last, cap)
 
 
 def simplex_floor_delta(n: int, T: int) -> float:
@@ -503,28 +508,44 @@ def _estimator_tol(basis: np.ndarray, delta: float) -> float:
 
 class _BanditSide(_Learner):
     """One side of the bandit dynamics: observes four scalar payoffs a round
-    and steps with `bandit_eta`."""
+    and steps with `bandit_eta`.
+
+    Row j of the tangent basis is a_j on entries 0..j, b_j at entry j+1 and
+    zero after that; where a round needs no whole row it works from the
+    scalars a_j and b_j.
+    """
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
-        self.opp = opp_dim  # read by _eta(), so set before the learner's constructor
+        # the step rule's constants, read by _eta(), so set before the
+        # learner's constructor
+        self.opp = opp_dim
+        self.cap = bandit_cap(own_dim, opp_dim, T)
+        self._root_log = math.sqrt(math.log(own_dim * T))
         super().__init__(own_dim, T, 1.0 / (T * T))
         self.delta = delta
-        self.basis = tangent_basis(own_dim)
+        self._scale = own_dim / (2.0 * delta)  # the estimate's n / (2 delta)
+        self.basis = basis = tangent_basis(own_dim)
+        a, b = basis[:, 0], np.diagonal(basis, 1)
+        self._a, self._b = a.tolist(), b.tolist()
+        self._delta_a, self._delta_b = delta * np.abs(a), delta * np.abs(b)
         self.rng = rng
         self.prev_index = int(rng.integers(own_dim - 1))
-        self.last_bar = np.zeros(own_dim)
+        # the last estimate est_bar, as a multiple of basis row prev_index
+        self._c_last = 0.0
         self.loss_sum = np.zeros(own_dim)  # the running sum of the payoff vectors
-        self.cap = bandit_cap(own_dim, opp_dim, T)
-        self.min_perturbed = math.inf
-        # the rounds the estimator guard has yet to check: payoff vectors
-        # and the base payoffs f @ w, one row each
+        # the rounds the guard has yet to check: payoff vectors, base payoffs
+        # f @ w and plays f, one row each, and the drawn basis indices, the
+        # one drawn before the block first
         self._pending_w = np.empty((_GUARD_BLOCK, own_dim))
         self._pending_base = np.empty((_GUARD_BLOCK, 1))
+        self._pending_f = np.empty((_GUARD_BLOCK, own_dim))
+        self._pending_index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
         self._pending = 0
         self._max_error = 0.0  # largest enumeration error of the checked rounds
+        self._min_perturbed = math.inf  # smallest perturbed-play entry of the checked rounds
 
     def _eta(self) -> float:
-        return bandit_eta(self.sums, self.h_last, self.n, self.opp, self.T)
+        return _bandit_eta(self.sums, self.h_last, self._root_log, self.cap)
 
     def step(self, payoff_vector: np.ndarray) -> tuple[float, float, float, float]:
         """One round given this side's loss direction w (own loss = play @ w).
@@ -533,39 +554,48 @@ class _BanditSide(_Learner):
         freshly drawn basis directions, forms the two estimates, and updates.
         Returns (eta_t, eta_t, cap, the smallest entry of `loss_sum`): the
         step discipline is the certificate.
-        The round's payoff vector and base payoff join the estimator guard's
-        buffer, which is checked every `_GUARD_BLOCK` rounds; `max_error`
-        checks what is left and reports the largest error so far.
+        The round's payoff vector, base payoff, play and drawn index join the
+        buffer that the estimator guard and the perturbed-play minimum check
+        every `_GUARD_BLOCK` rounds, before the learner steps, so a round
+        whose step rule raises is checked too; `max_error` and
+        `min_perturbed` check what is left first.
         """
         f = self.play.weights
-        base = float(f @ payoff_vector)
+        # ndarray.dot is the same BLAS dot as @ on two vectors, called faster
+        base = float(f.dot(payoff_vector))
+        j = self.prev_index
         new_index = int(self.rng.integers(self.n - 1))
-        u_prev = self.basis[self.prev_index]
-        u_new = self.basis[new_index]
-        # payoffs regrouped as base +- delta*(u @ w): the difference cancels
-        # the base exactly, which the estimate's 1/delta amplification needs
-        d_prev = self.delta * float(u_prev @ payoff_vector)
-        d_new = self.delta * float(u_new @ payoff_vector)
-        self.min_perturbed = min(
-            self.min_perturbed,
-            float(np.minimum.reduce(f - self.delta * np.abs(u_prev))),
-            float(np.minimum.reduce(f - self.delta * np.abs(u_new))),
-        )
-        est_hat = bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
-        est_bar = bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
-        increment = float(np.maximum.reduce(np.abs(est_hat - self.last_bar))) ** 2
-        self._advance(increment, est_hat, est_bar)
-        self.prev_index = new_index
-        self.last_bar = est_bar
-        loss_sum = self.loss_sum
-        loss_sum += payoff_vector
-
         i = self._pending
         self._pending_w[i] = payoff_vector
         self._pending_base[i, 0] = base
+        self._pending_f[i] = f
+        if i == 0:
+            self._pending_index[0] = j
+        self._pending_index[i + 1] = new_index
         self._pending = i + 1
         if i + 1 == _GUARD_BLOCK:
             self._check_pending()
+
+        u_prev = self.basis[j]
+        u_new = self.basis[new_index]
+        # payoffs regrouped as base +- delta*(u @ w): the difference cancels
+        # the base exactly, which the estimate's 1/delta amplification needs
+        d_prev = self.delta * float(u_prev.dot(payoff_vector))
+        d_new = self.delta * float(u_new.dot(payoff_vector))
+        # bandit_estimate's estimates are these multiples of their rows
+        c_hat = self._scale * ((base + d_prev) - (base - d_prev))
+        c_bar = self._scale * ((base + d_new) - (base - d_new))
+        # the last est_bar lies along row j as well, so |est_hat - est_bar|
+        # has two nonzero values; the larger, squared, or NaN if either is
+        a, b, c_last = self._a[j], self._b[j], self._c_last
+        x = abs(c_hat * a - c_last * a)
+        y = abs(c_hat * b - c_last * b)
+        increment = (x if x >= y else y if y >= x else math.nan) ** 2
+        self._advance(increment, c_hat * u_prev, c_bar * u_new)
+        self.prev_index = new_index
+        self._c_last = c_bar
+        loss_sum = self.loss_sum
+        loss_sum += payoff_vector
         return self.eta, self.eta, self.cap, float(np.minimum.reduce(loss_sum))
 
     @property
@@ -575,8 +605,17 @@ class _BanditSide(_Learner):
         self._check_pending()
         return self._max_error
 
+    @property
+    def min_perturbed(self) -> float:
+        """Smallest entry of any perturbed play f - delta |u| over every round
+        stepped so far, both of each round's basis rows (NaN once any was
+        NaN; inf before the first round)."""
+        self._check_pending()
+        return self._min_perturbed
+
     def _check_pending(self) -> None:
-        """Run the enumeration identity on every buffered round at once.
+        """Check every buffered round at once: the enumeration identity and
+        the perturbed plays.
 
         Averaging the estimate over every basis index must reproduce
         (n/(n-1)) * the tangent projection of the payoff vector. Each row
@@ -589,21 +628,55 @@ class _BanditSide(_Learner):
         for the default delta <= 1e-6, and is floored at 1e-9, which the
         summation term stays below up to n of a few thousand; so the
         tolerance is unchanged.
+
+        The smallest entry of f - delta |u_j| is that of its three parts,
+        each exact from the play's prefix and suffix minima: subtracting a
+        constant is monotone under rounding, so it is the least of
+        min(f_0..f_j) - delta |a_j|, f_(j+1) - delta |b_j| and
+        min(f_(j+2)..).
         """
         k = self._pending
         if k == 0:
             return
         self._pending = 0
+        n = self.n
         w = self._pending_w[:k]
         b = self._pending_base[:k]
-        n = self.n
-        diffs = self.delta * (w @ self.basis.T)
-        ests = (n / (2.0 * self.delta)) * (((b + diffs) - (b - diffs)) @ self.basis)
-        target = (n / (n - 1.0)) * (w - np.add.reduce(w, axis=1, keepdims=True) / n)
-        err = float(np.maximum.reduce(np.abs(ests / (n - 1.0) - target), axis=None))
+        # the formula (n / 2 delta)((b + d) - (b - d)) @ basis with
+        # d = delta (w @ basis.T), each step in place where it can be: the
+        # same bits in fewer arrays
+        d = w @ self.basis.T
+        d *= self.delta
+        diff = b + d
+        np.subtract(b, d, out=d)
+        diff -= d
+        ests = diff @ self.basis
+        ests *= self._scale
+        del d, diff  # a block's peak memory holds at most three such arrays
+        # the payoff vectors are read for the last time: w becomes the target
+        w -= np.add.reduce(w, axis=1, keepdims=True) / n
+        w *= n / (n - 1.0)
+        ests /= n - 1.0
+        ests -= w
+        err = float(np.maximum.reduce(np.abs(ests, out=ests), axis=None))
         # np.maximum keeps a NaN from either side, so a NaN error fails the
         # guard and no later block's finite error replaces it
         self._max_error = float(np.maximum(self._max_error, err))
+
+        # w and ests are free now: they take the plays' prefix and suffix minima
+        f = self._pending_f[:k]
+        prefix, suffix = w, ests
+        np.minimum.accumulate(f, axis=1, out=prefix)
+        np.minimum.accumulate(f[:, ::-1], axis=1, out=suffix[:, ::-1])
+        drawn = self._pending_index[: k + 1]
+        rows = np.stack((drawn[:-1], drawn[1:]))  # each round's two rows j
+        at = np.arange(k)
+        low = np.minimum(prefix[at, rows] - self._delta_a[rows], f[at, rows + 1] - self._delta_b[rows])
+        # for j = n - 2 the suffix is empty; its stand-in f_(n-1) is the
+        # middle part's f_(j+1), which the subtraction only lowers
+        np.minimum(low, suffix[at, np.minimum(rows + 2, n - 1)], out=low)
+        # the same NaN rule as the guard's
+        self._min_perturbed = float(np.minimum(self._min_perturbed, np.minimum.reduce(low, axis=None)))
 
 
 def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:
@@ -649,6 +722,6 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
         "estimator_ok": row.max_error <= estimator_tol and col.max_error <= estimator_tol,
         "cap_row": row.cap,
         "cap_col": col.cap,
-        "min_perturbed_play": min(row.min_perturbed, col.min_perturbed),
+        "min_perturbed_play": float(np.minimum(row.min_perturbed, col.min_perturbed)),
     }
     return result

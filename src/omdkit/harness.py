@@ -333,7 +333,9 @@ def _run_game(config: ExperimentConfig):
         res = run_bandit_match(payoff, T, delta=config.delta, seed=config.seed)
         # the bandit certificate is the step discipline: each eta against its cap
         header = ["t", "eta_row", "eta_col", "gap", "cap_row", "cap_col"]
-        rows = res.trace.rows("t", "eta_row", "eta_col", "gap", "cert_rhs_row", "cert_rhs_col")
+        t, eta_row, eta_col, gap = res.trace.rows("t", "eta_row", "eta_col", "gap").columns
+        caps = (Constant(res.summary["cap_row"], T), Constant(res.summary["cap_col"], T))
+        rows = Rows((t, eta_row, eta_col, gap, *caps))
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,

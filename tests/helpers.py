@@ -207,6 +207,83 @@ def reference_bandit_guard(basis, delta, w, base):
     return float(np.maximum.reduce(np.abs(np.add.reduce(ests) / (n - 1.0) - target)))
 
 
+# ---------------------------------------------------------------- bandit step
+#
+# games._BanditSide as it stepped before its perturbed-play minimum joined
+# the guard's blocks and its increment came from two scalars: the increment
+# from the whole estimate vector and the last one, the minimum f - delta |u|
+# taken every round, and every estimate and step size through the public
+# bandit_estimate and bandit_eta. Its guard is the blocked one.
+
+class ReferenceBanditSide(_Learner):
+    def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
+        self.opp = opp_dim
+        super().__init__(own_dim, T, 1.0 / (T * T))
+        self.delta = delta
+        self.basis = games.tangent_basis(own_dim)
+        self.rng = rng
+        self.prev_index = int(rng.integers(own_dim - 1))
+        self.last_bar = np.zeros(own_dim)
+        self.loss_sum = np.zeros(own_dim)
+        self.cap = games.bandit_cap(own_dim, opp_dim, T)
+        self.min_perturbed = math.inf
+        self._pending_w = np.empty((games._GUARD_BLOCK, own_dim))
+        self._pending_base = np.empty((games._GUARD_BLOCK, 1))
+        self._pending = 0
+        self._max_error = 0.0
+
+    def _eta(self) -> float:
+        return games.bandit_eta(self.sums, self.h_last, self.n, self.opp, self.T)
+
+    def step(self, payoff_vector):
+        f = self.play.weights
+        base = float(f @ payoff_vector)
+        new_index = int(self.rng.integers(self.n - 1))
+        u_prev = self.basis[self.prev_index]
+        u_new = self.basis[new_index]
+        d_prev = self.delta * float(u_prev @ payoff_vector)
+        d_new = self.delta * float(u_new @ payoff_vector)
+        self.min_perturbed = min(
+            self.min_perturbed,
+            float(np.minimum.reduce(f - self.delta * np.abs(u_prev))),
+            float(np.minimum.reduce(f - self.delta * np.abs(u_new))),
+        )
+        est_hat = games.bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
+        est_bar = games.bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
+        increment = float(np.maximum.reduce(np.abs(est_hat - self.last_bar))) ** 2
+        self._advance(increment, est_hat, est_bar)
+        self.prev_index = new_index
+        self.last_bar = est_bar
+        loss_sum = self.loss_sum
+        loss_sum += payoff_vector
+        i = self._pending
+        self._pending_w[i] = payoff_vector
+        self._pending_base[i, 0] = base
+        self._pending = i + 1
+        if i + 1 == games._GUARD_BLOCK:
+            self._check_pending()
+        return self.eta, self.eta, self.cap, float(np.minimum.reduce(loss_sum))
+
+    @property
+    def max_error(self) -> float:
+        self._check_pending()
+        return self._max_error
+
+    def _check_pending(self) -> None:
+        k = self._pending
+        if k == 0:
+            return
+        self._pending = 0
+        w = self._pending_w[:k]
+        b = self._pending_base[:k]
+        n = self.n
+        diffs = self.delta * (w @ self.basis.T)
+        ests = (n / (2.0 * self.delta)) * (((b + diffs) - (b - diffs)) @ self.basis)
+        target = (n / (n - 1.0)) * (w - np.add.reduce(w, axis=1, keepdims=True) / n)
+        err = float(np.maximum.reduce(np.abs(ests / (n - 1.0) - target), axis=None))
+        self._max_error = float(np.maximum(self._max_error, err))
+
+
 # ---------------------------------------------------------------- reference kernels
 #
 # The prox step, the multiplicative update, the certificate's update, the
@@ -660,9 +737,11 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 @contextlib.contextmanager
 def reference_games():
     """Within the block, run_full_info_match, run_bandit_match and
-    run_full_info_vs play the reference round above."""
+    run_full_info_vs play the reference round above, and the bandit sides
+    step as `ReferenceBanditSide`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(games, "_self_play", reference_self_play)
+        mp.setattr(games, "_BanditSide", ReferenceBanditSide)
         mp.setattr(games, "FullInfoPlayer", ReferenceFullInfoPlayer)
         mp.setattr(games, "full_info_step", reference_full_info_step)
         yield

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omdkit.games
 from omdkit.games import (
@@ -17,8 +19,9 @@ from omdkit.games import (
     simplex_floor_delta,
     tangent_basis,
 )
+from omdkit.mirror import SimplexPoint
 
-from helpers import reference_bandit_guard
+from helpers import ReferenceBanditSide, assert_same_bits, reference_bandit_guard
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -316,3 +319,135 @@ def test_blocked_guard_checks_every_round(p):
         side.step(w if t == p else zero)
     assert idle.max_error == 0.0
     assert side.max_error > 0.0
+
+
+class _Reads:
+    """Mixed into a side: after round `read_at` it reads its `min_perturbed`
+    and `max_error`, keeping them in `at_read`."""
+
+    def __init__(self, *args, read_at=None):
+        super().__init__(*args)
+        self.read_at = read_at
+        self.rounds = 0
+        self.at_read = None
+
+    def step(self, w):
+        out = super().step(w)
+        self.rounds += 1
+        if self.rounds == self.read_at:
+            self.at_read = (self.min_perturbed, self.max_error)
+        return out
+
+
+class _ReadingSide(_Reads, _BanditSide):
+    pass
+
+
+class _ReadingReference(_Reads, ReferenceBanditSide):
+    pass
+
+
+def _assert_the_frozen_step(a, T, seed, read_at):
+    row, col, _ = _bandit_sides(a, T, seed, _ReadingSide, read_at=read_at)
+    got = _self_play(a, T, row, col)
+    ref_row, ref_col, _ = _bandit_sides(a, T, seed, _ReadingReference, read_at=read_at)
+    assert_same_bits(got, _self_play(a, T, ref_row, ref_col))
+    for side, ref in ((row, ref_row), (col, ref_col)):
+        assert repr((side.at_read, side.min_perturbed, side.max_error)) == repr(
+            (ref.at_read, ref.min_perturbed, ref.max_error)
+        )
+        assert (side.at_read is None) == (read_at is None)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["end", "mid-block"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (20, 7), (40, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
+def test_bandit_step_is_the_frozen_step(T, shape, read):
+    # bit for bit against the step that took its increment from whole
+    # vectors and its perturbed-play minimum every round; n = 2 has only the
+    # row j = n - 2, whose suffix is empty
+    a = np.random.default_rng(shape[0] * 100 + shape[1]).uniform(-1, 1, size=shape)
+    _assert_the_frozen_step(a, T, 5, T // 2 + 1 if read else None)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 150), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_bandit_step_is_the_frozen_step_on_any_shape(n, m, T, seed, read):
+    a = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
+    _assert_the_frozen_step(a, T, seed, int(np.random.default_rng(seed).integers(1, T + 1)) if read else None)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_estimate_raises_what_the_frozen_step_raised(entry):
+    # the increment comes from two scalars now; a NaN among them must still
+    # reach the step rule, not be dropped by a max
+    n, T = 6, 100
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    w = np.random.default_rng(2).uniform(-1, 1, size=n)
+    messages = []
+    for cls in (_BanditSide, ReferenceBanditSide):
+        side = cls(n, n, T, delta, np.random.default_rng(0))
+        side.step(w)
+        with pytest.raises(ValueError, match="nonnegative and finite") as info:
+            side.step(np.where(np.arange(n) == 2, entry, w))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+class _Drawn:
+    """Stands in for a side's generator: draws the given basis indices in turn."""
+
+    def __init__(self, indices):
+        self.indices = iter(indices)
+
+    def integers(self, high):
+        return next(self.indices)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 2 * _GUARD_BLOCK), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-9, 1e-3, 0.05]))
+def test_blocked_perturbed_minimum_is_the_dense_one(n, T, seed, delta):
+    # each round plays a fresh random point, so the least entry of
+    # f - delta |u_j| falls before, at, just after or past row j's b_j
+    # entry from one example to the next, and each part of the blocked
+    # minimum decides some of them
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(n - 1, size=T + 1).tolist()
+    side = _BanditSide(n, n, T, delta, _Drawn(drawn))
+    basis = tangent_basis(n)
+    w = rng.uniform(-1, 1, size=n)
+    dense = math.inf
+    for t in range(T):
+        side.play = SimplexPoint.from_weights(rng.dirichlet(np.ones(n)))
+        f = side.play.weights
+        for j in drawn[t : t + 2]:
+            dense = min(dense, float(np.minimum.reduce(f - delta * np.abs(basis[j]))))
+        side.step(w)
+    assert repr(side.min_perturbed) == repr(dense)
+
+
+def test_a_nan_perturbed_play_sticks():
+    # Python's min once dropped a NaN perturbed play; the blocked minimum
+    # keeps it through later finite blocks, as the guard keeps a NaN error
+    n, T = 6, 400
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    side = _BanditSide(n, n, T, delta, np.random.default_rng(0))
+    w = np.random.default_rng(2).uniform(-1, 1, size=n)
+    for _ in range(3):
+        side.step(w)
+    assert 0.0 < side.min_perturbed < math.inf
+    learner = (side.sums, side.h_last, side._eta_next, side.play)
+    nan_play = SimplexPoint.uniform(n)
+    nan_play.weights = np.full(n, math.nan)
+    side.play = nan_play
+    # the round is checked although its step rule rejects it
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        side.step(w)
+    assert math.isnan(side.min_perturbed)
+    side.sums, side.h_last, side._eta_next, side.play = learner
+    for _ in range(2 * _GUARD_BLOCK + 5):
+        side.step(w)
+    assert math.isnan(side.min_perturbed)
+    assert math.isnan(side.max_error)  # the round's base payoff was NaN too

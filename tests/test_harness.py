@@ -441,6 +441,8 @@ def test_bandit_trace_columns(tmp_path):
     for row in result.trace_rows:
         assert row[4] == row[5] == cap
         assert row[1] <= cap and row[2] <= cap
+    # one value each, stored once, so the writer formats each once
+    assert all(isinstance(column, Constant) for column in result.trace_rows.columns[4:])
 
 
 def test_rerun_into_same_out_keeps_only_new_output(tmp_path):

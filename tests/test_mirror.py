@@ -129,6 +129,27 @@ def test_projection_rejects_a_non_finite_point(m, entry):
         m.project([entry, 0.0])
 
 
+def test_simplex_projection_of_large_finite_points():
+    # the cumulative sums once lost the 1 they are compared with: [1e160]
+    # raised IndexError, and [2**53 + 2, 1] projected to [2, 0]
+    assert MirrorMap.euclidean_simplex(1).project([1e160]).tolist() == [1.0]
+    assert MirrorMap.euclidean_simplex(2).project([2.0**53 + 2, 1.0]).tolist() == [1.0, 0.0]
+    # a spread past the largest float, and sums that would overflow
+    with np.errstate(all="raise"):
+        assert MirrorMap.euclidean_simplex(2).project([1.7e308, -1.7e308]).tolist() == [1.0, 0.0]
+        assert MirrorMap.euclidean_simplex(3).project([0.0, -1e308, -1e308]).tolist() == [1.0, 0.0, 0.0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([1e-3, 1.0, 1e8, 1e16, 1e160, 1e300]), st.integers(0, 2**32 - 1))
+def test_simplex_projection_lands_on_the_simplex_at_any_scale(n, scale, seed):
+    v = np.random.default_rng(seed).normal(size=n) * scale
+    with np.errstate(all="raise"):
+        out = MirrorMap.euclidean_simplex(n).project(v)
+    assert out.min() >= 0.0
+    assert abs(math.fsum(out) - 1.0) <= n * 2.0**-52
+
+
 def test_euclidean_prox_simplex_projection():
     m = MirrorMap.euclidean_simplex(3)
     out = prox_step(m, np.full(3, 1.0 / 3.0), [1.0, 0.0, 0.0], 0.5)
@@ -730,9 +751,8 @@ def test_entropy_prox_rejects_an_overflowing_spread_before_any_warning(loss, eta
 def test_projections_return_a_fresh_array(v):
     v = np.array(v)
     before = v.tobytes()
-    outs = [project_ball(v, 1.0), MirrorMap.euclidean_ball(2).project(v), project_ball(v, 1e300)]
-    if v[0] < 1e300:
-        outs.append(MirrorMap.euclidean_simplex(2).project(v))
+    outs = [project_ball(v, 1.0), MirrorMap.euclidean_ball(2).project(v), project_ball(v, 1e300),
+            MirrorMap.euclidean_simplex(2).project(v)]
     for out in outs:
         assert out is not v and not np.shares_memory(out, v)
     assert v.tobytes() == before
@@ -790,7 +810,7 @@ def test_prox_step_is_the_reference_kernel(kind, n, scale, eta, as_weights, seed
     base_bits, loss_bits = _bits(base), loss.tobytes()
     try:
         expected = _bits(reference_prox_step(m, base, loss, eta))
-    except (ValueError, IndexError) as exc:  # the simplex projection of a huge step
+    except ValueError as exc:  # a step that is not finite
         with pytest.raises(type(exc)):
             prox_step(m, base, loss, eta)
         return
