@@ -72,6 +72,11 @@ class RowTable(Rows):
         super().__init__((array("q" if name == "t" else "d") for name in self.names), row_type)
         self._appends = tuple(column.append for column in self.columns)
 
+    def _truncate(self, size: int) -> None:
+        """Drop what a failed append left past `size` rows."""
+        for column in self.columns:
+            del column[size:]
+
     def append(self, *values) -> None:
         if len(values) != len(self._appends):
             raise TypeError(
@@ -83,9 +88,32 @@ class RowTable(Rows):
         except (TypeError, OverflowError):
             # a value the column cannot hold: drop the partial row (the last
             # column never received it)
-            size = len(self.columns[-1])
-            for column in self.columns:
-                del column[size:]
+            self._truncate(len(self.columns[-1]))
+            raise
+
+    def extend(self, *columns) -> None:
+        """Append a block of rows given column by column, in field order: one
+        sequence of values a field, all of one length. Each is cast to its
+        column's type only where no value can change (a float `t` raises
+        TypeError); a block that a column cannot hold raises and is dropped
+        whole."""
+        if len(columns) != len(self._appends):
+            raise TypeError(
+                f"{self.row_type.__name__} has {len(self._appends)} fields, got {len(columns)} columns"
+            )
+        block = [
+            np.asarray(values).astype(column.typecode, casting="safe", copy=False)
+            for column, values in zip(self.columns, columns)
+        ]
+        if block[0].ndim != 1 or len({values.shape for values in block}) != 1:
+            raise ValueError("a block's columns must be sequences of one length")
+        size = len(self.columns[-1])
+        try:
+            for column, values in zip(self.columns, block):
+                column.frombytes(values.tobytes())
+        except BufferError:
+            # a column under a live view cannot grow: drop the columns that did
+            self._truncate(size)
             raise
 
     def column(self, name: str) -> np.ndarray:

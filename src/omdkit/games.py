@@ -15,11 +15,18 @@ buffered.
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
 
-Each side keeps the one running sum of the loss directions it was handed,
-and finds its smallest entry once a round; the match's running gap reads
-both sides' minima. A full-information side's sum is its certificate's
-`cum_obs`, which the certificate's `lhs` reads too; a bandit side keeps its
-own `loss_sum`.
+Each side keeps the one running sum of the loss directions it was handed;
+the match's running gap reads both sides' minima of it, one a round. A
+full-information side's sum is its certificate's `cum_obs`, which the
+certificate's `lhs` reads too; a bandit side keeps its own `loss_sum`.
+
+A round does only what the next round depends on: both learners' steps,
+with their increments and step sizes. The rest is folded once per block of
+rounds, in one pass each: the certificate, the running sums and their
+per-round minima, the play sums behind the averages, and the trace rows.
+Each pass makes the adds of one round at a time in the same order, so every
+output has the same bits, and any read of a side's sums or certificate
+folds the rounds it has buffered first.
 
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
@@ -71,6 +78,11 @@ def full_info_eta(sums: tuple[float, float], n: int, T: int) -> float:
     S1 and S2 are the observation-difference sums through the previous round
     and the round before it. A zero denominator takes the cap branch.
     """
+    return _full_info_eta(sums, math.log(n * T))
+
+
+def _full_info_eta(sums: tuple[float, float], log_nt: float) -> float:
+    """`full_info_eta` given its constant log_nt = log(nT)."""
     s1, s2 = sums
     # written so that NaN fails the check too
     if not (0.0 <= s1 < math.inf and 0.0 <= s2 < math.inf):
@@ -78,7 +90,7 @@ def full_info_eta(sums: tuple[float, float], n: int, T: int) -> float:
     denom = math.sqrt(s1) + math.sqrt(s2)
     if denom == 0.0:
         return ETA_CAP
-    return min(math.log(n * T) / denom, ETA_CAP)
+    return min(log_nt / denom, ETA_CAP)
 
 
 class _Learner:
@@ -132,53 +144,168 @@ class _Learner:
         return g_t
 
 
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Add the rows of a 2-d array to the running sum `total` as `total +=
+    row` would, one row after the other: `rows` becomes, in place, the
+    running sum after each row, and is returned."""
+    rows[0] += total
+    np.add.accumulate(rows, axis=0, out=rows)
+    total[:] = rows[-1]
+    return rows
+
+
+def _read_folded(name: str) -> property:
+    """A read-only attribute, kept as `_<name>`, that folds the buffered
+    rounds (`_fold_sums()`) before it is read."""
+
+    def read(self):
+        self._fold_sums()
+        return getattr(self, "_" + name)
+
+    return property(read)
+
+
 class SideCertificate:
     """One player's running per-vertex regret inequality.
 
-    Each `update` folds one round in; the claim is max(lhs_per_vertex) <= rhs,
-    checkable after every round:
+    The claim is max(lhs_per_vertex) <= rhs, checkable after every round:
     (1/eta_1 + 1/eta_t) log(n T^2) + sum_s ||obs_s - obs_{s-1}||_inf ||g_s - f_s||_1
     - (1/2) sum_s eta_s^-1 (||g'_s - f_s||_1^2 + ||g'_{s-1} - f_s||_1^2) + 1.
 
-    `cum_obs` is the player's running observation sum, the only one the
-    match keeps for this side, and `min_obs` its smallest entry, found once
-    per update; `lhs` and the match's gap both read it.
+    `update` copies a round into block buffers; only the round's play loss
+    f_t . obs_t, a BLAS dot that a batched product would sum in another
+    order, is taken at once. The sums take a block of rounds in one pass
+    each, with the adds of one round at a time in the same order, so they
+    keep their bits, and every read (`cum_obs`, `min_obs`, `play_sum`,
+    `cum_play_loss`, `variance`, `negative`, and so `lhs`, `rhs`, `holds`)
+    folds the buffered rounds first. `cum_obs` is the player's running
+    observation sum, the only one the match keeps for this side; `lhs` and
+    the match's gap read its minimum. A match collects the columns with
+    `fold()` every `block` rounds: 64, or fewer on a wide side, so that a
+    buffer holds at most 8192 doubles.
     """
+
+    cum_obs = _read_folded("cum_obs")
+    min_obs = _read_folded("min_obs")
+    play_sum = _read_folded("play_sum")
+    cum_play_loss = _read_folded("cum_play_loss")
+    variance = _read_folded("variance")
+    negative = _read_folded("negative")
 
     def __init__(self, n: int, T: int):
         self.r_sq = math.log(n * T * T)
-        self.cum_obs = np.zeros(n)
-        self.min_obs = 0.0
-        # the round's three ell_1 differences to f_t, one row each, taken
-        # in one abs and one row-wise sum
-        self._dist = np.empty((3, n))
-        self._dist_rows = tuple(self._dist)
-        self.cum_play_loss = 0.0
-        self.variance = 0.0
-        self.negative = 0.0
+        self.block = b = min(64, max(1, 8192 // n))
+        self._cum_obs = np.zeros(n)
+        self._min_obs = 0.0
+        self._play_sum = np.zeros(n)
+        self._cum_play_loss = 0.0
+        self._variance = 0.0
+        self._negative = 0.0
         self.eta_first: float | None = None
         self.eta_last: float | None = None
+        # the buffered rounds: obs_t, f_t and g_t a row each, g'_t one row
+        # down from g'_{t-1} of the first buffered round, and eta_t, the
+        # increment and f_t . obs_t
+        self._obs = np.empty((b, n))
+        self._play = np.empty((b, n))
+        self._secondary = np.empty((b, n))
+        self._mixed = np.empty((b + 1, n))
+        self._mixed_last = None  # the array handed in as the last g'_t
+        self._etas = np.empty(b)
+        self._increments = np.empty(b)
+        self._play_loss = np.empty(b)
+        self._pending = 0
+        # the folded rounds' lhs, rhs and min(cum_obs) that no fold() has
+        # handed over yet
+        self._columns = np.empty((3, b))
+        self._folded = 0
 
     def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
-        """Fold in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
+        """Take in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
         g_t, and the mixed iterates g'_{t-1} and g'_t."""
-        cum = self.cum_obs
-        cum += observation
-        self.min_obs = float(np.minimum.reduce(cum))
-        self.cum_play_loss += float(play @ observation)
-        d = self._dist
-        d_secondary, d_mixed, d_mixed_prev = self._dist_rows
-        np.subtract(secondary, play, out=d_secondary)
-        np.subtract(mixed, play, out=d_mixed)
-        np.subtract(mixed_prev, play, out=d_mixed_prev)
-        np.abs(d, out=d)
-        # a row-wise sum is each row's own sum, bit for bit
-        l1_secondary, l1_mixed, l1_mixed_prev = np.add.reduce(d, axis=1).tolist()
-        self.variance += math.sqrt(increment) * l1_secondary
-        self.negative += (1.0 / eta) * (l1_mixed**2 + l1_mixed_prev**2)
+        k = self._pending
+        if self._folded + k == self.block:
+            # a full block that no match collected: its columns are dropped
+            self.fold()
+            k = 0
+        elif k and mixed_prev is not self._mixed_last:
+            # g'_{t-1} is not the g'_t buffered last: a new block starts here
+            self._fold_sums()
+            k = 0
+        if k == 0:
+            self._mixed[0] = mixed_prev
+        self._obs[k] = observation
+        self._play[k] = play
+        self._secondary[k] = secondary
+        self._mixed[k + 1] = mixed
+        self._mixed_last = mixed
+        self._etas[k] = eta
+        self._increments[k] = increment
+        self._play_loss[k] = self._play[k].dot(self._obs[k])
+        self._pending = k + 1
         if self.eta_first is None:
             self.eta_first = eta
         self.eta_last = eta
+
+    def _fold_sums(self) -> None:
+        """Fold the buffered rounds into the running sums, keeping their
+        columns for `fold()`.
+
+        A scalar running sum starts from its value in its first buffered
+        entry and is accumulated along them in place, as `_add_rows` does for
+        a vector one; a row-wise sum is each row's own sum, bit for bit. The
+        negative term is summed in Python, whose x**2 is not numpy's.
+        """
+        k = self._pending
+        if k == 0:
+            return
+        self._pending = 0
+        start = self._folded
+        self._folded = start + k
+        lhs, rhs, low = self._columns[:, start : start + k]
+        obs, play, dist = self._obs[:k], self._play[:k], self._secondary[:k]
+        np.minimum.reduce(_add_rows(self._cum_obs, obs), axis=1, out=low)
+        self._min_obs = float(low[-1])
+        loss = self._play_loss[:k]
+        loss[0] += self._cum_play_loss
+        np.add.accumulate(loss, out=loss)
+        self._cum_play_loss = float(loss[-1])
+        np.subtract(loss, low, out=lhs)
+        # the ell_1 distances to f_t, of g_t, g'_{t-1} and g'_t in turn, each
+        # in the secondary buffer
+        np.subtract(dist, play, out=dist)
+        variance = np.sqrt(self._increments[:k])
+        variance *= np.add.reduce(np.abs(dist, out=dist), axis=1)
+        variance[0] += self._variance
+        np.add.accumulate(variance, out=variance)
+        self._variance = float(variance[-1])
+        np.subtract(self._mixed[:k], play, out=dist)
+        l1_mixed_prev = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
+        np.subtract(self._mixed[1 : k + 1], play, out=dist)
+        l1_mixed = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
+        etas = self._etas[:k]
+        negative = self._negative
+        column = []
+        for eta, l1, l1_prev in zip(etas.tolist(), l1_mixed, l1_mixed_prev):
+            negative += (1.0 / eta) * (l1**2 + l1_prev**2)
+            column.append(negative)
+        self._negative = negative
+        # (1/eta_1 + 1/eta_t) r_sq + variance - 0.5 negative + 1, op by op
+        np.divide(1.0, etas, out=rhs)
+        rhs += 1.0 / self.eta_first
+        rhs *= self.r_sq
+        rhs += variance
+        rhs -= np.multiply(column, 0.5)
+        rhs += 1.0
+        _add_rows(self._play_sum, play)
+
+    def fold(self) -> np.ndarray:
+        """Fold the buffered rounds and hand over the (lhs, rhs, min cum_obs)
+        columns of every round since the last `fold()`: rows of a (3, k)
+        view, which a later fold overwrites."""
+        self._fold_sums()
+        k, self._folded = self._folded, 0
+        return self._columns[:, :k]
 
     @property
     def lhs_per_vertex(self) -> np.ndarray:
@@ -211,7 +338,8 @@ class FullInfoPlayer(_Learner):
 
     Observes its whole payoff vector each round and steps with
     `full_info_eta`. Besides the learner's state it keeps the last
-    observation and its own `certificate`, which every round folds into.
+    observation and its own `certificate`, which every round goes into, and
+    which also keeps the side's block, its play sum and its columns.
     The first play is uniform; `initial_observation` is the observation the
     opponent's prescribed uniform start would induce (it seeds the t = 1
     difference).
@@ -222,6 +350,7 @@ class FullInfoPlayer(_Learner):
             raise ValueError("n must be at least 1")
         if T < 2:
             raise ValueError("T must be at least 2")
+        self._log_nt = math.log(n * T)  # read by _eta(), so set first
         super().__init__(n, T, 1.0 / (T * T) if mixing else 0.0)
         self.last_observation = np.asarray(initial_observation, dtype=float)
         if self.last_observation.shape != (n,):
@@ -230,16 +359,23 @@ class FullInfoPlayer(_Learner):
             raise ValueError("initial observation has non-finite entries")
         self._last_tame = _tame(self.last_observation)
         self.certificate = SideCertificate(n, T)
+        self.block = self.certificate.block
 
     def _eta(self) -> float:
-        return full_info_eta(self.sums, self.n, self.T)
+        return _full_info_eta(self.sums, self._log_nt)
 
-    def step(self, w: np.ndarray) -> tuple[float, float, float, float]:
-        """One round on loss direction w; returns (eta_t, cert lhs, cert rhs,
-        the smallest entry of the running observation sum)."""
+    @property
+    def play_sum(self) -> np.ndarray:
+        return self.certificate.play_sum
+
+    def step(self, w: np.ndarray) -> float:
+        """One round on loss direction w; returns eta_t."""
         full_info_step(self, w)
-        cert = self.certificate
-        return self.eta, cert.lhs, cert.rhs, cert.min_obs
+        return self.eta
+
+    def fold(self) -> np.ndarray:
+        """The certificate's (lhs, rhs, min cum_obs) columns since the last fold."""
+        return self.certificate.fold()
 
 
 def _tame(obs: np.ndarray) -> bool:
@@ -273,7 +409,7 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     Folds ||obs_t - obs_{t-1}||_inf^2 into the running sums, updates the
     secondary iterate with eta_t (sums through t-1), applies the uniform
     mixing floor, forms the next play with eta_{t+1} (sums through t), and
-    folds the round into the player's certificate. This is where an
+    hands the round to the player's certificate. This is where an
     observation is checked: its shape, that every entry is finite, and that
     no difference, square or running sum made from it overflows. A rejected
     one raises ValueError before any arithmetic warns and leaves the player
@@ -336,34 +472,39 @@ class MatchResult:
 def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     """The self-play round both match kinds share.
 
-    Each round reads both plays (`side.play`), hands each side the payoff
+    Each round reads both plays (`side.play`) and hands each side the payoff
     vector its opponent's play induces (A x to the row, -f A to the
-    column), and keeps only running state: the play sums behind the
-    averages, and one TraceRow, stored in the columns of a RowTable. The
-    payoff sums behind the running gap are the sides' own running loss sums.
-    side.step(w) advances a side on its loss direction w and returns that
-    side's trace entries (eta, lhs, rhs) and the smallest entry of its
-    running sum of w.
+    column); side.step(w) advances a side on its loss direction w and
+    returns its eta. The rest is done a block at a time, every `block`
+    rounds (the smaller side's) and at round T: side.fold() hands over the
+    block's (lhs, rhs, low) columns of that side, its trace entries and the
+    smallest entry of its running sum of w, and the block's TraceRows go
+    into the columns of a RowTable at once. The averages are the sides'
+    running play sums, `play_sum`.
     """
-    n, m = a.shape
-    f_sum = np.zeros(n)
-    x_sum = np.zeros(m)
+    block = min(row.block, col.block)
     trace = RowTable(TraceRow)
+    eta_row, eta_col = [], []
     for t in range(1, T + 1):
         f = row.play.weights
-        x = col.play.weights
-        eta_row, lhs_row, rhs_row, low_row = row.step(a @ x)
+        eta_row.append(row.step(a @ col.play.weights))
         fa = f @ a
-        eta_col, lhs_col, rhs_col, low_col = col.step(np.negative(fa, out=fa))
-        f_sum += f
-        x_sum += x
-        # max(sum f A) - min(sum A x), with max(sum f A) = -low_col; a sum
-        # run from +0.0 is never -0.0, so 0.0 - low_col is +0.0 where the
-        # negation would give -0.0, and the bits are max's
-        gap_t = ((0.0 - low_col) - low_row) / t
-        trace.append(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col)
-    f_avg = f_sum / T
-    x_avg = x_sum / T
+        eta_col.append(col.step(np.negative(fa, out=fa)))
+        if len(eta_row) == block or t == T:
+            lhs_row, rhs_row, low_row = row.fold()
+            lhs_col, rhs_col, low_col = col.fold()
+            ts = np.arange(t + 1 - len(eta_row), t + 1)
+            # max(sum f A) - min(sum A x), with max(sum f A) = -low_col; a sum
+            # run from +0.0 is never -0.0, so 0.0 - low_col is +0.0 where the
+            # negation would give -0.0, and the bits are max's
+            gap = np.subtract(0.0, low_col)
+            gap -= low_row
+            gap /= ts
+            trace.extend(ts, eta_row, eta_col, gap, lhs_row, rhs_row, lhs_col, rhs_col)
+            eta_row.clear()
+            eta_col.clear()
+    f_avg = row.play_sum / T
+    x_avg = col.play_sum / T
     return MatchResult(
         f_average=f_avg, x_average=x_avg, gap=bilinear_gap(a, f_avg, x_avg), trace=trace
     )
@@ -371,8 +512,9 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 
 def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
     """Self-play for T rounds; both sides start uniform and observe exactly
-    the payoff vector their opponent's play induces. Each side folds every
-    round into its own certificate as it plays; no records are kept."""
+    the payoff vector their opponent's play induces. Each side folds its
+    rounds into its own certificate a block at a time; no records are
+    kept."""
     payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
     a = payoff.entries
     n, m = payoff.n, payoff.m
@@ -502,7 +644,10 @@ def _estimator_tol(basis: np.ndarray, delta: float) -> float:
     the enumeration averages the basis entries of each column over n - 1.
     """
     n = basis.shape[1]
-    col_l1 = float(np.max(np.abs(basis).sum(axis=0)))
+    col_l1 = np.zeros(n)
+    for row in basis:  # row by row: no (n - 1) x n temporary
+        col_l1 += np.abs(row)
+    col_l1 = float(np.max(col_l1))
     return n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
 
 
@@ -513,7 +658,18 @@ class _BanditSide(_Learner):
     Row j of the tangent basis is a_j on entries 0..j, b_j at entry j+1 and
     zero after that; where a round needs no whole row it works from the
     scalars a_j and b_j.
+
+    A round buffers what the guard reads and what the running sums need
+    (`step`); `loss_sum`, the running sum of the payoff vectors, and
+    `play_sum`, that of the plays, take the buffered rounds a block at a
+    time, in the order one round at a time would add them, and reading
+    either folds the buffered rounds first. A match collects the (eta,
+    cap, min loss_sum) columns with `fold()`, every `block` rounds.
     """
+
+    block = _GUARD_BLOCK
+    loss_sum = _read_folded("loss_sum")
+    play_sum = _read_folded("play_sum")
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
         # the step rule's constants, read by _eta(), so set before the
@@ -530,41 +686,58 @@ class _BanditSide(_Learner):
         self._delta_a, self._delta_b = delta * np.abs(a), delta * np.abs(b)
         self.rng = rng
         self.prev_index = int(rng.integers(own_dim - 1))
+        # the coming rounds' basis indices, drawn a block at a time: the
+        # generator gives the same indices as one draw a round
+        self._draws = []
+        self._drawn = 0
         # the last estimate est_bar, as a multiple of basis row prev_index
         self._c_last = 0.0
-        self.loss_sum = np.zeros(own_dim)  # the running sum of the payoff vectors
+        self._loss_sum = np.zeros(own_dim)
+        self._play_sum = np.zeros(own_dim)
         # the rounds the guard has yet to check: payoff vectors, base payoffs
         # f @ w and plays f, one row each, and the drawn basis indices, the
-        # one drawn before the block first
+        # one drawn before the block first; the first `_summed` of them are
+        # in the running sums
         self._pending_w = np.empty((_GUARD_BLOCK, own_dim))
         self._pending_base = np.empty((_GUARD_BLOCK, 1))
         self._pending_f = np.empty((_GUARD_BLOCK, own_dim))
         self._pending_index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
         self._pending = 0
+        self._summed = 0
+        # the eta and min(loss_sum) columns that no fold() has handed over yet
+        self._etas: list[float] = []
+        self._lows: list[float] = []
         self._max_error = 0.0  # largest enumeration error of the checked rounds
         self._min_perturbed = math.inf  # smallest perturbed-play entry of the checked rounds
 
     def _eta(self) -> float:
         return _bandit_eta(self.sums, self.h_last, self._root_log, self.cap)
 
-    def step(self, payoff_vector: np.ndarray) -> tuple[float, float, float, float]:
+    def step(self, payoff_vector: np.ndarray) -> float:
         """One round given this side's loss direction w (own loss = play @ w).
 
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
-        Returns (eta_t, eta_t, cap, the smallest entry of `loss_sum`): the
-        step discipline is the certificate.
+        Returns eta_t; its trace entries are (eta_t, cap): the step
+        discipline is the certificate.
         The round's payoff vector, base payoff, play and drawn index join the
         buffer that the estimator guard and the perturbed-play minimum check
         every `_GUARD_BLOCK` rounds, before the learner steps, so a round
         whose step rule raises is checked too; `max_error` and
         `min_perturbed` check what is left first.
         """
+        if len(self._etas) == _GUARD_BLOCK:
+            self.fold()  # a full block that no match collected: dropped
         f = self.play.weights
         # ndarray.dot is the same BLAS dot as @ on two vectors, called faster
         base = float(f.dot(payoff_vector))
         j = self.prev_index
-        new_index = int(self.rng.integers(self.n - 1))
+        d = self._drawn
+        if d == len(self._draws):
+            self._draws = self.rng.integers(self.n - 1, size=_GUARD_BLOCK).tolist()
+            d = 0
+        new_index = self._draws[d]
+        self._drawn = d + 1
         i = self._pending
         self._pending_w[i] = payoff_vector
         self._pending_base[i, 0] = base
@@ -594,9 +767,28 @@ class _BanditSide(_Learner):
         self._advance(increment, c_hat * u_prev, c_bar * u_new)
         self.prev_index = new_index
         self._c_last = c_bar
-        loss_sum = self.loss_sum
-        loss_sum += payoff_vector
-        return self.eta, self.eta, self.cap, float(np.minimum.reduce(loss_sum))
+        self._etas.append(self.eta)
+        return self.eta
+
+    def _fold_sums(self) -> None:
+        """Fold the buffered rounds not yet summed into `loss_sum` and
+        `play_sum`, keeping each round's min(loss_sum) for `fold()`."""
+        s, k = self._summed, self._pending
+        if s == k:
+            return
+        self._summed = k
+        rows = self._pending_w[s:k].copy()
+        self._lows += np.minimum.reduce(_add_rows(self._loss_sum, rows), axis=1).tolist()
+        rows[:] = self._pending_f[s:k]
+        _add_rows(self._play_sum, rows)
+
+    def fold(self) -> tuple[list, list, list]:
+        """Hand over the (eta, cap, min loss_sum) columns of every round since
+        the last `fold()`."""
+        self._fold_sums()
+        etas, lows = self._etas, self._lows
+        self._etas, self._lows = [], []
+        return etas, [self.cap] * len(etas), lows
 
     @property
     def max_error(self) -> float:
@@ -638,7 +830,8 @@ class _BanditSide(_Learner):
         k = self._pending
         if k == 0:
             return
-        self._pending = 0
+        self._fold_sums()  # before the guard rewrites the payoff vectors
+        self._pending = self._summed = 0
         n = self.n
         w = self._pending_w[:k]
         b = self._pending_base[:k]

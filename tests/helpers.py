@@ -734,6 +734,45 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     )
 
 
+# ---------------------------------------------------------------- the step/fold contract
+#
+# games._self_play steps a side with step(w), which returns eta, collects a
+# block's (lhs, rhs, low) columns with fold(), where low is the smallest
+# entry of the side's running sum of w, and takes the averages from
+# play_sum. `Folding` puts a frozen side above behind that contract without
+# changing its round: it keeps what the frozen step returned, a round at a
+# time, and adds each play to a running sum as the old match loop did.
+
+class Folding:
+    block = games._GUARD_BLOCK
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.play_sum = np.zeros(self.n)
+        self._columns = []
+
+    def step(self, w):
+        f = self.play.weights
+        eta, lhs, rhs, *low = super().step(w)
+        if not low:  # the frozen full-information step returns no minimum
+            low = [float(np.minimum.reduce(self.certificate.cum_obs))]
+        self.play_sum += f
+        self._columns.append((lhs, rhs, low[0]))
+        return eta
+
+    def fold(self):
+        columns, self._columns = self._columns, []
+        return tuple(map(list, zip(*columns))) if columns else ([], [], [])
+
+
+class FoldingBanditSide(Folding, ReferenceBanditSide):
+    pass
+
+
+class FoldingFullInfoPlayer(Folding, ReferenceFullInfoPlayer):
+    pass
+
+
 @contextlib.contextmanager
 def reference_games():
     """Within the block, run_full_info_match, run_bandit_match and

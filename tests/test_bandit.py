@@ -1,5 +1,7 @@
 """Bandit game dynamics: basis, estimator, step-size rule, match driver."""
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from omdkit.games import (
 )
 from omdkit.mirror import SimplexPoint
 
-from helpers import ReferenceBanditSide, assert_same_bits, reference_bandit_guard
+from helpers import FoldingBanditSide, ReferenceBanditSide, assert_same_bits, reference_bandit_guard
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -185,6 +187,40 @@ def test_estimator_guard_trips_on_a_scaled_basis_row():
     assert side.max_error > tol
 
 
+def test_estimator_tol_sums_the_basis_row_by_row():
+    # the column l1 norms are summed one basis row at a time: bit for bit the
+    # sum of the dense |basis|, without its (n - 1) x n temporary
+    delta = 1e-7
+    for n in [*range(2, 130), 150, 199, 200, 457, 699]:
+        basis = tangent_basis(n)
+        col_l1 = float(np.max(np.abs(basis).sum(axis=0)))
+        dense = n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
+        assert repr(_estimator_tol(basis, delta)) == repr(dense), n
+    basis = tangent_basis(400)
+    tracemalloc.start()
+    try:
+        _estimator_tol(basis, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.nbytes / 20
+
+
+def test_basis_indices_drawn_a_block_at_a_time_are_the_single_draws():
+    # one draw of a block's indices gives the indices one draw a round gave,
+    # across blocks and after the constructor's single draw
+    n, T = 9, 2 * _GUARD_BLOCK + 22
+    delta = min(1e-6, 0.5 * simplex_floor_delta(n, T))
+    side = _BanditSide(n, n, T, delta, np.random.default_rng(4))
+    twin = np.random.default_rng(4)
+    w = np.random.default_rng(5).uniform(-1, 1, size=n)
+    drawn = [side.prev_index]
+    for _ in range(T):
+        side.step(w)
+        drawn.append(side.prev_index)
+    assert drawn == [int(twin.integers(n - 1)) for _ in range(T + 1)]
+
+
 def test_floor_delta_matches_the_dense_basis():
     T = 300
     for n in range(2, 301):
@@ -225,8 +261,8 @@ def test_bandit_match_reports_its_estimator_verdict(monkeypatch):
 class _FirstIndex:
     """Stands in for a side's generator: every draw is basis index 0."""
 
-    def integers(self, high):
-        return 0
+    def integers(self, high, size=None):
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
 
 
 def test_estimator_guard_fails_on_a_nan_basis_row():
@@ -343,7 +379,7 @@ class _ReadingSide(_Reads, _BanditSide):
     pass
 
 
-class _ReadingReference(_Reads, ReferenceBanditSide):
+class _ReadingReference(_Reads, FoldingBanditSide):
     pass
 
 
@@ -396,13 +432,16 @@ def test_a_non_finite_estimate_raises_what_the_frozen_step_raised(entry):
 
 
 class _Drawn:
-    """Stands in for a side's generator: draws the given basis indices in turn."""
+    """Stands in for a side's generator: draws the given basis indices in
+    turn, a block of them (fewer once they run out) when asked for `size`."""
 
     def __init__(self, indices):
         self.indices = iter(indices)
 
-    def integers(self, high):
-        return next(self.indices)
+    def integers(self, high, size=None):
+        if size is None:
+            return next(self.indices)
+        return np.array(list(itertools.islice(self.indices, size)), dtype=np.int64)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

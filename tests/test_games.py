@@ -6,22 +6,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omdkit import games
 from omdkit.games import (
     ETA_CAP,
     FullInfoPlayer,
     PayoffMatrix,
     _BanditSide,
     _Learner,
+    _self_play,
     bandit_eta,
     full_info_eta,
     full_info_step,
     run_bandit_match,
     run_full_info_match,
     run_full_info_vs,
+    simplex_floor_delta,
 )
 from omdkit.mirror import SimplexPoint
 
-from helpers import certificate_bits, lp_game_value, reference_games
+from helpers import (
+    FoldingBanditSide,
+    FoldingFullInfoPlayer,
+    ReferenceSideCertificate,
+    assert_same_bits,
+    certificate_bits,
+    lp_game_value,
+    reference_games,
+)
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -486,15 +497,182 @@ def test_opponent_run_is_the_reference_round(case):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.integers(1, 1000), st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1e-8, 1.0, 1e8]))
-def test_row_wise_sum_is_each_rows_own_sum(n, seed, scale):
-    # the certificate sums its three ell_1 distances as the rows of one
-    # (3, n) buffer; each must be the 1-d sum of that row, bit for bit
-    buf = np.empty((3, n))
-    buf[:] = np.abs(np.random.default_rng(seed).standard_normal((3, n))) * scale
+@given(st.integers(1, 1000), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-300, 1e-8, 1.0, 1e8]))
+def test_row_wise_sum_is_each_rows_own_sum(n, rows, seed, scale):
+    # the certificate sums a block's ell_1 distances as the rows of one
+    # (rows, n) buffer; each must be the 1-d sum of that row, bit for bit
+    buf = np.empty((rows, n))
+    buf[:] = np.abs(np.random.default_rng(seed).standard_normal((rows, n))) * scale
     together = np.add.reduce(buf, axis=1)
-    for i in range(3):
+    for i in range(rows):
         assert together[i].tobytes() == np.add.reduce(buf[i]).tobytes()
+
+
+# ---------------------------------------------------------------- block folds
+#
+# A side folds its certificate, its running-sum minima and its play sums a
+# block of rounds at a time (64 rounds, 27 on a side of 300 actions), and
+# the match appends a block's trace rows at once. Each output must keep the
+# bits of the per-round reference above: at a block's last round, at the
+# next block's first, in a partial last block, and after reads that fold
+# mid-block.
+
+
+@pytest.mark.parametrize("mixing", [True, False], ids=["mixing", "unmixed"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (10, 10), (20, 7), (300, 200)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("T", [2, 63, 64, 65, 129, 200])
+def test_block_folded_match_is_the_reference_round(T, shape, mixing):
+    a = np.random.default_rng(shape[0] * 1000 + shape[1]).uniform(-1, 1, size=shape)
+    with reference_games():
+        expected = run_full_info_match(a, T, mixing=mixing)
+    assert _match_bits(run_full_info_match(a, T, mixing=mixing)) == _match_bits(expected)
+
+
+def _certificate_reads(cert):
+    """What a reader sees of a certificate; every read folds the buffered rounds."""
+    return repr((cert.lhs, cert.rhs, cert.holds(), cert.variance, cert.negative)), cert.cum_obs.tobytes()
+
+
+class _ReadsEveryRound:
+    """Mixed into a full-information side: reads its certificate after every round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = []
+
+    def step(self, w):
+        eta = super().step(w)
+        self.reads.append(_certificate_reads(self.certificate))
+        return eta
+
+
+class _ReadingPlayer(_ReadsEveryRound, FullInfoPlayer):
+    pass
+
+
+class _ReadingReference(_ReadsEveryRound, FoldingFullInfoPlayer):
+    pass
+
+
+def _opponent_reads(a, T, strategies):
+    """A direct full_info_step caller and run_full_info_vs against the same
+    strategies, each reading the row certificate after every round (through
+    the module global that the player calls), and what both return."""
+    reads = []
+    step = games.full_info_step
+
+    def reading(player, observation):
+        out = step(player, observation)
+        reads.append(_certificate_reads(player.certificate))
+        return out
+
+    n, m = a.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "full_info_step", reading)
+        player = games.FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m))
+        for x in strategies:
+            games.full_info_step(player, a @ x)
+        run = run_full_info_vs(a, T, lambda t, f_prev: strategies[t - 1])
+    return reads, certificate_bits(player.certificate), certificate_bits(run.certificate), run.f_average.tobytes()
+
+
+@pytest.mark.parametrize("shape, T", [((5, 4), 150), ((300, 3), 70)], ids=["64-round-blocks", "27-round-blocks"])
+def test_reads_after_every_round_are_the_reference(shape, T):
+    # a read folds the rounds still buffered: a match collects those columns
+    # with the rest of the block, and a side stepped without a match drops
+    # each full block's columns; neither moves a bit of any read or result
+    a = np.random.default_rng(7).uniform(-1, 1, size=shape)
+    rng = np.random.default_rng(8)
+    strategies = [rng.dirichlet(np.ones(shape[1])) for _ in range(T)]
+    with reference_games():
+        expected = _opponent_reads(a, T, strategies)
+    got = _opponent_reads(a, T, strategies)
+    assert len(got[0]) == 2 * T
+    assert got == expected
+
+    def match(cls):
+        n, m = shape
+        row = cls(n, T, a @ np.full(m, 1.0 / m))
+        col = cls(m, T, -(np.full(n, 1.0 / n) @ a))
+        return _self_play(a, T, row, col), row, col
+
+    got, row, col = match(_ReadingPlayer)
+    expected, ref_row, ref_col = match(_ReadingReference)
+    assert_same_bits(got, expected)
+    for side, ref in ((row, ref_row), (col, ref_col)):
+        assert len(side.reads) == T and side.reads == ref.reads
+        assert certificate_bits(side.certificate) == certificate_bits(ref.certificate)
+
+
+def test_certificate_updated_by_hand_is_the_reference():
+    # a caller of update owes nothing to a match: a g'_{t-1} that is not the
+    # last g'_t starts a new block, plays may come as lists, and reads land
+    # anywhere in a block
+    n, T = 4, 200
+    rng = np.random.default_rng(12)
+    cert, ref = games.SideCertificate(n, T), ReferenceSideCertificate(n, T)
+    reads = []
+    mixed = rng.dirichlet(np.ones(n))
+    for t in range(1, T + 1):
+        mixed_prev = mixed if rng.random() < 0.9 else rng.dirichlet(np.ones(n))
+        mixed = rng.dirichlet(np.ones(n))
+        play = rng.dirichlet(np.ones(n))
+        args = (play.tolist() if t % 3 == 0 else play, rng.uniform(-1, 1, size=n), rng.uniform(0.01, 0.1),
+                rng.uniform(0.0, 4.0), rng.dirichlet(np.ones(n)), mixed_prev, mixed)
+        cert.update(*args)
+        ref.update(*args)
+        if rng.random() < 0.1:
+            reads.append((_certificate_reads(cert), _certificate_reads(ref)))
+    assert reads and all(got == expected for got, expected in reads)
+    assert certificate_bits(cert) == certificate_bits(ref)
+
+
+def test_negative_term_squares_as_python_does():
+    # Python's x**2 is libm pow, which is not x*x on about 1 in 1200 doubles;
+    # one round whose only nonzero distance is x puts x**2 alone in the sum
+    rng = np.random.default_rng(13)
+    x = next(v for v in rng.uniform(0.0, 3.0, size=100_000).tolist() if v**2 != v * v)
+    zero = np.zeros(2)
+    cert, ref = games.SideCertificate(2, 10), ReferenceSideCertificate(2, 10)
+    for c in (cert, ref):
+        c.update(zero, zero, 1.0, 0.0, zero, zero, np.array([0.0, x]))
+    assert repr(cert.negative) == repr(ref.negative) == repr(x**2)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(2, 300), st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_folded_sides_are_the_frozen_sides(n, m, T, mixing, seed):
+    # both kinds through the one match loop, against the frozen sides behind
+    # the step/fold contract: every trace column, the averages, the gap,
+    # both certificates, and the bandit guard's error and perturbed minimum
+    a = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
+
+    def full_info(cls):
+        row = cls(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
+        col = cls(m, T, -(np.full(n, 1.0 / n) @ a), mixing=mixing)
+        return _self_play(a, T, row, col), row, col
+
+    got, row, col = full_info(FullInfoPlayer)
+    expected, ref_row, ref_col = full_info(FoldingFullInfoPlayer)
+    assert_same_bits(got, expected)
+    for side, ref in ((row, ref_row), (col, ref_col)):
+        assert certificate_bits(side.certificate) == certificate_bits(ref.certificate)
+    if min(n, m) < 2:
+        return  # a bandit side needs two actions
+
+    def bandit(cls):
+        delta = min(1e-6, 0.5 * min(simplex_floor_delta(n, T), simplex_floor_delta(m, T)))
+        row_rng, col_rng = np.random.default_rng(seed).spawn(2)
+        row, col = cls(n, m, T, delta, row_rng), cls(m, n, T, delta, col_rng)
+        return _self_play(a, T, row, col), row, col
+
+    got, row, col = bandit(_BanditSide)
+    expected, ref_row, ref_col = bandit(FoldingBanditSide)
+    assert_same_bits(got, expected)
+    for side, ref in ((row, ref_row), (col, ref_col)):
+        assert repr((side.max_error, side.min_perturbed)) == repr((ref.max_error, ref.min_perturbed))
 
 
 def _player_state(p):

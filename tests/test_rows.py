@@ -59,6 +59,28 @@ def test_append_rejects_a_row_it_cannot_hold_whole():
     assert list(table) == list(_table(2))
 
 
+def test_extend_appends_a_block_of_rows_or_none():
+    table = _table(2)
+    table.extend(range(3, 5), np.array([1.0, 2.0]), [np.float64(-3.0), -4.0])
+    assert list(table) == [*_table(2), Row(3, 1.0, -3.0), Row(4, 2.0, -4.0)]
+    assert type(table[3].t) is int and type(table[3].x) is float
+    before = list(table)
+    with pytest.raises(TypeError, match="3 fields"):
+        table.extend([5], [1.0])
+    with pytest.raises(ValueError, match="one length"):
+        table.extend([5, 6], [1.0, 2.0], [3.0])
+    with pytest.raises(TypeError):
+        table.extend([5.5], [1.0], [1.0])  # a float t would lose its fraction
+    with pytest.raises(TypeError):
+        table.extend([5], [1.0], ["y"])
+    y = table.column("y")
+    with pytest.raises(BufferError):
+        table.extend([5], [1.0], [1.0])  # t and x grow before y refuses
+    del y
+    assert list(table) == before
+    assert len(table.column("t")) == len(table.column("x")) == len(table.column("y")) == 4
+
+
 def test_views_select_and_derive_columns():
     table = _table(3)
     plain = table.rows("x", "t")
