@@ -5,28 +5,28 @@ observation made each round both as the correction for the current round and
 as the prediction for the next one, with a uniform-mixing floor and a
 data-dependent step size. The bandit variant estimates the observation vector
 from four scalar payoffs at perturbed plays along a fixed tangent basis, and
-corrects with one estimate while predicting with the other. Its estimator
-guard checks the enumeration identity for every round and every basis index,
-in blocks of `_GUARD_BLOCK` rounds; the smallest perturbed-play entry, over
-every round and both of its basis rows, is folded in the same blocks.
-Reading a side's `max_error` or `min_perturbed` checks the rounds still
-buffered.
+corrects with one estimate while predicting with the other.
 
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
 
-Each side keeps the one running sum of the loss directions it was handed;
-the match's running gap reads both sides' minima of it, one a round. A
-full-information side's sum is its certificate's `cum_obs`, which the
-certificate's `lhs` reads too; a bandit side keeps its own `loss_sum`.
+Both kinds also keep one block contract, `_RunningRows`. A round does only
+what the next round depends on, the learner's step with its increment and
+step size, and copies its loss direction and its play into a row of a block
+buffer. The rest is folded once per block of rounds, in one pass each: the
+running sum of the loss directions (`cum_obs`) with each round's minimum,
+which the match's running gap reads; the play sum behind the averages; and
+the side's two trace columns, a full-information side's certificate (lhs,
+rhs) or a bandit side's (eta, cap). Each pass makes the adds of one round at
+a time in the same order, so every output has the same bits, and any read
+of a side's sums or certificate folds the rounds it has buffered first. The
+match appends a block's trace rows at once.
 
-A round does only what the next round depends on: both learners' steps,
-with their increments and step sizes. The rest is folded once per block of
-rounds, in one pass each: the certificate, the running sums and their
-per-round minima, the play sums behind the averages, and the trace rows.
-Each pass makes the adds of one round at a time in the same order, so every
-output has the same bits, and any read of a side's sums or certificate
-folds the rounds it has buffered first.
+A bandit side's estimator guard checks the enumeration identity for every
+round and every basis index, and takes the smallest perturbed-play entry
+over every round and both of its basis rows, from the same rows,
+`_GUARD_BLOCK` rounds at a time. Reading a side's `max_error` or
+`min_perturbed` checks the rounds still buffered.
 
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
@@ -165,75 +165,131 @@ def _read_folded(name: str) -> property:
     return property(read)
 
 
-class SideCertificate:
+class _RunningRows:
+    """The block contract of both self-play side kinds.
+
+    A round takes a row (`_row()`) of the (block, n) buffers of loss
+    directions and plays, and of the eta buffer. The buffered rows are
+    folded into the running sums `cum_obs` and `play_sum` as `_add_rows`
+    adds them, with each round's min(cum_obs), and every read of `cum_obs`,
+    `min_obs` or `play_sum` folds them first. A fold also writes each folded
+    round's column of a (3, block) store: its last entry min(cum_obs), and
+    its first two from the kind's `_fill(s, k, columns)`, given rows s..k-1
+    and their columns. A match collects the columns with `fold()` every
+    `block` rounds, or more often; once a block of rounds has gone by since
+    the last `fold()`, the next round drops their columns. The rows stay
+    until the buffer is full, and the next round starts them over
+    (`_restart()`).
+    """
+
+    cum_obs = _read_folded("cum_obs")
+    min_obs = _read_folded("min_obs")
+    play_sum = _read_folded("play_sum")
+
+    def __init__(self, n: int, block: int):
+        self.block = block
+        self._cum_obs = np.zeros(n)
+        self._min_obs = 0.0
+        self._play_sum = np.zeros(n)
+        self._obs = np.empty((block, n))
+        self._play = np.empty((block, n))
+        self._etas = np.full(block, math.nan)  # NaN in a row whose round stopped short
+        self._rows = 0  # rows taken since the buffer started over
+        self._summed = 0  # rows folded into the sums
+        self._columns = np.empty((3, block))
+        self._folded = 0  # folded rounds whose columns no fold() has handed over
+
+    def _row(self) -> int:
+        """The row the coming round takes; the caller sets `_rows` past it
+        once the row is filled."""
+        k = self._rows
+        if self._folded + k - self._summed == self.block:
+            self.fold()  # a block that no match collected: its columns are dropped
+        if k == self.block:
+            self._restart()
+            k = 0
+        return k
+
+    def _restart(self) -> None:
+        """Fold the buffered rows and start the buffer over."""
+        self._fold_sums()
+        self._rows = self._summed = 0
+        self._etas.fill(math.nan)
+
+    def _fold_sums(self) -> None:
+        """Fold the rows not yet folded into the running sums and into their
+        columns. The sums run in a copy: a bandit side's guard reads the
+        rows again."""
+        s, k = self._summed, self._rows
+        if s == k:
+            return
+        self._summed = k
+        start = self._folded
+        self._folded = end = start + k - s
+        columns = self._columns[:, start:end]
+        sums = self._obs[s:k].copy()
+        low = np.minimum.reduce(_add_rows(self._cum_obs, sums), axis=1, out=columns[2])
+        self._min_obs = float(low[-1])
+        sums[:] = self._play[s:k]
+        _add_rows(self._play_sum, sums)
+        self._fill(s, k, columns)
+
+    def fold(self) -> np.ndarray:
+        """Fold the buffered rows and hand over the columns of every round
+        since the last `fold()`: rows of a (3, k) view, which a later fold
+        overwrites."""
+        self._fold_sums()
+        k, self._folded = self._folded, 0
+        return self._columns[:, :k]
+
+
+class SideCertificate(_RunningRows):
     """One player's running per-vertex regret inequality.
 
     The claim is max(lhs_per_vertex) <= rhs, checkable after every round:
     (1/eta_1 + 1/eta_t) log(n T^2) + sum_s ||obs_s - obs_{s-1}||_inf ||g_s - f_s||_1
     - (1/2) sum_s eta_s^-1 (||g'_s - f_s||_1^2 + ||g'_{s-1} - f_s||_1^2) + 1.
 
-    `update` copies a round into block buffers; only the round's play loss
-    f_t . obs_t, a BLAS dot that a batched product would sum in another
-    order, is taken at once. The sums take a block of rounds in one pass
-    each, with the adds of one round at a time in the same order, so they
-    keep their bits, and every read (`cum_obs`, `min_obs`, `play_sum`,
-    `cum_play_loss`, `variance`, `negative`, and so `lhs`, `rhs`, `holds`)
-    folds the buffered rounds first. `cum_obs` is the player's running
-    observation sum, the only one the match keeps for this side; `lhs` and
-    the match's gap read its minimum. A match collects the columns with
-    `fold()` every `block` rounds: 64, or fewer on a wide side, so that a
-    buffer holds at most 8192 doubles.
+    `update` takes a round into the rows; only its play loss f_t . obs_t, a
+    BLAS dot that a batched product would sum in another order, is taken at
+    once. `cum_obs` is the player's running observation sum, the only one
+    the match keeps for this side; `lhs` and the match's gap read its
+    minimum. The columns are each round's (lhs, rhs, min cum_obs), and every
+    read (`cum_play_loss`, `variance`, `negative`, and so `lhs`, `rhs`,
+    `holds`) folds the buffered rounds first. A block is 64 rounds, or fewer
+    on a wide side, so that a buffer holds at most 8192 doubles.
     """
 
-    cum_obs = _read_folded("cum_obs")
-    min_obs = _read_folded("min_obs")
-    play_sum = _read_folded("play_sum")
     cum_play_loss = _read_folded("cum_play_loss")
     variance = _read_folded("variance")
     negative = _read_folded("negative")
 
     def __init__(self, n: int, T: int):
+        super().__init__(n, min(64, max(1, 8192 // n)))
+        b = self.block
         self.r_sq = math.log(n * T * T)
-        self.block = b = min(64, max(1, 8192 // n))
-        self._cum_obs = np.zeros(n)
-        self._min_obs = 0.0
-        self._play_sum = np.zeros(n)
         self._cum_play_loss = 0.0
         self._variance = 0.0
         self._negative = 0.0
         self.eta_first: float | None = None
         self.eta_last: float | None = None
-        # the buffered rounds: obs_t, f_t and g_t a row each, g'_t one row
-        # down from g'_{t-1} of the first buffered round, and eta_t, the
-        # increment and f_t . obs_t
-        self._obs = np.empty((b, n))
-        self._play = np.empty((b, n))
+        # each row's g_t, g'_t one row down from its g'_{t-1}, its increment
+        # and f_t . obs_t
         self._secondary = np.empty((b, n))
         self._mixed = np.empty((b + 1, n))
         self._mixed_last = None  # the array handed in as the last g'_t
-        self._etas = np.empty(b)
         self._increments = np.empty(b)
         self._play_loss = np.empty(b)
-        self._pending = 0
-        # the folded rounds' lhs, rhs and min(cum_obs) that no fold() has
-        # handed over yet
-        self._columns = np.empty((3, b))
-        self._folded = 0
 
     def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
         """Take in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
         g_t, and the mixed iterates g'_{t-1} and g'_t."""
-        k = self._pending
-        if self._folded + k == self.block:
-            # a full block that no match collected: its columns are dropped
-            self.fold()
-            k = 0
-        elif k and mixed_prev is not self._mixed_last:
-            # g'_{t-1} is not the g'_t buffered last: a new block starts here
+        k = self._row()
+        if k == 0 or mixed_prev is not self._mixed_last:
+            # g'_{t-1} is not the g'_t taken last: the rows before it are
+            # folded first, so that its slot is free
             self._fold_sums()
-            k = 0
-        if k == 0:
-            self._mixed[0] = mixed_prev
+            self._mixed[k] = mixed_prev
         self._obs[k] = observation
         self._play[k] = play
         self._secondary[k] = secondary
@@ -242,31 +298,23 @@ class SideCertificate:
         self._etas[k] = eta
         self._increments[k] = increment
         self._play_loss[k] = self._play[k].dot(self._obs[k])
-        self._pending = k + 1
+        self._rows = k + 1
         if self.eta_first is None:
             self.eta_first = eta
         self.eta_last = eta
 
-    def _fold_sums(self) -> None:
-        """Fold the buffered rounds into the running sums, keeping their
-        columns for `fold()`.
+    def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
+        """Fold rows s..k-1 into the certificate's sums and their (lhs, rhs)
+        columns.
 
         A scalar running sum starts from its value in its first buffered
         entry and is accumulated along them in place, as `_add_rows` does for
         a vector one; a row-wise sum is each row's own sum, bit for bit. The
         negative term is summed in Python, whose x**2 is not numpy's.
         """
-        k = self._pending
-        if k == 0:
-            return
-        self._pending = 0
-        start = self._folded
-        self._folded = start + k
-        lhs, rhs, low = self._columns[:, start : start + k]
-        obs, play, dist = self._obs[:k], self._play[:k], self._secondary[:k]
-        np.minimum.reduce(_add_rows(self._cum_obs, obs), axis=1, out=low)
-        self._min_obs = float(low[-1])
-        loss = self._play_loss[:k]
+        lhs, rhs, low = columns
+        play, dist = self._play[s:k], self._secondary[s:k]
+        loss = self._play_loss[s:k]
         loss[0] += self._cum_play_loss
         np.add.accumulate(loss, out=loss)
         self._cum_play_loss = float(loss[-1])
@@ -274,16 +322,16 @@ class SideCertificate:
         # the ell_1 distances to f_t, of g_t, g'_{t-1} and g'_t in turn, each
         # in the secondary buffer
         np.subtract(dist, play, out=dist)
-        variance = np.sqrt(self._increments[:k])
+        variance = np.sqrt(self._increments[s:k])
         variance *= np.add.reduce(np.abs(dist, out=dist), axis=1)
         variance[0] += self._variance
         np.add.accumulate(variance, out=variance)
         self._variance = float(variance[-1])
-        np.subtract(self._mixed[:k], play, out=dist)
+        np.subtract(self._mixed[s:k], play, out=dist)
         l1_mixed_prev = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
-        np.subtract(self._mixed[1 : k + 1], play, out=dist)
+        np.subtract(self._mixed[s + 1 : k + 1], play, out=dist)
         l1_mixed = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
-        etas = self._etas[:k]
+        etas = self._etas[s:k]
         negative = self._negative
         column = []
         for eta, l1, l1_prev in zip(etas.tolist(), l1_mixed, l1_mixed_prev):
@@ -297,15 +345,6 @@ class SideCertificate:
         rhs += variance
         rhs -= np.multiply(column, 0.5)
         rhs += 1.0
-        _add_rows(self._play_sum, play)
-
-    def fold(self) -> np.ndarray:
-        """Fold the buffered rounds and hand over the (lhs, rhs, min cum_obs)
-        columns of every round since the last `fold()`: rows of a (3, k)
-        view, which a later fold overwrites."""
-        self._fold_sums()
-        k, self._folded = self._folded, 0
-        return self._columns[:, :k]
 
     @property
     def lhs_per_vertex(self) -> np.ndarray:
@@ -548,7 +587,6 @@ def run_full_info_vs(
     a = payoff.entries
     n, m = payoff.n, payoff.m
     row = FullInfoPlayer(n, T, a @ np.full(m, 1.0 / m), mixing=mixing)
-    f_sum = np.zeros(n)
     f_prev = None
     for t in range(1, T + 1):
         x = np.asarray(opponent(t, f_prev), dtype=float)
@@ -557,13 +595,12 @@ def run_full_info_vs(
             raise ValueError(f"opponent returned an invalid mixed strategy on round {t}")
         f = row.play.weights
         full_info_step(row, a @ x)
-        f_sum += f
         f_prev = f
     return OpponentRun(
         certificate=row.certificate,
         regret=row.certificate.lhs,
         obs_variation=row.sums[0],
-        f_average=f_sum / T,
+        f_average=row.play_sum / T,
     )
 
 
@@ -583,13 +620,6 @@ def tangent_basis(n: int) -> np.ndarray:
         basis[k - 1, k] = -float(k)
         basis[k - 1] /= math.sqrt(k * (k + 1))
     return basis
-
-
-def bandit_estimate(r_plus: float, r_minus: float, delta: float, direction, n: int) -> np.ndarray:
-    """Finite-difference gradient estimate (n / 2 delta)(r+ - r-) * direction."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return (n / (2.0 * delta)) * (r_plus - r_minus) * np.asarray(direction, dtype=float)
 
 
 def bandit_cap(own_dim: int, opp_dim: int, T: int) -> float:
@@ -651,7 +681,7 @@ def _estimator_tol(basis: np.ndarray, delta: float) -> float:
     return n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
 
 
-class _BanditSide(_Learner):
+class _BanditSide(_Learner, _RunningRows):
     """One side of the bandit dynamics: observes four scalar payoffs a round
     and steps with `bandit_eta`.
 
@@ -659,17 +689,13 @@ class _BanditSide(_Learner):
     zero after that; where a round needs no whole row it works from the
     scalars a_j and b_j.
 
-    A round buffers what the guard reads and what the running sums need
-    (`step`); `loss_sum`, the running sum of the payoff vectors, and
-    `play_sum`, that of the plays, take the buffered rounds a block at a
-    time, in the order one round at a time would add them, and reading
-    either folds the buffered rounds first. A match collects the (eta,
-    cap, min loss_sum) columns with `fold()`, every `block` rounds.
+    Its rows are the payoff vectors w and the plays f, so `cum_obs` is its
+    running payoff sum, and its columns are each round's (eta, cap, min
+    cum_obs): the step discipline is the certificate. The estimator guard
+    checks the same rows, with each round's base payoff and drawn basis
+    index, when the next round needs a full buffer and when `max_error` or
+    `min_perturbed` is read; either read starts the buffer over.
     """
-
-    block = _GUARD_BLOCK
-    loss_sum = _read_folded("loss_sum")
-    play_sum = _read_folded("play_sum")
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
         # the step rule's constants, read by _eta(), so set before the
@@ -677,7 +703,8 @@ class _BanditSide(_Learner):
         self.opp = opp_dim
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self._root_log = math.sqrt(math.log(own_dim * T))
-        super().__init__(own_dim, T, 1.0 / (T * T))
+        _Learner.__init__(self, own_dim, T, 1.0 / (T * T))
+        _RunningRows.__init__(self, own_dim, _GUARD_BLOCK)
         self.delta = delta
         self._scale = own_dim / (2.0 * delta)  # the estimate's n / (2 delta)
         self.basis = basis = tangent_basis(own_dim)
@@ -692,21 +719,10 @@ class _BanditSide(_Learner):
         self._drawn = 0
         # the last estimate est_bar, as a multiple of basis row prev_index
         self._c_last = 0.0
-        self._loss_sum = np.zeros(own_dim)
-        self._play_sum = np.zeros(own_dim)
-        # the rounds the guard has yet to check: payoff vectors, base payoffs
-        # f @ w and plays f, one row each, and the drawn basis indices, the
-        # one drawn before the block first; the first `_summed` of them are
-        # in the running sums
-        self._pending_w = np.empty((_GUARD_BLOCK, own_dim))
-        self._pending_base = np.empty((_GUARD_BLOCK, 1))
-        self._pending_f = np.empty((_GUARD_BLOCK, own_dim))
-        self._pending_index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
-        self._pending = 0
-        self._summed = 0
-        # the eta and min(loss_sum) columns that no fold() has handed over yet
-        self._etas: list[float] = []
-        self._lows: list[float] = []
+        # each row's base payoff f @ w, and the basis indices row k used at
+        # k and k + 1
+        self._base = np.empty((_GUARD_BLOCK, 1))
+        self._index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
         self._max_error = 0.0  # largest enumeration error of the checked rounds
         self._min_perturbed = math.inf  # smallest perturbed-play entry of the checked rounds
 
@@ -718,16 +734,11 @@ class _BanditSide(_Learner):
 
         Observes four scalars at plays perturbed along the previous and the
         freshly drawn basis directions, forms the two estimates, and updates.
-        Returns eta_t; its trace entries are (eta_t, cap): the step
-        discipline is the certificate.
-        The round's payoff vector, base payoff, play and drawn index join the
-        buffer that the estimator guard and the perturbed-play minimum check
-        every `_GUARD_BLOCK` rounds, before the learner steps, so a round
-        whose step rule raises is checked too; `max_error` and
-        `min_perturbed` check what is left first.
+        Returns eta_t.
+        The round's row is filled before the learner steps, so a round whose
+        step rule raises is checked too; its eta column reads NaN.
         """
-        if len(self._etas) == _GUARD_BLOCK:
-            self.fold()  # a full block that no match collected: dropped
+        k = self._row()
         f = self.play.weights
         # ndarray.dot is the same BLAS dot as @ on two vectors, called faster
         base = float(f.dot(payoff_vector))
@@ -738,16 +749,12 @@ class _BanditSide(_Learner):
             d = 0
         new_index = self._draws[d]
         self._drawn = d + 1
-        i = self._pending
-        self._pending_w[i] = payoff_vector
-        self._pending_base[i, 0] = base
-        self._pending_f[i] = f
-        if i == 0:
-            self._pending_index[0] = j
-        self._pending_index[i + 1] = new_index
-        self._pending = i + 1
-        if i + 1 == _GUARD_BLOCK:
-            self._check_pending()
+        self._obs[k] = payoff_vector
+        self._play[k] = f
+        self._base[k, 0] = base
+        self._index[k] = j
+        self._index[k + 1] = new_index
+        self._rows = k + 1
 
         u_prev = self.basis[j]
         u_new = self.basis[new_index]
@@ -755,7 +762,7 @@ class _BanditSide(_Learner):
         # the base exactly, which the estimate's 1/delta amplification needs
         d_prev = self.delta * float(u_prev.dot(payoff_vector))
         d_new = self.delta * float(u_new.dot(payoff_vector))
-        # bandit_estimate's estimates are these multiples of their rows
+        # the estimates (n / 2 delta)(r+ - r-) u are these multiples of their rows
         c_hat = self._scale * ((base + d_prev) - (base - d_prev))
         c_bar = self._scale * ((base + d_new) - (base - d_new))
         # the last est_bar lies along row j as well, so |est_hat - est_bar|
@@ -767,34 +774,18 @@ class _BanditSide(_Learner):
         self._advance(increment, c_hat * u_prev, c_bar * u_new)
         self.prev_index = new_index
         self._c_last = c_bar
-        self._etas.append(self.eta)
+        self._etas[k] = self.eta
         return self.eta
 
-    def _fold_sums(self) -> None:
-        """Fold the buffered rounds not yet summed into `loss_sum` and
-        `play_sum`, keeping each round's min(loss_sum) for `fold()`."""
-        s, k = self._summed, self._pending
-        if s == k:
-            return
-        self._summed = k
-        rows = self._pending_w[s:k].copy()
-        self._lows += np.minimum.reduce(_add_rows(self._loss_sum, rows), axis=1).tolist()
-        rows[:] = self._pending_f[s:k]
-        _add_rows(self._play_sum, rows)
-
-    def fold(self) -> tuple[list, list, list]:
-        """Hand over the (eta, cap, min loss_sum) columns of every round since
-        the last `fold()`."""
-        self._fold_sums()
-        etas, lows = self._etas, self._lows
-        self._etas, self._lows = [], []
-        return etas, [self.cap] * len(etas), lows
+    def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
+        columns[0] = self._etas[s:k]
+        columns[1] = self.cap
 
     @property
     def max_error(self) -> float:
         """Largest estimator enumeration error over every round stepped so far
         (NaN once any round's error was NaN)."""
-        self._check_pending()
+        self._restart()
         return self._max_error
 
     @property
@@ -802,12 +793,12 @@ class _BanditSide(_Learner):
         """Smallest entry of any perturbed play f - delta |u| over every round
         stepped so far, both of each round's basis rows (NaN once any was
         NaN; inf before the first round)."""
-        self._check_pending()
+        self._restart()
         return self._min_perturbed
 
-    def _check_pending(self) -> None:
-        """Check every buffered round at once: the enumeration identity and
-        the perturbed plays.
+    def _restart(self) -> None:
+        """Check every buffered round at once, the enumeration identity and
+        the perturbed plays, once the rows are folded; then start over.
 
         Averaging the estimate over every basis index must reproduce
         (n/(n-1)) * the tangent projection of the payoff vector. Each row
@@ -827,14 +818,13 @@ class _BanditSide(_Learner):
         min(f_0..f_j) - delta |a_j|, f_(j+1) - delta |b_j| and
         min(f_(j+2)..).
         """
-        k = self._pending
+        k = self._rows
         if k == 0:
             return
-        self._fold_sums()  # before the guard rewrites the payoff vectors
-        self._pending = self._summed = 0
+        super()._restart()  # before the guard rewrites the payoff vectors
         n = self.n
-        w = self._pending_w[:k]
-        b = self._pending_base[:k]
+        w = self._obs[:k]
+        b = self._base[:k]
         # the formula (n / 2 delta)((b + d) - (b - d)) @ basis with
         # d = delta (w @ basis.T), each step in place where it can be: the
         # same bits in fewer arrays
@@ -857,11 +847,11 @@ class _BanditSide(_Learner):
         self._max_error = float(np.maximum(self._max_error, err))
 
         # w and ests are free now: they take the plays' prefix and suffix minima
-        f = self._pending_f[:k]
+        f = self._play[:k]
         prefix, suffix = w, ests
         np.minimum.accumulate(f, axis=1, out=prefix)
         np.minimum.accumulate(f[:, ::-1], axis=1, out=suffix[:, ::-1])
-        drawn = self._pending_index[: k + 1]
+        drawn = self._index[: k + 1]
         rows = np.stack((drawn[:-1], drawn[1:]))  # each round's two rows j
         at = np.arange(k)
         low = np.minimum(prefix[at, rows] - self._delta_a[rows], f[at, rows + 1] - self._delta_b[rows])

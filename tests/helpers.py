@@ -212,8 +212,17 @@ def reference_bandit_guard(basis, delta, w, base):
 # games._BanditSide as it stepped before its perturbed-play minimum joined
 # the guard's blocks and its increment came from two scalars: the increment
 # from the whole estimate vector and the last one, the minimum f - delta |u|
-# taken every round, and every estimate and step size through the public
-# bandit_estimate and bandit_eta. Its guard is the blocked one.
+# taken every round, every estimate through bandit_estimate (once the
+# library's; the side inlines it now) and every step size through the
+# public bandit_eta. Its guard is the blocked one. Its step also adds the
+# play to `play_sum`, as the match loop once did.
+
+def bandit_estimate(r_plus: float, r_minus: float, delta: float, direction, n: int) -> np.ndarray:
+    """Finite-difference gradient estimate (n / 2 delta)(r+ - r-) * direction."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    return (n / (2.0 * delta)) * (r_plus - r_minus) * np.asarray(direction, dtype=float)
+
 
 class ReferenceBanditSide(_Learner):
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
@@ -225,6 +234,7 @@ class ReferenceBanditSide(_Learner):
         self.prev_index = int(rng.integers(own_dim - 1))
         self.last_bar = np.zeros(own_dim)
         self.loss_sum = np.zeros(own_dim)
+        self.play_sum = np.zeros(own_dim)
         self.cap = games.bandit_cap(own_dim, opp_dim, T)
         self.min_perturbed = math.inf
         self._pending_w = np.empty((games._GUARD_BLOCK, own_dim))
@@ -248,14 +258,15 @@ class ReferenceBanditSide(_Learner):
             float(np.minimum.reduce(f - self.delta * np.abs(u_prev))),
             float(np.minimum.reduce(f - self.delta * np.abs(u_new))),
         )
-        est_hat = games.bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
-        est_bar = games.bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
+        est_hat = bandit_estimate(base + d_prev, base - d_prev, self.delta, u_prev, self.n)
+        est_bar = bandit_estimate(base + d_new, base - d_new, self.delta, u_new, self.n)
         increment = float(np.maximum.reduce(np.abs(est_hat - self.last_bar))) ** 2
         self._advance(increment, est_hat, est_bar)
         self.prev_index = new_index
         self.last_bar = est_bar
         loss_sum = self.loss_sum
         loss_sum += payoff_vector
+        self.play_sum += f
         i = self._pending
         self._pending_w[i] = payoff_vector
         self._pending_base[i, 0] = base
@@ -620,10 +631,12 @@ def reference_builtin_oracles():
 # fA_sum and Ax_sum, full_info_step scans every observation for non-finite
 # entries, and SideCertificate takes min(cum_obs) on each lhs read and each
 # ell_1 distance in its own reduction. Tests require the library to match it
-# bit for bit. The only code change is in reference_self_play, which drops
+# bit for bit. The only code changes are in reference_self_play, which drops
 # the fourth value a side's step now returns (the smallest entry of the
-# side's running loss sum). `reference_games()` puts these in the games
-# module's place, so the library's match drivers run the old round.
+# side's running loss sum), and in reference_full_info_step, which adds the
+# play to the player's `play_sum` as the match loops once did.
+# `reference_games()` puts these in the games module's place, so the
+# library's match functions run the old round.
 
 class ReferenceSideCertificate:
     def __init__(self, n: int, T: int):
@@ -679,6 +692,7 @@ class ReferenceFullInfoPlayer(_Learner):
         if self.last_observation.shape != (n,):
             raise ValueError("initial observation has the wrong dimension")
         self.certificate = ReferenceSideCertificate(n, T)
+        self.play_sum = np.zeros(n)
 
     def _eta(self) -> float:
         return full_info_eta(self.sums, self.n, self.T)
@@ -704,6 +718,7 @@ def reference_full_info_step(player, observation):
         played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
     )
     player.last_observation = obs
+    player.play_sum += played
     return player.play, player
 
 
@@ -741,22 +756,19 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 # entry of the side's running sum of w, and takes the averages from
 # play_sum. `Folding` puts a frozen side above behind that contract without
 # changing its round: it keeps what the frozen step returned, a round at a
-# time, and adds each play to a running sum as the old match loop did.
+# time.
 
 class Folding:
     block = games._GUARD_BLOCK
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.play_sum = np.zeros(self.n)
         self._columns = []
 
     def step(self, w):
-        f = self.play.weights
         eta, lhs, rhs, *low = super().step(w)
         if not low:  # the frozen full-information step returns no minimum
             low = [float(np.minimum.reduce(self.certificate.cum_obs))]
-        self.play_sum += f
         self._columns.append((lhs, rhs, low[0]))
         return eta
 

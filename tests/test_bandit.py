@@ -15,7 +15,6 @@ from omdkit.games import (
     _estimator_tol,
     _self_play,
     bandit_cap,
-    bandit_estimate,
     bandit_eta,
     run_bandit_match,
     simplex_floor_delta,
@@ -23,7 +22,13 @@ from omdkit.games import (
 )
 from omdkit.mirror import SimplexPoint
 
-from helpers import FoldingBanditSide, ReferenceBanditSide, assert_same_bits, reference_bandit_guard
+from helpers import (
+    FoldingBanditSide,
+    ReferenceBanditSide,
+    assert_same_bits,
+    bandit_estimate,
+    reference_bandit_guard,
+)
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -358,8 +363,9 @@ def test_blocked_guard_checks_every_round(p):
 
 
 class _Reads:
-    """Mixed into a side: after round `read_at` it reads its `min_perturbed`
-    and `max_error`, keeping them in `at_read`."""
+    """Mixed into a side: after round `read_at` it reads its running sums of
+    payoff vectors and of plays, then its `min_perturbed` and `max_error`,
+    keeping them in `at_read`."""
 
     def __init__(self, *args, read_at=None):
         super().__init__(*args)
@@ -371,7 +377,8 @@ class _Reads:
         out = super().step(w)
         self.rounds += 1
         if self.rounds == self.read_at:
-            self.at_read = (self.min_perturbed, self.max_error)
+            sums = self.cum_obs.tobytes(), self.play_sum.tobytes()
+            self.at_read = (sums, self.min_perturbed, self.max_error)
         return out
 
 
@@ -380,7 +387,9 @@ class _ReadingSide(_Reads, _BanditSide):
 
 
 class _ReadingReference(_Reads, FoldingBanditSide):
-    pass
+    @property
+    def cum_obs(self):
+        return self.loss_sum  # the frozen side's name for its running payoff sum
 
 
 def _assert_the_frozen_step(a, T, seed, read_at):
@@ -486,6 +495,9 @@ def test_a_nan_perturbed_play_sticks():
         side.step(w)
     assert math.isnan(side.min_perturbed)
     side.sums, side.h_last, side._eta_next, side.play = learner
+    side.step(w)
+    # the round that stopped short hands over a NaN eta, not a stale entry
+    assert np.isnan(side.fold()[0]).tolist() == [False, False, False, True, False]
     for _ in range(2 * _GUARD_BLOCK + 5):
         side.step(w)
     assert math.isnan(side.min_perturbed)

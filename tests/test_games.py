@@ -607,23 +607,25 @@ def test_reads_after_every_round_are_the_reference(shape, T):
 
 
 def test_certificate_updated_by_hand_is_the_reference():
-    # a caller of update owes nothing to a match: a g'_{t-1} that is not the
-    # last g'_t starts a new block, plays may come as lists, and reads land
-    # anywhere in a block
+    # a caller of update owes nothing to a match: a g'_{t-1} may be other
+    # than the last g'_t, plays may come as lists, and reads land anywhere
+    # in a block; round 10 always reads and round 11 always hands in a
+    # fresh g'_{t-1}, so the rows a read folded are followed by that fresh
+    # one in the same 64-round block, before the block wraps at round 65
     n, T = 4, 200
     rng = np.random.default_rng(12)
     cert, ref = games.SideCertificate(n, T), ReferenceSideCertificate(n, T)
     reads = []
     mixed = rng.dirichlet(np.ones(n))
     for t in range(1, T + 1):
-        mixed_prev = mixed if rng.random() < 0.9 else rng.dirichlet(np.ones(n))
+        mixed_prev = mixed if rng.random() < 0.9 and t != 11 else rng.dirichlet(np.ones(n))
         mixed = rng.dirichlet(np.ones(n))
         play = rng.dirichlet(np.ones(n))
         args = (play.tolist() if t % 3 == 0 else play, rng.uniform(-1, 1, size=n), rng.uniform(0.01, 0.1),
                 rng.uniform(0.0, 4.0), rng.dirichlet(np.ones(n)), mixed_prev, mixed)
         cert.update(*args)
         ref.update(*args)
-        if rng.random() < 0.1:
+        if rng.random() < 0.1 or t == 10:
             reads.append((_certificate_reads(cert), _certificate_reads(ref)))
     assert reads and all(got == expected for got, expected in reads)
     assert certificate_bits(cert) == certificate_bits(ref)
