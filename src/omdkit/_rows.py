@@ -1,4 +1,10 @@
-"""Per-round solver traces kept column by column: 8 bytes a value, no row objects."""
+"""Per-round solver traces kept column by column: 8 bytes a value, no row objects.
+
+Also the pieces of the block contract that the solvers share: a block's
+size, its running vector sums and its row dot products, each with the bits
+of the one-round-at-a-time code it replaces, and the fold-before-read
+attribute.
+"""
 from __future__ import annotations
 
 from array import array
@@ -7,6 +13,40 @@ from dataclasses import fields
 from itertools import repeat
 
 import numpy as np
+
+
+def _block_rows(width: int) -> int:
+    """Rows in a block of `width`-wide rows: 64, or fewer on wide rows, so
+    that a (block, width) buffer holds at most 8192 doubles."""
+    return min(64, max(1, 8192 // max(width, 1)))
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Add the rows of a 2-d array to the running sum `total` as `total +=
+    row` would, one row after the other: `rows` becomes, in place, the
+    running sum after each row, and is returned."""
+    rows[0] += total
+    np.add.accumulate(rows, axis=0, out=rows)
+    total[:] = rows[-1]
+    return rows
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) for each row of two C-contiguous (k, n) arrays, as a
+    fresh (k,) array. The stacked (1, n) @ (n, 1) product makes, row by row,
+    the same BLAS dot call as `ndarray.dot`, so each entry has its bits."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(len(a))
+
+
+def _read_folded(name: str) -> property:
+    """A read-only attribute, kept as `_<name>`, that folds the buffered
+    rounds (`_fold_sums()`) before it is read."""
+
+    def read(self):
+        self._fold_sums()
+        return getattr(self, "_" + name)
+
+    return property(read)
 
 
 class Rows(Sequence):

@@ -20,7 +20,9 @@ the side's two trace columns, a full-information side's certificate (lhs,
 rhs) or a bandit side's (eta, cap). Each pass makes the adds of one round at
 a time in the same order, so every output has the same bits, and any read
 of a side's sums or certificate folds the rounds it has buffered first. The
-match appends a block's trace rows at once.
+match appends a block's trace rows at once. The block's size, its running
+vector sums and its row dots come from `_rows` (`_block_rows`, `_add_rows`,
+`_row_dots`), which the offline and saddle loops fold with too.
 
 A bandit side's estimator guard checks the enumeration identity for every
 round and every basis index, and takes the smallest perturbed-play entry
@@ -39,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import RowTable
+from ._rows import RowTable, _add_rows, _block_rows, _read_folded, _row_dots
 from .mirror import SimplexPoint
 from .saddle import _payoff_matrix, bilinear_gap
 
@@ -144,27 +146,6 @@ class _Learner:
         return g_t
 
 
-def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Add the rows of a 2-d array to the running sum `total` as `total +=
-    row` would, one row after the other: `rows` becomes, in place, the
-    running sum after each row, and is returned."""
-    rows[0] += total
-    np.add.accumulate(rows, axis=0, out=rows)
-    total[:] = rows[-1]
-    return rows
-
-
-def _read_folded(name: str) -> property:
-    """A read-only attribute, kept as `_<name>`, that folds the buffered
-    rounds (`_fold_sums()`) before it is read."""
-
-    def read(self):
-        self._fold_sums()
-        return getattr(self, "_" + name)
-
-    return property(read)
-
-
 class _RunningRows:
     """The block contract of both self-play side kinds.
 
@@ -250,14 +231,14 @@ class SideCertificate(_RunningRows):
     (1/eta_1 + 1/eta_t) log(n T^2) + sum_s ||obs_s - obs_{s-1}||_inf ||g_s - f_s||_1
     - (1/2) sum_s eta_s^-1 (||g'_s - f_s||_1^2 + ||g'_{s-1} - f_s||_1^2) + 1.
 
-    `update` takes a round into the rows; only its play loss f_t . obs_t, a
-    BLAS dot that a batched product would sum in another order, is taken at
-    once. `cum_obs` is the player's running observation sum, the only one
-    the match keeps for this side; `lhs` and the match's gap read its
-    minimum. The columns are each round's (lhs, rhs, min cum_obs), and every
-    read (`cum_play_loss`, `variance`, `negative`, and so `lhs`, `rhs`,
-    `holds`) folds the buffered rounds first. A block is 64 rounds, or fewer
-    on a wide side, so that a buffer holds at most 8192 doubles.
+    `update` takes a round into the rows; its play loss f_t . obs_t is
+    folded with the rest, one BLAS dot a row (`_row_dots`). `cum_obs` is the
+    player's running observation sum, the only one the match keeps for this
+    side; `lhs` and the match's gap read its minimum. The columns are each
+    round's (lhs, rhs, min cum_obs), and every read (`cum_play_loss`,
+    `variance`, `negative`, and so `lhs`, `rhs`, `holds`) folds the buffered
+    rounds first. A block is 64 rounds, or fewer on a wide side, so that a
+    buffer holds at most 8192 doubles.
     """
 
     cum_play_loss = _read_folded("cum_play_loss")
@@ -265,7 +246,7 @@ class SideCertificate(_RunningRows):
     negative = _read_folded("negative")
 
     def __init__(self, n: int, T: int):
-        super().__init__(n, min(64, max(1, 8192 // n)))
+        super().__init__(n, _block_rows(n))
         b = self.block
         self.r_sq = math.log(n * T * T)
         self._cum_play_loss = 0.0
@@ -273,13 +254,12 @@ class SideCertificate(_RunningRows):
         self._negative = 0.0
         self.eta_first: float | None = None
         self.eta_last: float | None = None
-        # each row's g_t, g'_t one row down from its g'_{t-1}, its increment
-        # and f_t . obs_t
+        # each row's g_t, g'_t one row down from its g'_{t-1}, and its
+        # increment
         self._secondary = np.empty((b, n))
         self._mixed = np.empty((b + 1, n))
         self._mixed_last = None  # the array handed in as the last g'_t
         self._increments = np.empty(b)
-        self._play_loss = np.empty(b)
 
     def update(self, play, observation, eta, increment, secondary, mixed_prev, mixed) -> None:
         """Take in one round: f_t, obs_t, eta_t, ||obs_t - obs_{t-1}||_inf^2,
@@ -297,7 +277,6 @@ class SideCertificate(_RunningRows):
         self._mixed_last = mixed
         self._etas[k] = eta
         self._increments[k] = increment
-        self._play_loss[k] = self._play[k].dot(self._obs[k])
         self._rows = k + 1
         if self.eta_first is None:
             self.eta_first = eta
@@ -314,7 +293,7 @@ class SideCertificate(_RunningRows):
         """
         lhs, rhs, low = columns
         play, dist = self._play[s:k], self._secondary[s:k]
-        loss = self._play_loss[s:k]
+        loss = _row_dots(play, self._obs[s:k])
         loss[0] += self._cum_play_loss
         np.add.accumulate(loss, out=loss)
         self._cum_play_loss = float(loss[-1])

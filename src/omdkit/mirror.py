@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import _project_ball_own, project_ball, project_simplex
+from ._rows import _block_rows, _read_folded, _row_dots
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -164,6 +165,20 @@ def _l2(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+# the same norms, row by row, of a C-contiguous (k, n) array that they may
+# overwrite: each entry has the bits of its row's own norm above
+def _rows_l1(d: np.ndarray) -> np.ndarray:
+    return np.add.reduce(np.abs(d, out=d), axis=1)
+
+
+def _rows_linf(d: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(np.abs(d, out=d), axis=1)
+
+
+def _rows_l2(d: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dots(d, d))
+
+
 @dataclass(frozen=True)
 class MirrorMap:
     """Mirror map: `kind` is "entropy" or "euclidean", over a feasible set.
@@ -201,16 +216,19 @@ class MirrorMap:
         return self.feasible.dim
 
     @property
-    def norm_pair(self):
-        """(norm, dual norm) of a 1-d float array, resolved once for a loop:
-        ell_1 / ell_inf for entropy, ell_2 / ell_2 for euclidean."""
-        return (_l1, _linf) if self.kind == ENTROPY else (_l2, _l2)
+    def row_norm_pair(self):
+        """(norm, dual norm) of each row, resolved once for a loop: each takes
+        a C-contiguous (k, n) array, which it may overwrite, to the (k,)
+        array of its rows' `norm`s or `dual_norm`s, bit for bit."""
+        return (_rows_l1, _rows_linf) if self.kind == ENTROPY else (_rows_l2, _rows_l2)
 
     def norm(self, v) -> float:
-        return self.norm_pair[0](np.asarray(v, dtype=float))
+        """ell_1 for entropy, ell_2 for euclidean."""
+        return (_l1 if self.kind == ENTROPY else _l2)(np.asarray(v, dtype=float))
 
     def dual_norm(self, v) -> float:
-        return self.norm_pair[1](np.asarray(v, dtype=float))
+        """ell_inf for entropy, ell_2 for euclidean."""
+        return (_linf if self.kind == ENTROPY else _l2)(np.asarray(v, dtype=float))
 
     def divergence_minimizer(self):
         """argmin of the mirror map over the feasible set (the canonical start g_0)."""
@@ -438,11 +456,22 @@ class RegretCertificate:
     variance   = sum_t ||gradient_t - prediction_t||_* ||g_t - f_t||
     negative   = sum_t (||g_t - f_t||^2 + ||g_{t-1} - f_t||^2) / (2 eta)
 
-    g_0 is the divergence minimizer of the map. Each `update` folds one round
-    of the trajectory into the sums, so the inequality can be checked after
-    every round; it holds for every comparator in the feasible set, for any
-    positive fixed eta.
+    g_0 is the divergence minimizer of the map. The inequality holds for
+    every comparator in the feasible set, for any positive fixed eta.
+
+    `update` only copies a round into a row of (block, n) buffers: 64 rows,
+    or fewer on a map wider than 128. The rows are folded into the sums once
+    per block, with the bits of one round at a time, and every read of
+    `lhs`, `variance_term`, `negative_term`, `rhs` or `holds()` folds the
+    buffered rows first, so a read after any `update` has the same bits.
+    `fold()` hands over each round's (lhs, rhs) since the last `fold()`;
+    once a block of rounds has gone by without one, the next `update` drops
+    their columns.
     """
+
+    lhs = _read_folded("lhs")
+    variance_term = _read_folded("variance")
+    negative_term = _read_folded("negative")
 
     def __init__(self, mirror_map: MirrorMap, eta: float, comparator):
         # written so that NaN fails the check too
@@ -452,40 +481,86 @@ class RegretCertificate:
         self.eta = eta
         self.comparator = point_weights(comparator)
         g0 = mirror_map.divergence_minimizer()
-        self._g_prev = point_weights(g0)
-        self.lhs = 0.0
         self.divergence_term = bregman(mirror_map, self.comparator, g0) / eta
-        self.variance_term = 0.0
-        self.negative_term = 0.0
+        self._lhs = self._variance = self._negative = 0.0
         self._two_eta = 2.0 * eta
-        # rows: g_t - f_t, gradient - prediction, g_{t-1} - f_t, f_t - comparator
-        diff = np.empty((4, mirror_map.dim))
-        self._diff_rows = tuple(diff)
-        self._dist = diff[:3]
-        self._entropy = mirror_map.kind == ENTROPY
+        self._norms = mirror_map.row_norm_pair
+        n = mirror_map.dim
+        self.block = b = _block_rows(n)
+        self._played = np.empty((b, n))
+        self._gradient = np.empty((b, n))
+        self._prediction = np.empty((b, n))
+        # each row's g_t one row down from its g_{t-1}
+        self._secondary = np.empty((b + 1, n))
+        self._secondary[0] = point_weights(g0)
+        self._columns = np.empty((2, b))
+        self._rows = 0  # rows taken since the buffer started over
+        self._summed = 0  # rows folded into the sums
 
     def update(self, log: RoundLog) -> None:
-        """Fold in one round; its distances are the map's norms, bit for bit."""
-        f, g, grad = log.played, log.secondary, log.gradient
-        d_secondary, d_gradient, d_prev, d_comparator = self._diff_rows
-        np.subtract(f, self.comparator, out=d_comparator)
-        self.lhs += float(d_comparator @ grad)
-        np.subtract(g, f, out=d_secondary)
-        np.subtract(grad, log.prediction, out=d_gradient)
-        np.subtract(self._g_prev, f, out=d_prev)
-        if self._entropy:
-            # ell_1 / ell_inf: a row-wise sum is each row's own sum, bit for bit
-            d = self._dist
-            np.abs(d, out=d)
-            g_dist, _, prev_dist = np.add.reduce(d, axis=1).tolist()
-            dual = float(np.maximum.reduce(d_gradient))
-        else:
-            g_dist = math.sqrt(float(d_secondary.dot(d_secondary)))
-            dual = math.sqrt(float(d_gradient.dot(d_gradient)))
-            prev_dist = math.sqrt(float(d_prev.dot(d_prev)))
-        self.variance_term += dual * g_dist
-        self.negative_term += (g_dist**2 + prev_dist**2) / self._two_eta
-        self._g_prev = g
+        """Take one round into the rows."""
+        k = self._rows
+        if k == self.block:
+            self._restart()
+            k = 0
+        self._played[k] = log.played
+        self._secondary[k + 1] = log.secondary
+        self._gradient[k] = log.gradient
+        self._prediction[k] = log.prediction
+        self._rows = k + 1
+
+    def _restart(self) -> None:
+        """Fold the buffered rows and start the buffer over after them."""
+        self._fold_sums()
+        k = self._rows
+        self._secondary[0] = self._secondary[k]
+        self._rows = self._summed = 0
+
+    def _fold_sums(self) -> None:
+        """Fold the rows not yet folded into the sums and into their columns.
+
+        Each row's dot (`_row_dots`) and norms (`row_norm_pair`) have the
+        bits of its own. A running sum starts from its value in its first
+        row's entry and is accumulated along them in place. The negative
+        term is summed in Python, whose x**2 is not numpy's.
+        """
+        s, k = self._summed, self._rows
+        if s == k:
+            return
+        self._summed = k
+        lhs, rhs = self._columns[:, s:k]
+        norm, dual = self._norms
+        played = self._played[s:k]
+        d = np.subtract(played, self.comparator)
+        dots = _row_dots(d, self._gradient[s:k])
+        dots[0] += self._lhs
+        np.add.accumulate(dots, out=lhs)
+        self._lhs = float(lhs[-1])
+        np.subtract(self._secondary[s + 1 : k + 1], played, out=d)
+        g_dist = norm(d)
+        np.subtract(self._gradient[s:k], self._prediction[s:k], out=d)
+        variance = dual(d)
+        variance *= g_dist
+        variance[0] += self._variance
+        np.add.accumulate(variance, out=variance)
+        self._variance = float(variance[-1])
+        np.subtract(self._secondary[s:k], played, out=d)
+        negative, two_eta = self._negative, self._two_eta
+        column = []
+        for g, prev in zip(g_dist.tolist(), norm(d).tolist()):
+            negative += (g**2 + prev**2) / two_eta
+            column.append(negative)
+        self._negative = negative
+        # divergence + variance - negative, op by op
+        np.subtract(self.divergence_term + variance, column, out=rhs)
+
+    def fold(self) -> np.ndarray:
+        """Fold the buffered rows and hand over the (lhs, rhs) columns of
+        every round since the last `fold()`: rows of a (2, k) view, which a
+        later fold, a read included, overwrites. The rows start over."""
+        k = self._rows
+        self._restart()
+        return self._columns[:, :k]
 
     @property
     def rhs(self) -> float:
@@ -493,4 +568,3 @@ class RegretCertificate:
 
     def holds(self, tol: float = 1e-9) -> bool:
         return self.lhs <= self.rhs + tol
-

@@ -5,7 +5,10 @@ iterate) and the Holder-smooth interpolation with the exponent-dependent step
 size, which degrades gracefully toward the bounded-gradient-variation regime.
 
 `trajectory` is the round itself, two prox steps; both solvers fold its logs
-through RegretCertificate and keep no squared-gap history.
+through RegretCertificate and keep no squared-gap history. The rows are
+folded once per block of the certificate's rounds: its (lhs, rhs) columns
+(`RegretCertificate.fold`), the plays' running sums (`_add_rows`), and the
+value of each running sum / t, with the bits of one round at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._rows import RowTable
+from ._rows import RowTable, _add_rows
 from . import mirror
 from .mirror import MirrorMap, RegretCertificate, RoundLog, point_weights
 
@@ -128,16 +131,25 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
     m = problem.mirror_map
     comparator = m.divergence_minimizer() if problem.minimizer is None else problem.minimizer
     cert = RegretCertificate(m, eta, comparator)
-    update = cert.update
+    update, block = cert.update, cert.block
     value_of = problem.value
     total = np.zeros(m.dim)
+    plays = np.empty((block, m.dim))
     rows = RowTable(OfflineRound)
-    append = rows.append
+    k = 0
     for t, log in enumerate(trajectory(problem, T, eta), start=1):
-        total += log.played
         update(log)
-        value = math.nan if value_of is None else value_of(total / t)
-        append(t, value, cert.lhs, cert.rhs)
+        plays[k] = log.played
+        k += 1
+        if k == block or t == T:
+            ts = range(t - k + 1, t + 1)
+            sums = _add_rows(total, plays[:k])
+            if value_of is None:
+                values = [math.nan] * k
+            else:
+                values = [value_of(row / i) for row, i in zip(sums, ts)]
+            rows.extend(ts, values, *cert.fold())
+            k = 0
     return OfflineResult(average=total / T, rounds=rows, eta=eta)
 
 

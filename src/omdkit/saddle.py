@@ -8,6 +8,12 @@ saddle point at a rate set by the worst smoothness exponent.
 `coupled_rounds` is that round, written once: `saddle_solve` folds its
 certificate from it, and `convexprog.solve_cp` plays the same round on the
 Lagrangian of a convex program.
+
+`saddle_solve` copies each round's plays and the differences its bound
+reads into rows of block buffers, and folds them once per block of rounds:
+the play sums (`_add_rows`), each row's norms (`row_norm_pair`), the
+bound's sums and the block's trace rows, with the bits of one round at a
+time. `value` and `gap_oracle` are still called once a round.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import RowTable
+from ._rows import RowTable, _add_rows, _block_rows
 from .mirror import MirrorMap, point_weights, prox_step
 
 
@@ -171,7 +177,7 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
     gap of the prefix averages, exact when the problem has a gap oracle
     (bilinear payoffs) and otherwise the realized certificate bound on the
     average's suboptimality. The result's gap and certificate_bound are the
-    last row's.
+    last row's. A block is 64 rounds, or fewer on a side wider than 128.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -180,18 +186,22 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
-    norm_f, dual_f = mf.norm_pair
-    norm_x, dual_x = mx.norm_pair
+    norm_f, dual_f = mf.row_norm_pair
+    norm_x, dual_x = mx.row_norm_pair
     grad_f, grad_x = problem.grad_f, problem.grad_x
     value_of, gap_oracle = problem.value, problem.gap_oracle
-    # constants of `running`, hoisted in its own evaluation order: same bits
+    # constants of the bound, hoisted in its own evaluation order: same bits
     divergence = problem.radius_f**2 / eta + problem.radius_x**2 / eta
     half_eta, two_eta = eta / 2.0, 2.0 * eta
+    block = min(_block_rows(mf.dim), _block_rows(mx.dim))
+    # each side's rows: its plays, gradient - prediction, and g_{t-1} - play
+    f_rows = np.empty((3, block, mf.dim))
+    x_rows = np.empty((3, block, mx.dim))
     f_total = np.zeros(mf.dim)
     x_total = np.zeros(mx.dim)
     trace = RowTable(SaddleRound)
-    append = trace.append
-    var_f = var_x = neg_cross = 0.0
+    values = []
+    sums = np.zeros(3)  # var_f, var_x and neg_cross
     rounds = coupled_rounds(
         lambda f, x: (np.asarray(grad_f(f, x), dtype=float), -np.asarray(grad_x(f, x), dtype=float)),
         lambda base, loss: prox_step(mf, base, loss, eta),
@@ -200,21 +210,50 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
         mx.divergence_minimizer(),
         T,
     )
+    k = 0
     for t, (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) in enumerate(rounds, 1):
-        var_f += half_eta * dual_f(grad_f_t - pred_f) ** 2
-        var_x += half_eta * dual_x(grad_x_t - pred_x) ** 2
-        neg_cross += norm_f(prev_f - f_t) ** 2 + norm_x(prev_x - x_t) ** 2
-        f_total += f_t
-        x_total += x_t
-        value = math.nan if value_of is None else value_of(f_t, x_t)
-        running = (divergence + var_f + var_x - neg_cross / two_eta) / t
-        gap = running if gap_oracle is None else float(gap_oracle(f_total / t, x_total / t))
-        append(t, value, eta, gap, running)
+        f_rows[0, k] = f_t
+        x_rows[0, k] = x_t
+        np.subtract(grad_f_t, pred_f, out=f_rows[1, k])
+        np.subtract(grad_x_t, pred_x, out=x_rows[1, k])
+        np.subtract(prev_f, f_t, out=f_rows[2, k])
+        np.subtract(prev_x, x_t, out=x_rows[2, k])
+        values.append(math.nan if value_of is None else value_of(f_t, x_t))
+        k += 1
+        if k < block and t < T:
+            continue
+        ts = range(t - k + 1, t + 1)
+        plays_f, gaps_f, prevs_f = f_rows[:, :k]
+        plays_x, gaps_x, prevs_x = x_rows[:, :k]
+        # each round's increment of var_f, var_x and neg_cross, squared as
+        # Python squares; then each sum runs from its value one round at a time
+        steps = np.array([
+            [half_eta * d**2 for d in dual_f(gaps_f).tolist()],
+            [half_eta * d**2 for d in dual_x(gaps_x).tolist()],
+            [a**2 + b**2 for a, b in zip(norm_f(prevs_f).tolist(), norm_x(prevs_x).tolist())],
+        ])
+        steps[:, 0] += sums
+        var_f, var_x, neg_cross = np.add.accumulate(steps, axis=1, out=steps)
+        sums = steps[:, -1].copy()
+        # (divergence + var_f + var_x - neg_cross / two_eta) / t, op by op
+        bound = divergence + var_f
+        bound += var_x
+        bound -= neg_cross / two_eta
+        bound /= ts
+        f_sums = _add_rows(f_total, plays_f)
+        x_sums = _add_rows(x_total, plays_x)
+        if gap_oracle is None:
+            gaps = bound
+        else:
+            gaps = [float(gap_oracle(f / i, x / i)) for f, x, i in zip(f_sums, x_sums, ts)]
+        trace.extend(ts, values, np.full(k, eta), gaps, bound)
+        values.clear()
+        k = 0
     return SaddleResult(
         f_average=f_total / T,
         x_average=x_total / T,
-        gap=gap,
-        certificate_bound=running,
+        gap=float(gaps[-1]),
+        certificate_bound=float(bound[-1]),
         eta=eta,
         trace=trace,
     )

@@ -18,10 +18,10 @@ from omdkit.mirror import (
     Ball,
     MirrorMap,
     OmdState,
-    RegretCertificate,
     RoundLog,
     SimplexPoint,
     _as_vector,
+    bregman,
     point_weights,
 )
 from omdkit.offline import OfflineResult, OfflineRound, SmoothProblem
@@ -385,7 +385,27 @@ def reference_prox_step(mirror_map, base, loss, eta):
     return reference_project(mirror_map, basew - eta * loss)
 
 
-class ReferenceRegretCertificate(RegretCertificate):
+class ReferenceRegretCertificate:
+    # RegretCertificate as it was before it folded its rounds a block at a
+    # time: every update adds its round into the sums at once
+    def __init__(self, mirror_map, eta, comparator):
+        self.mirror_map = mirror_map
+        self.eta = eta
+        self.comparator = point_weights(comparator)
+        g0 = mirror_map.divergence_minimizer()
+        self._g_prev = point_weights(g0)
+        self.lhs = 0.0
+        self.divergence_term = bregman(mirror_map, self.comparator, g0) / eta
+        self.variance_term = 0.0
+        self.negative_term = 0.0
+
+    @property
+    def rhs(self):
+        return self.divergence_term + self.variance_term - self.negative_term
+
+    def holds(self, tol=1e-9):
+        return self.lhs <= self.rhs + tol
+
     def update(self, log):
         m = self.mirror_map
         f, g = log.played, log.secondary
@@ -542,8 +562,9 @@ def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, 
 # mirror_prox/holder_optimize's loop as it was written before
 # offline.trajectory played its own two prox steps: the round goes through
 # omd_round (which also keeps the squared-gap history nobody reads) with a
-# closure that catches the gradient, and the rows fold RegretCertificate
-# over those logs. Tests require the library to match it bit for bit.
+# closure that catches the gradient, and the rows fold the certificate,
+# ReferenceRegretCertificate, over those logs one round at a time. Tests
+# require the library to match it bit for bit.
 # reference_omd_round is mirror.omd_round run on the reference kernels.
 
 def reference_omd_round(state, mirror_map, prediction, gradient_oracle, eta):

@@ -657,6 +657,17 @@ def test_norm_pairs():
     assert euc.dual_norm(v) == 5.0
 
 
+@pytest.mark.parametrize("m", [MirrorMap.entropy_simplex(7), MirrorMap.euclidean_ball(7)], ids=["entropy", "euclidean"])
+def test_row_norms_are_each_rows_norms(m):
+    # bit for bit, squares that underflow or overflow included
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(40, 7)) * rng.choice([1e-170, 1.0, 1e160], size=(40, 1))
+    norm, dual = m.row_norm_pair
+    with np.errstate(over="ignore"):
+        assert norm(rows.copy()).tobytes() == np.array([m.norm(row) for row in rows]).tobytes()
+        assert dual(rows.copy()).tobytes() == np.array([m.dual_norm(row) for row in rows]).tobytes()
+
+
 def test_euclidean_norms_match_numpy_bitwise():
     # sqrt(v . v) is np.linalg.norm's own formula for a 1-d float vector,
     # including underflow to 0 and overflow to inf; project_ball matches it
@@ -839,3 +850,115 @@ def test_certificate_sums_are_the_reference_update(kind, n, scale, eta, T, seed)
         assert repr((cert.lhs, cert.variance_term, cert.negative_term, cert.holds())) == repr(
             (ref.lhs, ref.variance_term, ref.negative_term, ref.holds())
         )
+
+
+def _kernel_logs(kind, n, T, seed):
+    """A map, a feasible comparator and T rounds of feasible plays and
+    secondaries with normal gradients and predictions."""
+    rng = np.random.default_rng(seed)
+    m = _KERNEL_MAPS[kind](n)
+    comparator = point_weights(_kernel_base(kind, n, rng))
+    logs = []
+    for _ in range(T):
+        played, secondary = (point_weights(_kernel_base(kind, n, rng)) for _ in range(2))
+        gradient, prediction = (rng.normal(size=n) for _ in range(2))
+        logs.append(RoundLog(played, secondary, gradient, prediction))
+    return m, comparator, logs
+
+
+def _reads(cert):
+    return repr((cert.lhs, cert.variance_term, cert.negative_term, cert.rhs, cert.holds()))
+
+
+@pytest.mark.parametrize("n, block", [(1, 64), (128, 64), (129, 63), (300, 27), (8192, 1), (8193, 1)])
+def test_certificate_block_holds_at_most_8192_doubles(n, block):
+    assert RegretCertificate(MirrorMap.euclidean_ball(n), 0.5, np.zeros(n)).block == block
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_MAPS))
+@pytest.mark.parametrize("n", [1, 5, 300])
+@pytest.mark.parametrize("every", [1, 7, 64, 0])
+def test_certificate_reads_are_the_reference_across_blocks(kind, n, every):
+    # read after every update, every 7th, once a block or only at the end:
+    # each read folds the buffered rows first, so it has the bits of the
+    # round-by-round reference on either side of a block boundary (a block
+    # is 27 rounds at n = 300)
+    m, comparator, logs = _kernel_logs(kind, n, 140, seed=n)
+    cert = RegretCertificate(m, 0.7, comparator)
+    ref = ReferenceRegretCertificate(m, 0.7, comparator)
+    for t, log in enumerate(logs, start=1):
+        cert.update(log)
+        ref.update(log)
+        if every and t % every == 0:
+            assert _reads(cert) == _reads(ref), t
+    assert _reads(cert) == _reads(ref)
+
+
+def test_certificate_update_copies_the_round():
+    # a caller that reuses one RoundLog's arrays for every round gets the
+    # numbers of fresh arrays: update copies the round into its rows
+    m, comparator, logs = _kernel_logs("ball", 4, 100, seed=11)
+    cert = RegretCertificate(m, 0.7, comparator)
+    ref = ReferenceRegretCertificate(m, 0.7, comparator)
+    reused = RoundLog(*(np.empty(4) for _ in range(4)))
+    for log in logs:
+        for field_name in ("played", "secondary", "gradient", "prediction"):
+            getattr(reused, field_name)[:] = getattr(log, field_name)
+        cert.update(reused)
+        ref.update(log)
+    assert _reads(cert) == _reads(ref)
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_MAPS))
+@pytest.mark.parametrize("n, fold_every", [(5, 1), (5, 10), (5, 64), (300, 27), (300, 5)])
+def test_fold_hands_over_each_rounds_columns(kind, n, fold_every):
+    # fold() hands over the (lhs, rhs) of every round since the last fold,
+    # as the reference reads them after that round, with reads between folds
+    T = 140
+    m, comparator, logs = _kernel_logs(kind, n, T, seed=n + fold_every)
+    cert = RegretCertificate(m, 0.7, comparator)
+    ref = ReferenceRegretCertificate(m, 0.7, comparator)
+    got, expected = [], []
+    for t, log in enumerate(logs, start=1):
+        cert.update(log)
+        ref.update(log)
+        expected.append((ref.lhs, ref.rhs))
+        if t % 3 == 0:
+            cert.holds()  # a read folds too; fold() still hands its rounds over
+        if t % fold_every == 0 or t == T:
+            lhs, rhs = cert.fold()
+            got.extend(zip(lhs.tolist(), rhs.tolist()))
+    assert repr(got) == repr(expected)
+    assert _reads(cert) == _reads(ref)
+
+
+def test_fold_drops_the_columns_of_a_block_no_fold_collected():
+    # 133 rounds and no fold: the 65th round dropped rounds 1-64, the 129th
+    # rounds 65-128, so fold() hands over rounds 129-133; the sums keep all
+    m, comparator, logs = _kernel_logs("ball", 5, 133, seed=3)
+    cert = RegretCertificate(m, 0.7, comparator)
+    ref = ReferenceRegretCertificate(m, 0.7, comparator)
+    expected = []
+    for log in logs:
+        cert.update(log)
+        ref.update(log)
+        expected.append((ref.lhs, ref.rhs))
+    lhs, rhs = cert.fold()
+    assert repr(list(zip(lhs.tolist(), rhs.tolist()))) == repr(expected[-5:])
+    assert cert.fold().shape == (2, 0)
+    assert _reads(cert) == _reads(ref)
+
+
+def test_certificate_negative_term_squares_as_python_does():
+    # Python's x**2 is libm pow, which is not x*x on about 1 in 1200 doubles;
+    # one round whose only nonzero distance is x puts x**2 / 2 alone in the sum
+    rng = np.random.default_rng(13)
+    x = next(v for v in rng.uniform(0.0, 3.0, size=100_000).tolist() if v**2 != v * v)
+    m = MirrorMap.entropy_simplex(2)
+    half = np.array([0.5, 0.5])
+    log = RoundLog(half, np.array([0.5, 0.5 + x]), np.zeros(2), np.zeros(2))
+    cert = RegretCertificate(m, 1.0, half)
+    ref = ReferenceRegretCertificate(m, 1.0, half)
+    cert.update(log)
+    ref.update(log)
+    assert repr(cert.negative_term) == repr(ref.negative_term) == repr(x**2 / 2.0)

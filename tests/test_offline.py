@@ -334,3 +334,44 @@ def test_quadratic_runs_match_the_reference_loop(case):
     problem, solve, T = case
     res = solve(problem, T)
     assert_same_bits(res, reference_prox_loop(problem, T, _expected_eta(problem, solve, T)))
+
+
+# ---------------------------------------------------------------- block folds
+
+_BLOCK_TS = (1, 2, 63, 64, 65, 129)
+
+
+def _block_problem(kind, n, with_value, with_minimizer):
+    """A diagonal quadratic on the unit ball or the simplex (entropy map),
+    with its minimizer and value given or left out."""
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.1, 1.0, size=n)
+    if kind == "entropy":
+        m = MirrorMap.entropy_simplex(n)
+        p = rng.dirichlet(np.ones(n))
+    else:
+        m = MirrorMap.euclidean_ball(n)
+        p = rng.uniform(-1.0, 1.0, size=n) / (2.0 * math.sqrt(n))
+    return SmoothProblem(
+        gradient=lambda f: w * (f - p),
+        holder_const=float(w.max()),
+        alpha=1.0,
+        mirror_map=m,
+        divergence_radius=1.0,
+        value=(lambda f: float(0.5 * (f - p) @ (w * (f - p)))) if with_value else None,
+        minimizer=p if with_minimizer else None,
+    )
+
+
+@pytest.mark.parametrize("T", _BLOCK_TS)
+@pytest.mark.parametrize("n", [3, 300])
+@pytest.mark.parametrize("kind", ["euclidean", "entropy"])
+@pytest.mark.parametrize("solve", [mirror_prox, holder_optimize])
+@pytest.mark.parametrize("with_value, with_minimizer", [(True, True), (False, True), (True, False)])
+def test_block_folded_rows_are_the_reference_loop(T, n, kind, solve, with_value, with_minimizer):
+    # rows folded a block at a time against the round-by-round reference, on
+    # either side of a block boundary; at n = 300 a block is 27 rounds, so
+    # that a buffer holds at most 8192 doubles
+    problem = _block_problem(kind, n, with_value, with_minimizer)
+    res = solve(problem, T)
+    assert_same_bits(res, reference_prox_loop(problem, T, _expected_eta(problem, solve, T)))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from omdkit._rows import Constant, Rows, RowTable
+from omdkit._rows import Constant, Rows, RowTable, _row_dots
 
 
 @dataclass
@@ -102,3 +102,40 @@ def test_constant_column_reads_like_a_stored_one():
         column[4]
     rows = Rows((array("q", [1, 2, 3, 4]), column))
     assert list(rows) == [(t, 0.25) for t in (1, 2, 3, 4)] and rows[-1] == (4, 0.25)
+
+
+# ---------------------------------------------------------------- row dots
+
+def _dot_bits(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.float64(a.dot(b)).tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_row_dots_are_each_rows_own_dot(width):
+    # a stacked (1, n) @ (n, 1) product makes the BLAS dot of ndarray.dot,
+    # row by row: each entry has its row's own bits, against the row itself
+    # and against a fresh copy of it, for ordinary, subnormal and
+    # overflowing products. A numpy or BLAS that routes matmul otherwise
+    # fails here, before any certificate drifts.
+    rng = np.random.default_rng(width)
+    rows = int(rng.integers(1, 65))
+    scale = rng.choice([1e-160, 1e-5, 1.0, 1e5, 1e155], size=(rows, width))
+    a = np.ascontiguousarray(rng.normal(size=(rows, width)) * scale)
+    b = np.ascontiguousarray(rng.normal(size=(rows, width)) * scale[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = _row_dots(a, b)
+        squares = _row_dots(a, a)
+    assert dots.shape == squares.shape == (rows,)
+    for i in range(rows):
+        assert dots[i].tobytes() == _dot_bits(a[i], b[i]) == _dot_bits(a[i].copy(), b[i].copy())
+        assert squares[i].tobytes() == _dot_bits(a[i], a[i]) == _dot_bits(a[i].copy(), a[i].copy())
+
+
+def test_row_dots_reach_subnormal_and_infinite_values():
+    # the cases above must really produce such dots
+    tiny = np.full((2, 3), 1e-160)
+    huge = np.full((2, 3), 1e200)
+    assert 0.0 < _row_dots(tiny, tiny)[0] < np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        assert np.isinf(_row_dots(huge, huge)).all()

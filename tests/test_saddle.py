@@ -242,3 +242,78 @@ def test_euclidean_saddle_without_gap_oracle_matches_the_reference_loop(n, m, T,
     res = saddle_solve(problem, T, eta)
     assert res.gap == res.certificate_bound
     assert_same_bits(res, reference_saddle_solve(problem, T, eta))
+
+
+# ---------------------------------------------------------------- block folds
+
+def _euclidean_problem(n, m, seed, with_value, with_gap):
+    # phi = 0.5||f||^2 + f.Bx - 0.5||x||^2, f in the unit ball, x in the simplex
+    b = np.random.default_rng(seed).uniform(-1, 1, size=(n, m))
+    return SaddleProblem(
+        grad_f=lambda f, x: f + b @ x,
+        grad_x=lambda f, x: f @ b - x,
+        map_f=MirrorMap.euclidean_ball(n),
+        map_x=MirrorMap.euclidean_simplex(m),
+        smoothness=(1.0, 1.0, 1.0, 1.0),
+        exponents=(1.0, 1.0, 1.0, 1.0),
+        radius_f=1.0,
+        radius_x=1.0,
+        value=(lambda f, x: float(0.5 * f @ f + f @ b @ x - 0.5 * x @ x)) if with_value else None,
+        gap_oracle=(lambda f, x: float(np.abs(f).sum() + x.max())) if with_gap else None,
+    )
+
+
+def _bilinear(n, m, seed, with_value, with_gap):
+    problem = bilinear_problem(np.random.default_rng(seed).uniform(-1, 1, size=(n, m)))
+    return dataclasses.replace(
+        problem,
+        value=problem.value if with_value else None,
+        gap_oracle=problem.gap_oracle if with_gap else None,
+    )
+
+
+@pytest.mark.parametrize("T", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("make", [_bilinear, _euclidean_problem], ids=["entropy", "euclidean"])
+@pytest.mark.parametrize("n, m", [(3, 4), (1, 6), (300, 5), (5, 300)])
+@pytest.mark.parametrize("with_value, with_gap", [(True, True), (False, True), (True, False), (False, False)])
+def test_block_folded_saddle_is_the_reference_loop(T, make, n, m, with_value, with_gap):
+    # sums, bound and trace rows folded a block at a time against the
+    # round-by-round reference, on either side of a block boundary; a side
+    # 300 wide makes the block 27 rounds
+    problem = make(n, m, n * m + T, with_value, with_gap)
+    eta = None if T >= 2 else 0.5
+    assert_same_bits(saddle_solve(problem, T, eta), reference_saddle_solve(problem, T, eta))
+
+
+@pytest.mark.parametrize("term", ["variance", "cross"])
+def test_bound_squares_as_python_does(term):
+    # Python's x**2 is libm pow, which is not x*x on about 1 in 1200 doubles.
+    # With eta = 2 and no divergence, one round puts x**2 alone in the bound:
+    # as a gradient gap (the prediction 0, the gradient at the play (x, 0)),
+    # or as the distance from the start 0 to the play (x, 0)
+    rng = np.random.default_rng(13)
+    x = next(v for v in rng.uniform(0.0, 3.0, size=100_000).tolist() if v**2 != v * v)
+
+    def problem():
+        calls = []
+
+        def grad_f(f, y):
+            calls.append(1)
+            if term == "cross":
+                return np.array([-x / 2.0, 0.0])
+            return np.array([0.0, 0.0]) if len(calls) == 1 else np.array([x, 0.0])
+
+        return SaddleProblem(
+            grad_f=grad_f,
+            grad_x=lambda f, y: np.zeros(2),
+            map_f=MirrorMap.euclidean_ball(2, radius=4.0),
+            map_x=MirrorMap.euclidean_ball(2),
+            smoothness=(1.0, 1.0, 1.0, 1.0),
+            exponents=(1.0, 1.0, 1.0, 1.0),
+            radius_f=0.0,
+            radius_x=0.0,
+        )
+
+    res = saddle_solve(problem(), 1, 2.0)
+    assert repr(res.certificate_bound) == repr(x**2 if term == "variance" else -(x**2) / 4.0)
+    assert_same_bits(res, reference_saddle_solve(problem(), 1, 2.0))
