@@ -1,9 +1,9 @@
 """Per-round solver traces kept column by column: 8 bytes a value, no row objects.
 
-Also the pieces of the block contract that the solvers share: a block's
-size, its running vector sums and its row dot products, each with the bits
-of the one-round-at-a-time code it replaces, and the fold-before-read
-attribute.
+Also the block contract that every certificate keeps, `_BlockRows`, with
+its pieces: a block's size, its running sums and its row dot products, each
+with the bits of the one-round-at-a-time code it replaces, and the
+fold-before-read attribute.
 """
 from __future__ import annotations
 
@@ -21,14 +21,12 @@ def _block_rows(width: int) -> int:
     return min(64, max(1, 8192 // max(width, 1)))
 
 
-def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Add the rows of a 2-d array to the running sum `total` as `total +=
-    row` would, one row after the other: `rows` becomes, in place, the
-    running sum after each row, and is returned."""
-    rows[0] += total
-    np.add.accumulate(rows, axis=0, out=rows)
-    total[:] = rows[-1]
-    return rows
+def _run_sum(steps: np.ndarray, start, out: np.ndarray | None = None) -> np.ndarray:
+    """The running sum from `start` after each step of `steps`, along its
+    first axis, with the bits of `start += step` one step after the other:
+    written into `out` (default: `steps`, in place) and returned."""
+    steps[0] += start
+    return np.add.accumulate(steps, axis=0, out=steps if out is None else out)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,6 +45,69 @@ def _read_folded(name: str) -> property:
         return getattr(self, "_" + name)
 
     return property(read)
+
+
+class _BlockRows:
+    """The block contract of every certificate: `RegretCertificate`, both
+    self-play side kinds and `saddle_solve`'s bound.
+
+    A round takes a row, `_row()`, of the (block, n) play buffer and of the
+    kind's own row buffers, fills it and sets `_rows` past it. The rows not
+    yet folded are folded into the running `play_sum` (`_run_sum`), keeping
+    each row's running play sum, and into the kind's own sums and their
+    (width, block) columns by the kind's `_fill(s, k, columns)`, given rows
+    s..k-1 and their columns. Every read of a folded attribute folds them
+    first, so it has the bits of a fold after every round. `fold()` hands
+    over the columns and running play sums of every round since the last
+    `fold()` and starts the rows over; a full buffer starts over at the
+    next round, which drops the columns no `fold()` collected. A kind that
+    carries state from one row to the next moves it in `_restart()`, after
+    the fold.
+    """
+
+    play_sum = _read_folded("play_sum")
+
+    def __init__(self, n: int, block: int, width: int):
+        self.block = block
+        self._play = np.empty((block, n))
+        self._play_sums = np.empty((block, n))
+        self._play_sum = np.zeros(n)
+        self._columns = np.empty((width, block))
+        self._rows = 0  # rows taken since the buffer started over
+        self._summed = 0  # rows folded
+
+    def _row(self) -> int:
+        """The row the coming round takes; the caller sets `_rows` past it
+        once the row is filled."""
+        k = self._rows
+        if k == self.block:
+            self._restart()
+            k = 0
+        return k
+
+    def _restart(self) -> None:
+        """Fold the buffered rows and start the buffer over."""
+        self._fold_sums()
+        self._rows = self._summed = 0
+
+    def _fold_sums(self) -> None:
+        s, k = self._summed, self._rows
+        if s == k:
+            return
+        self._summed = k
+        sums = self._play_sums[s:k]
+        sums[:] = self._play[s:k]
+        self._play_sum[:] = _run_sum(sums, self._play_sum)[-1]
+        self._fill(s, k, self._columns[:, s:k])
+
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the buffered rows and hand over (columns, play_sums) of every
+        round since the last `fold()`: a (width, k) view of the columns and
+        a (k, n) view of each round's running play sum, which a later round
+        or fold, a read included, overwrites. The rows start over."""
+        k = self._rows
+        self._restart()
+        return self._columns[:, :k], self._play_sums[:k]
 
 
 class Rows(Sequence):

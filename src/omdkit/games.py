@@ -10,25 +10,21 @@ corrects with one estimate while predicting with the other.
 Both kinds share one learner, `_Learner`; a side supplies only what it
 observes and its step-size rule (`full_info_eta`, `bandit_eta`).
 
-Both kinds also keep one block contract, `_RunningRows`. A round does only
-what the next round depends on, the learner's step with its increment and
-step size, and copies its loss direction and its play into a row of a block
-buffer. The rest is folded once per block of rounds, in one pass each: the
-running sum of the loss directions (`cum_obs`) with each round's minimum,
-which the match's running gap reads; the play sum behind the averages; and
-the side's two trace columns, a full-information side's certificate (lhs,
-rhs) or a bandit side's (eta, cap). Each pass makes the adds of one round at
-a time in the same order, so every output has the same bits, and any read
-of a side's sums or certificate folds the rounds it has buffered first. The
-match appends a block's trace rows at once. The block's size, its running
-vector sums and its row dots come from `_rows` (`_block_rows`, `_add_rows`,
-`_row_dots`), which the offline and saddle loops fold with too.
+Both kinds also keep the block contract of every certificate,
+`_rows._BlockRows`, through `_SideRows`. A round does only what the next
+round depends on, the learner's step with its increment and step size, and
+copies its loss direction and its play into a row. The rest is folded once
+per block of rounds: the running sum of the loss directions (`cum_obs`)
+with each round's minimum, which the match's running gap reads; the play
+sum behind the averages; and the side's trace columns, eta and a
+full-information side's certificate (lhs, rhs) or a bandit side's (eta,
+cap). The match appends a block's trace rows at once.
 
 A bandit side's estimator guard checks the enumeration identity for every
 round and every basis index, and takes the smallest perturbed-play entry
-over every round and both of its basis rows, from the same rows,
-`_GUARD_BLOCK` rounds at a time. Reading a side's `max_error` or
-`min_perturbed` checks the rounds still buffered.
+over every round and both of its basis rows, from the same rows, each
+round once, before the rows start over. Reading a side's `max_error` or
+`min_perturbed` checks the rounds not yet checked.
 
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
@@ -41,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import RowTable, _add_rows, _block_rows, _read_folded, _row_dots
+from ._rows import RowTable, _block_rows, _BlockRows, _read_folded, _row_dots, _run_sum
 from .mirror import SimplexPoint
 from .saddle import _payoff_matrix, bilinear_gap
 
@@ -146,85 +142,34 @@ class _Learner:
         return g_t
 
 
-class _RunningRows:
-    """The block contract of both self-play side kinds.
+class _SideRows(_BlockRows):
+    """What both self-play side kinds fold alike, on the `_rows._BlockRows`
+    contract: each round's loss direction, in a row beside its play.
 
-    A round takes a row (`_row()`) of the (block, n) buffers of loss
-    directions and plays, and of the eta buffer. The buffered rows are
-    folded into the running sums `cum_obs` and `play_sum` as `_add_rows`
-    adds them, with each round's min(cum_obs), and every read of `cum_obs`,
-    `min_obs` or `play_sum` folds them first. A fold also writes each folded
-    round's column of a (3, block) store: its last entry min(cum_obs), and
-    its first two from the kind's `_fill(s, k, columns)`, given rows s..k-1
-    and their columns. A match collects the columns with `fold()` every
-    `block` rounds, or more often; once a block of rounds has gone by since
-    the last `fold()`, the next round drops their columns. The rows stay
-    until the buffer is full, and the next round starts them over
-    (`_restart()`).
+    The loss directions are folded into the running sum `cum_obs` (in a
+    copy of the rows, which a full-information certificate and a bandit
+    side's guard read again), with each round's min(cum_obs), which the
+    match's running gap reads. The columns are each round's (eta, lhs, rhs,
+    min cum_obs): a round writes its eta when it takes its row, and a kind's
+    `_fill` writes lhs and rhs after this one's.
     """
 
     cum_obs = _read_folded("cum_obs")
     min_obs = _read_folded("min_obs")
-    play_sum = _read_folded("play_sum")
 
     def __init__(self, n: int, block: int):
-        self.block = block
+        super().__init__(n, block, 4)
         self._cum_obs = np.zeros(n)
         self._min_obs = 0.0
-        self._play_sum = np.zeros(n)
         self._obs = np.empty((block, n))
-        self._play = np.empty((block, n))
-        self._etas = np.full(block, math.nan)  # NaN in a row whose round stopped short
-        self._rows = 0  # rows taken since the buffer started over
-        self._summed = 0  # rows folded into the sums
-        self._columns = np.empty((3, block))
-        self._folded = 0  # folded rounds whose columns no fold() has handed over
 
-    def _row(self) -> int:
-        """The row the coming round takes; the caller sets `_rows` past it
-        once the row is filled."""
-        k = self._rows
-        if self._folded + k - self._summed == self.block:
-            self.fold()  # a block that no match collected: its columns are dropped
-        if k == self.block:
-            self._restart()
-            k = 0
-        return k
-
-    def _restart(self) -> None:
-        """Fold the buffered rows and start the buffer over."""
-        self._fold_sums()
-        self._rows = self._summed = 0
-        self._etas.fill(math.nan)
-
-    def _fold_sums(self) -> None:
-        """Fold the rows not yet folded into the running sums and into their
-        columns. The sums run in a copy: a bandit side's guard reads the
-        rows again."""
-        s, k = self._summed, self._rows
-        if s == k:
-            return
-        self._summed = k
-        start = self._folded
-        self._folded = end = start + k - s
-        columns = self._columns[:, start:end]
-        sums = self._obs[s:k].copy()
-        low = np.minimum.reduce(_add_rows(self._cum_obs, sums), axis=1, out=columns[2])
-        self._min_obs = float(low[-1])
-        sums[:] = self._play[s:k]
-        _add_rows(self._play_sum, sums)
-        self._fill(s, k, columns)
-
-    def fold(self) -> np.ndarray:
-        """Fold the buffered rows and hand over the columns of every round
-        since the last `fold()`: rows of a (3, k) view, which a later fold
-        overwrites."""
-        self._fold_sums()
-        k, self._folded = self._folded, 0
-        return self._columns[:, :k]
+    def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
+        sums = _run_sum(self._obs[s:k].copy(), self._cum_obs)
+        self._cum_obs[:] = sums[-1]
+        self._min_obs = float(np.minimum.reduce(sums, axis=1, out=columns[3])[-1])
 
 
-class SideCertificate(_RunningRows):
+class SideCertificate(_SideRows):
     """One player's running per-vertex regret inequality.
 
     The claim is max(lhs_per_vertex) <= rhs, checkable after every round:
@@ -235,7 +180,7 @@ class SideCertificate(_RunningRows):
     folded with the rest, one BLAS dot a row (`_row_dots`). `cum_obs` is the
     player's running observation sum, the only one the match keeps for this
     side; `lhs` and the match's gap read its minimum. The columns are each
-    round's (lhs, rhs, min cum_obs), and every read (`cum_play_loss`,
+    round's (eta, lhs, rhs, min cum_obs), and every read (`cum_play_loss`,
     `variance`, `negative`, and so `lhs`, `rhs`, `holds`) folds the buffered
     rounds first. A block is 64 rounds, or fewer on a wide side, so that a
     buffer holds at most 8192 doubles.
@@ -275,7 +220,7 @@ class SideCertificate(_RunningRows):
         self._secondary[k] = secondary
         self._mixed[k + 1] = mixed
         self._mixed_last = mixed
-        self._etas[k] = eta
+        self._columns[0, k] = eta
         self._increments[k] = increment
         self._rows = k + 1
         if self.eta_first is None:
@@ -286,31 +231,26 @@ class SideCertificate(_RunningRows):
         """Fold rows s..k-1 into the certificate's sums and their (lhs, rhs)
         columns.
 
-        A scalar running sum starts from its value in its first buffered
-        entry and is accumulated along them in place, as `_add_rows` does for
-        a vector one; a row-wise sum is each row's own sum, bit for bit. The
-        negative term is summed in Python, whose x**2 is not numpy's.
+        The running sums run as `_run_sum` does; a row-wise sum is each
+        row's own sum, bit for bit. The negative term is summed in Python,
+        whose x**2 is not numpy's.
         """
-        lhs, rhs, low = columns
+        super()._fill(s, k, columns)
+        etas, lhs, rhs, low = columns
         play, dist = self._play[s:k], self._secondary[s:k]
         loss = _row_dots(play, self._obs[s:k])
-        loss[0] += self._cum_play_loss
-        np.add.accumulate(loss, out=loss)
-        self._cum_play_loss = float(loss[-1])
+        self._cum_play_loss = float(_run_sum(loss, self._cum_play_loss)[-1])
         np.subtract(loss, low, out=lhs)
         # the ell_1 distances to f_t, of g_t, g'_{t-1} and g'_t in turn, each
         # in the secondary buffer
         np.subtract(dist, play, out=dist)
         variance = np.sqrt(self._increments[s:k])
         variance *= np.add.reduce(np.abs(dist, out=dist), axis=1)
-        variance[0] += self._variance
-        np.add.accumulate(variance, out=variance)
-        self._variance = float(variance[-1])
+        self._variance = float(_run_sum(variance, self._variance)[-1])
         np.subtract(self._mixed[s:k], play, out=dist)
         l1_mixed_prev = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
         np.subtract(self._mixed[s + 1 : k + 1], play, out=dist)
         l1_mixed = np.add.reduce(np.abs(dist, out=dist), axis=1).tolist()
-        etas = self._etas[s:k]
         negative = self._negative
         column = []
         for eta, l1, l1_prev in zip(etas.tolist(), l1_mixed, l1_mixed_prev):
@@ -391,8 +331,8 @@ class FullInfoPlayer(_Learner):
         full_info_step(self, w)
         return self.eta
 
-    def fold(self) -> np.ndarray:
-        """The certificate's (lhs, rhs, min cum_obs) columns since the last fold."""
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The certificate's `fold()`."""
         return self.certificate.fold()
 
 
@@ -492,25 +432,24 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 
     Each round reads both plays (`side.play`) and hands each side the payoff
     vector its opponent's play induces (A x to the row, -f A to the
-    column); side.step(w) advances a side on its loss direction w and
-    returns its eta. The rest is done a block at a time, every `block`
-    rounds (the smaller side's) and at round T: side.fold() hands over the
-    block's (lhs, rhs, low) columns of that side, its trace entries and the
-    smallest entry of its running sum of w, and the block's TraceRows go
-    into the columns of a RowTable at once. The averages are the sides'
-    running play sums, `play_sum`.
+    column); side.step(w) advances a side on its loss direction w. The rest
+    is done a block at a time, every `block` rounds (the smaller side's) and
+    at round T: side.fold() hands over the block's (eta, lhs, rhs, low)
+    columns of that side, its trace entries and the smallest entry of its
+    running sum of w, and the block's TraceRows go into the columns of a
+    RowTable at once. The averages are the sides' running play sums,
+    `play_sum`.
     """
     block = min(row.block, col.block)
     trace = RowTable(TraceRow)
-    eta_row, eta_col = [], []
     for t in range(1, T + 1):
         f = row.play.weights
-        eta_row.append(row.step(a @ col.play.weights))
+        row.step(a @ col.play.weights)
         fa = f @ a
-        eta_col.append(col.step(np.negative(fa, out=fa)))
-        if len(eta_row) == block or t == T:
-            lhs_row, rhs_row, low_row = row.fold()
-            lhs_col, rhs_col, low_col = col.fold()
+        col.step(np.negative(fa, out=fa))
+        if t % block == 0 or t == T:
+            (eta_row, lhs_row, rhs_row, low_row), _ = row.fold()
+            (eta_col, lhs_col, rhs_col, low_col), _ = col.fold()
             ts = np.arange(t + 1 - len(eta_row), t + 1)
             # max(sum f A) - min(sum A x), with max(sum f A) = -low_col; a sum
             # run from +0.0 is never -0.0, so 0.0 - low_col is +0.0 where the
@@ -519,8 +458,6 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
             gap -= low_row
             gap /= ts
             trace.extend(ts, eta_row, eta_col, gap, lhs_row, rhs_row, lhs_col, rhs_col)
-            eta_row.clear()
-            eta_col.clear()
     f_avg = row.play_sum / T
     x_avg = col.play_sum / T
     return MatchResult(
@@ -660,7 +597,7 @@ def _estimator_tol(basis: np.ndarray, delta: float) -> float:
     return n * 2.0**-53 * (1.0 + delta * math.sqrt(n)) / delta * col_l1 / (n - 1.0)
 
 
-class _BanditSide(_Learner, _RunningRows):
+class _BanditSide(_Learner, _SideRows):
     """One side of the bandit dynamics: observes four scalar payoffs a round
     and steps with `bandit_eta`.
 
@@ -669,11 +606,12 @@ class _BanditSide(_Learner, _RunningRows):
     scalars a_j and b_j.
 
     Its rows are the payoff vectors w and the plays f, so `cum_obs` is its
-    running payoff sum, and its columns are each round's (eta, cap, min
-    cum_obs): the step discipline is the certificate. The estimator guard
-    checks the same rows, with each round's base payoff and drawn basis
-    index, when the next round needs a full buffer and when `max_error` or
-    `min_perturbed` is read; either read starts the buffer over.
+    running payoff sum, and its columns are each round's (eta, eta, cap,
+    min cum_obs): the step discipline is the certificate. The estimator
+    guard checks the same rows, with each round's base payoff and drawn
+    basis index, before they start over and when `max_error` or
+    `min_perturbed` is read; `_guarded` counts the rows it has checked, so
+    it checks each round once.
     """
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
@@ -683,7 +621,7 @@ class _BanditSide(_Learner, _RunningRows):
         self.cap = bandit_cap(own_dim, opp_dim, T)
         self._root_log = math.sqrt(math.log(own_dim * T))
         _Learner.__init__(self, own_dim, T, 1.0 / (T * T))
-        _RunningRows.__init__(self, own_dim, _GUARD_BLOCK)
+        _SideRows.__init__(self, own_dim, _GUARD_BLOCK)
         self.delta = delta
         self._scale = own_dim / (2.0 * delta)  # the estimate's n / (2 delta)
         self.basis = basis = tangent_basis(own_dim)
@@ -702,6 +640,7 @@ class _BanditSide(_Learner, _RunningRows):
         # k and k + 1
         self._base = np.empty((_GUARD_BLOCK, 1))
         self._index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
+        self._guarded = 0  # rows the guard has checked
         self._max_error = 0.0  # largest enumeration error of the checked rounds
         self._min_perturbed = math.inf  # smallest perturbed-play entry of the checked rounds
 
@@ -733,6 +672,7 @@ class _BanditSide(_Learner, _RunningRows):
         self._base[k, 0] = base
         self._index[k] = j
         self._index[k + 1] = new_index
+        self._columns[0, k] = math.nan  # until the learner has stepped
         self._rows = k + 1
 
         u_prev = self.basis[j]
@@ -753,18 +693,19 @@ class _BanditSide(_Learner, _RunningRows):
         self._advance(increment, c_hat * u_prev, c_bar * u_new)
         self.prev_index = new_index
         self._c_last = c_bar
-        self._etas[k] = self.eta
+        self._columns[0, k] = self.eta
         return self.eta
 
     def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
-        columns[0] = self._etas[s:k]
-        columns[1] = self.cap
+        super()._fill(s, k, columns)
+        columns[1] = columns[0]
+        columns[2] = self.cap
 
     @property
     def max_error(self) -> float:
         """Largest estimator enumeration error over every round stepped so far
         (NaN once any round's error was NaN)."""
-        self._restart()
+        self._check()
         return self._max_error
 
     @property
@@ -772,12 +713,17 @@ class _BanditSide(_Learner, _RunningRows):
         """Smallest entry of any perturbed play f - delta |u| over every round
         stepped so far, both of each round's basis rows (NaN once any was
         NaN; inf before the first round)."""
-        self._restart()
+        self._check()
         return self._min_perturbed
 
     def _restart(self) -> None:
-        """Check every buffered round at once, the enumeration identity and
-        the perturbed plays, once the rows are folded; then start over.
+        self._check()
+        super()._restart()
+        self._guarded = 0
+
+    def _check(self) -> None:
+        """Check the rounds not yet checked at once, the enumeration identity
+        and the perturbed plays, once the rows are folded.
 
         Averaging the estimate over every basis index must reproduce
         (n/(n-1)) * the tangent projection of the payoff vector. Each row
@@ -797,13 +743,14 @@ class _BanditSide(_Learner, _RunningRows):
         min(f_0..f_j) - delta |a_j|, f_(j+1) - delta |b_j| and
         min(f_(j+2)..).
         """
-        k = self._rows
-        if k == 0:
+        s, k = self._guarded, self._rows
+        if s == k:
             return
-        super()._restart()  # before the guard rewrites the payoff vectors
+        self._fold_sums()  # before the guard rewrites the payoff vectors
+        self._guarded = k
         n = self.n
-        w = self._obs[:k]
-        b = self._base[:k]
+        w = self._obs[s:k]
+        b = self._base[s:k]
         # the formula (n / 2 delta)((b + d) - (b - d)) @ basis with
         # d = delta (w @ basis.T), each step in place where it can be: the
         # same bits in fewer arrays
@@ -826,13 +773,13 @@ class _BanditSide(_Learner, _RunningRows):
         self._max_error = float(np.maximum(self._max_error, err))
 
         # w and ests are free now: they take the plays' prefix and suffix minima
-        f = self._play[:k]
+        f = self._play[s:k]
         prefix, suffix = w, ests
         np.minimum.accumulate(f, axis=1, out=prefix)
         np.minimum.accumulate(f[:, ::-1], axis=1, out=suffix[:, ::-1])
-        drawn = self._index[: k + 1]
+        drawn = self._index[s : k + 1]
         rows = np.stack((drawn[:-1], drawn[1:]))  # each round's two rows j
-        at = np.arange(k)
+        at = np.arange(k - s)
         low = np.minimum(prefix[at, rows] - self._delta_a[rows], f[at, rows + 1] - self._delta_b[rows])
         # for j = n - 2 the suffix is empty; its stand-in f_(n-1) is the
         # middle part's f_(j+1), which the subtraction only lowers

@@ -3,7 +3,8 @@
 Implements the two supported mirror maps (negative entropy on the simplex,
 euclidean on the simplex or a ball), Bregman divergences, prox
 steps, the interleaved primary/secondary update, the adaptive step-size rule,
-and the running fixed-step regret certificate fed by realized trajectories.
+and the running fixed-step regret certificate fed by realized trajectories,
+which folds its rounds a block at a time on the `_rows._BlockRows` contract.
 
 Every operation here except omd_round and the certificate is a pure
 function. omd_round advances the OmdState it is given in place and returns
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import _project_ball_own, project_ball, project_simplex
-from ._rows import _block_rows, _read_folded, _row_dots
+from ._rows import _BlockRows, _block_rows, _read_folded, _row_dots, _run_sum
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -448,7 +449,7 @@ def adaptive_eta(sq_diff_history: Sequence[float], r_max: float) -> float:
     return r_max * min(1.0 / denom, 1.0)
 
 
-class RegretCertificate:
+class RegretCertificate(_BlockRows):
     """Running fixed-step regret inequality: lhs <= divergence + variance - negative.
 
     lhs        = sum_t <f_t - comparator, gradient_t>
@@ -460,13 +461,10 @@ class RegretCertificate:
     every comparator in the feasible set, for any positive fixed eta.
 
     `update` only copies a round into a row of (block, n) buffers: 64 rows,
-    or fewer on a map wider than 128. The rows are folded into the sums once
-    per block, with the bits of one round at a time, and every read of
-    `lhs`, `variance_term`, `negative_term`, `rhs` or `holds()` folds the
-    buffered rows first, so a read after any `update` has the same bits.
-    `fold()` hands over each round's (lhs, rhs) since the last `fold()`;
-    once a block of rounds has gone by without one, the next `update` drops
-    their columns.
+    or fewer on a map wider than 128. The rows keep the `_rows._BlockRows`
+    contract: every read of `lhs`, `variance_term`, `negative_term`, `rhs`,
+    `holds()` or `play_sum` folds them first, and `fold()` hands over each
+    round's (lhs, rhs) columns and running play sum.
     """
 
     lhs = _read_folded("lhs")
@@ -477,6 +475,8 @@ class RegretCertificate:
         # written so that NaN fails the check too
         if not 0.0 < eta < math.inf:
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
+        n = mirror_map.dim
+        super().__init__(n, _block_rows(n), 2)
         self.mirror_map = mirror_map
         self.eta = eta
         self.comparator = point_weights(comparator)
@@ -485,65 +485,47 @@ class RegretCertificate:
         self._lhs = self._variance = self._negative = 0.0
         self._two_eta = 2.0 * eta
         self._norms = mirror_map.row_norm_pair
-        n = mirror_map.dim
-        self.block = b = _block_rows(n)
-        self._played = np.empty((b, n))
+        b = self.block
         self._gradient = np.empty((b, n))
         self._prediction = np.empty((b, n))
         # each row's g_t one row down from its g_{t-1}
         self._secondary = np.empty((b + 1, n))
         self._secondary[0] = point_weights(g0)
-        self._columns = np.empty((2, b))
-        self._rows = 0  # rows taken since the buffer started over
-        self._summed = 0  # rows folded into the sums
 
     def update(self, log: RoundLog) -> None:
         """Take one round into the rows."""
-        k = self._rows
-        if k == self.block:
-            self._restart()
-            k = 0
-        self._played[k] = log.played
+        k = self._row()
+        self._play[k] = log.played
         self._secondary[k + 1] = log.secondary
         self._gradient[k] = log.gradient
         self._prediction[k] = log.prediction
         self._rows = k + 1
 
     def _restart(self) -> None:
-        """Fold the buffered rows and start the buffer over after them."""
-        self._fold_sums()
         k = self._rows
+        super()._restart()
+        # the last folded g_t is the next row's g_{t-1}
         self._secondary[0] = self._secondary[k]
-        self._rows = self._summed = 0
 
-    def _fold_sums(self) -> None:
-        """Fold the rows not yet folded into the sums and into their columns.
+    def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
+        """Fold rows s..k-1 into the sums and their (lhs, rhs) columns.
 
         Each row's dot (`_row_dots`) and norms (`row_norm_pair`) have the
-        bits of its own. A running sum starts from its value in its first
-        row's entry and is accumulated along them in place. The negative
+        bits of its own, and the sums run as `_run_sum` does. The negative
         term is summed in Python, whose x**2 is not numpy's.
         """
-        s, k = self._summed, self._rows
-        if s == k:
-            return
-        self._summed = k
-        lhs, rhs = self._columns[:, s:k]
+        lhs, rhs = columns
         norm, dual = self._norms
-        played = self._played[s:k]
+        played = self._play[s:k]
         d = np.subtract(played, self.comparator)
         dots = _row_dots(d, self._gradient[s:k])
-        dots[0] += self._lhs
-        np.add.accumulate(dots, out=lhs)
-        self._lhs = float(lhs[-1])
+        self._lhs = float(_run_sum(dots, self._lhs, lhs)[-1])
         np.subtract(self._secondary[s + 1 : k + 1], played, out=d)
         g_dist = norm(d)
         np.subtract(self._gradient[s:k], self._prediction[s:k], out=d)
         variance = dual(d)
         variance *= g_dist
-        variance[0] += self._variance
-        np.add.accumulate(variance, out=variance)
-        self._variance = float(variance[-1])
+        self._variance = float(_run_sum(variance, self._variance)[-1])
         np.subtract(self._secondary[s:k], played, out=d)
         negative, two_eta = self._negative, self._two_eta
         column = []
@@ -553,14 +535,6 @@ class RegretCertificate:
         self._negative = negative
         # divergence + variance - negative, op by op
         np.subtract(self.divergence_term + variance, column, out=rhs)
-
-    def fold(self) -> np.ndarray:
-        """Fold the buffered rows and hand over the (lhs, rhs) columns of
-        every round since the last `fold()`: rows of a (2, k) view, which a
-        later fold, a read included, overwrites. The rows start over."""
-        k = self._rows
-        self._restart()
-        return self._columns[:, :k]
 
     @property
     def rhs(self) -> float:

@@ -5,10 +5,10 @@ iterate) and the Holder-smooth interpolation with the exponent-dependent step
 size, which degrades gracefully toward the bounded-gradient-variation regime.
 
 `trajectory` is the round itself, two prox steps; both solvers fold its logs
-through RegretCertificate and keep no squared-gap history. The rows are
-folded once per block of the certificate's rounds: its (lhs, rhs) columns
-(`RegretCertificate.fold`), the plays' running sums (`_add_rows`), and the
-value of each running sum / t, with the bits of one round at a time.
+through RegretCertificate and keep no squared-gap history. Once per block
+of the certificate's rounds (the `_rows._BlockRows` contract) its `fold()`
+hands over the (lhs, rhs) columns and each round's running play sum, whose
+value / t each row carries, with the bits of one round at a time.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._rows import RowTable, _add_rows
+from ._rows import RowTable
 from . import mirror
 from .mirror import MirrorMap, RegretCertificate, RoundLog, point_weights
 
@@ -133,24 +133,18 @@ def _prox_loop(problem: SmoothProblem, T: int, eta: float) -> OfflineResult:
     cert = RegretCertificate(m, eta, comparator)
     update, block = cert.update, cert.block
     value_of = problem.value
-    total = np.zeros(m.dim)
-    plays = np.empty((block, m.dim))
     rows = RowTable(OfflineRound)
-    k = 0
     for t, log in enumerate(trajectory(problem, T, eta), start=1):
         update(log)
-        plays[k] = log.played
-        k += 1
-        if k == block or t == T:
-            ts = range(t - k + 1, t + 1)
-            sums = _add_rows(total, plays[:k])
+        if t % block == 0 or t == T:
+            columns, sums = cert.fold()
+            ts = range(t - len(sums) + 1, t + 1)
             if value_of is None:
-                values = [math.nan] * k
+                values = [math.nan] * len(sums)
             else:
                 values = [value_of(row / i) for row, i in zip(sums, ts)]
-            rows.extend(ts, values, *cert.fold())
-            k = 0
-    return OfflineResult(average=total / T, rounds=rows, eta=eta)
+            rows.extend(ts, values, *columns)
+    return OfflineResult(average=cert.play_sum / T, rounds=rows, eta=eta)
 
 
 def mirror_prox(problem: SmoothProblem, T: int) -> OfflineResult:

@@ -9,11 +9,11 @@ saddle point at a rate set by the worst smoothness exponent.
 certificate from it, and `convexprog.solve_cp` plays the same round on the
 Lagrangian of a convex program.
 
-`saddle_solve` copies each round's plays and the differences its bound
-reads into rows of block buffers, and folds them once per block of rounds:
-the play sums (`_add_rows`), each row's norms (`row_norm_pair`), the
-bound's sums and the block's trace rows, with the bits of one round at a
-time. `value` and `gap_oracle` are still called once a round.
+`saddle_solve`'s bound is a `_rows._BlockRows` kind: once per block of
+rounds its `fold()` hands over the bound's column and each round's running
+play sums, and the block's trace rows are appended at once, with the bits
+of one round at a time. `value` and `gap_oracle` are still called once a
+round.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rows import RowTable, _add_rows, _block_rows
+from ._rows import RowTable, _BlockRows, _block_rows, _run_sum
 from .mirror import MirrorMap, point_weights, prox_step
 
 
@@ -169,6 +169,60 @@ def coupled_rounds(losses, step_f, step_x, start_f, start_x, T: int):
         prev_f, prev_x = point_weights(sec_f), point_weights(sec_x)
 
 
+class _Bound(_BlockRows):
+    """`saddle_solve`'s running bound, on the `_rows._BlockRows` contract.
+
+    A round's play is one [f | x] row, so `play_sum` and each round's
+    running play sum hold both sides; its own rows are each side's
+    gradient - prediction and g_{t-1} - play. Its column is the bound's
+    numerator, divergence + var_f + var_x - neg_cross / (2 eta), which
+    `saddle_solve` divides by t; var_f, var_x and neg_cross run jointly,
+    each with the bits of one round at a time.
+    """
+
+    def __init__(self, problem: SaddleProblem, eta: float):
+        mf, mx = problem.map_f, problem.map_x
+        nf = mf.dim
+        super().__init__(nf + mx.dim, min(_block_rows(nf), _block_rows(mx.dim)), 1)
+        self._norms = mf.row_norm_pair, mx.row_norm_pair
+        self._f_rows = np.empty((2, self.block, nf))
+        self._x_rows = np.empty((2, self.block, mx.dim))
+        # constants of the bound, hoisted in its own evaluation order: same bits
+        self._divergence = problem.radius_f**2 / eta + problem.radius_x**2 / eta
+        self._half_eta, self._two_eta = eta / 2.0, 2.0 * eta
+        self._sums = np.zeros(3)  # var_f, var_x and neg_cross
+
+    def update(self, f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) -> None:
+        """Take in one round, as `coupled_rounds` yields it."""
+        k = self._row()
+        np.concatenate((f_t, x_t), out=self._play[k])
+        np.subtract(grad_f_t, pred_f, out=self._f_rows[0, k])
+        np.subtract(grad_x_t, pred_x, out=self._x_rows[0, k])
+        np.subtract(prev_f, f_t, out=self._f_rows[1, k])
+        np.subtract(prev_x, x_t, out=self._x_rows[1, k])
+        self._rows = k + 1
+
+    def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
+        gaps_f, prevs_f = self._f_rows[:, s:k]
+        gaps_x, prevs_x = self._x_rows[:, s:k]
+        (norm_f, dual_f), (norm_x, dual_x) = self._norms
+        half_eta = self._half_eta
+        # each round's increment of var_f, var_x and neg_cross, squared as
+        # Python squares; then each sum runs from its value one round at a time
+        steps = np.array([
+            [half_eta * d**2 for d in dual_f(gaps_f).tolist()],
+            [half_eta * d**2 for d in dual_x(gaps_x).tolist()],
+            [a**2 + b**2 for a, b in zip(norm_f(prevs_f).tolist(), norm_x(prevs_x).tolist())],
+        ])
+        self._sums = _run_sum(steps.T, self._sums)[-1].copy()
+        var_f, var_x, neg_cross = steps
+        # divergence + var_f + var_x - neg_cross / two_eta, op by op
+        bound = columns[0]
+        np.add(self._divergence, var_f, out=bound)
+        bound += var_x
+        bound -= neg_cross / self._two_eta
+
+
 def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> SaddleResult:
     """Run the coupled dynamics for T rounds and average both sides.
 
@@ -186,22 +240,12 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
             problem.radius_f, problem.radius_x, problem.holder_const, problem.gamma, T
         )
     mf, mx = problem.map_f, problem.map_x
-    norm_f, dual_f = mf.row_norm_pair
-    norm_x, dual_x = mx.row_norm_pair
     grad_f, grad_x = problem.grad_f, problem.grad_x
     value_of, gap_oracle = problem.value, problem.gap_oracle
-    # constants of the bound, hoisted in its own evaluation order: same bits
-    divergence = problem.radius_f**2 / eta + problem.radius_x**2 / eta
-    half_eta, two_eta = eta / 2.0, 2.0 * eta
-    block = min(_block_rows(mf.dim), _block_rows(mx.dim))
-    # each side's rows: its plays, gradient - prediction, and g_{t-1} - play
-    f_rows = np.empty((3, block, mf.dim))
-    x_rows = np.empty((3, block, mx.dim))
-    f_total = np.zeros(mf.dim)
-    x_total = np.zeros(mx.dim)
+    cert = _Bound(problem, eta)
+    update, block, nf = cert.update, cert.block, mf.dim
     trace = RowTable(SaddleRound)
     values = []
-    sums = np.zeros(3)  # var_f, var_x and neg_cross
     rounds = coupled_rounds(
         lambda f, x: (np.asarray(grad_f(f, x), dtype=float), -np.asarray(grad_x(f, x), dtype=float)),
         lambda base, loss: prox_step(mf, base, loss, eta),
@@ -210,48 +254,24 @@ def saddle_solve(problem: SaddleProblem, T: int, eta: float | None = None) -> Sa
         mx.divergence_minimizer(),
         T,
     )
-    k = 0
-    for t, (f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x) in enumerate(rounds, 1):
-        f_rows[0, k] = f_t
-        x_rows[0, k] = x_t
-        np.subtract(grad_f_t, pred_f, out=f_rows[1, k])
-        np.subtract(grad_x_t, pred_x, out=x_rows[1, k])
-        np.subtract(prev_f, f_t, out=f_rows[2, k])
-        np.subtract(prev_x, x_t, out=x_rows[2, k])
-        values.append(math.nan if value_of is None else value_of(f_t, x_t))
-        k += 1
-        if k < block and t < T:
+    for t, played in enumerate(rounds, 1):
+        update(*played)
+        values.append(math.nan if value_of is None else value_of(*played[:2]))
+        if t % block and t < T:
             continue
-        ts = range(t - k + 1, t + 1)
-        plays_f, gaps_f, prevs_f = f_rows[:, :k]
-        plays_x, gaps_x, prevs_x = x_rows[:, :k]
-        # each round's increment of var_f, var_x and neg_cross, squared as
-        # Python squares; then each sum runs from its value one round at a time
-        steps = np.array([
-            [half_eta * d**2 for d in dual_f(gaps_f).tolist()],
-            [half_eta * d**2 for d in dual_x(gaps_x).tolist()],
-            [a**2 + b**2 for a, b in zip(norm_f(prevs_f).tolist(), norm_x(prevs_x).tolist())],
-        ])
-        steps[:, 0] += sums
-        var_f, var_x, neg_cross = np.add.accumulate(steps, axis=1, out=steps)
-        sums = steps[:, -1].copy()
-        # (divergence + var_f + var_x - neg_cross / two_eta) / t, op by op
-        bound = divergence + var_f
-        bound += var_x
-        bound -= neg_cross / two_eta
-        bound /= ts
-        f_sums = _add_rows(f_total, plays_f)
-        x_sums = _add_rows(x_total, plays_x)
+        (bound,), sums = cert.fold()
+        ts = range(t - len(sums) + 1, t + 1)
+        bound = bound / ts
         if gap_oracle is None:
             gaps = bound
         else:
-            gaps = [float(gap_oracle(f / i, x / i)) for f, x, i in zip(f_sums, x_sums, ts)]
-        trace.extend(ts, values, np.full(k, eta), gaps, bound)
+            gaps = [float(gap_oracle(row[:nf] / i, row[nf:] / i)) for row, i in zip(sums, ts)]
+        trace.extend(ts, values, np.full(len(sums), eta), gaps, bound)
         values.clear()
-        k = 0
+    total = cert.play_sum
     return SaddleResult(
-        f_average=f_total / T,
-        x_average=x_total / T,
+        f_average=total[:nf] / T,
+        x_average=total[nf:] / T,
         gap=float(gaps[-1]),
         certificate_bound=float(bound[-1]),
         eta=eta,

@@ -496,6 +496,29 @@ def reference_saddle_solve(problem, T, eta=None):
     )
 
 
+class ReferenceSaddleBound:
+    # the running bound of reference_saddle_solve, one round at a time, with
+    # its play sums; `numerator` is the bound before its division by t
+    def __init__(self, problem, eta):
+        self.problem, self.eta = problem, eta
+        self.var_f = self.var_x = self.neg_cross = 0.0
+        self.f_total = np.zeros(problem.map_f.dim)
+        self.x_total = np.zeros(problem.map_x.dim)
+
+    def update(self, f_t, x_t, pred_f, pred_x, grad_f_t, grad_x_t, prev_f, prev_x):
+        mf, mx, eta = self.problem.map_f, self.problem.map_x, self.eta
+        self.var_f += eta / 2.0 * reference_dual_norm(mf, grad_f_t - pred_f) ** 2
+        self.var_x += eta / 2.0 * reference_dual_norm(mx, grad_x_t - pred_x) ** 2
+        self.neg_cross += reference_norm(mf, prev_f - f_t) ** 2 + reference_norm(mx, prev_x - x_t) ** 2
+        self.f_total += f_t
+        self.x_total += x_t
+
+    @property
+    def numerator(self):
+        p, eta = self.problem, self.eta
+        return p.radius_f**2 / eta + p.radius_x**2 / eta + self.var_f + self.var_x - self.neg_cross / (2.0 * eta)
+
+
 def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, stop_when=None):
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -772,12 +795,12 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
 
 # ---------------------------------------------------------------- the step/fold contract
 #
-# games._self_play steps a side with step(w), which returns eta, collects a
-# block's (lhs, rhs, low) columns with fold(), where low is the smallest
-# entry of the side's running sum of w, and takes the averages from
-# play_sum. `Folding` puts a frozen side above behind that contract without
-# changing its round: it keeps what the frozen step returned, a round at a
-# time.
+# games._self_play steps a side with step(w), collects a block's (eta,
+# lhs, rhs, low) columns with fold(), where low is the smallest entry of the
+# side's running sum of w, and takes the averages from play_sum. `Folding`
+# puts a frozen side above behind that contract without changing its round:
+# it keeps what the frozen step returned, a round at a time, and hands over
+# no running play sums (the match reads none).
 
 class Folding:
     block = games._GUARD_BLOCK
@@ -790,12 +813,12 @@ class Folding:
         eta, lhs, rhs, *low = super().step(w)
         if not low:  # the frozen full-information step returns no minimum
             low = [float(np.minimum.reduce(self.certificate.cum_obs))]
-        self._columns.append((lhs, rhs, low[0]))
+        self._columns.append((eta, lhs, rhs, low[0]))
         return eta
 
     def fold(self):
         columns, self._columns = self._columns, []
-        return tuple(map(list, zip(*columns))) if columns else ([], [], [])
+        return tuple(map(list, zip(*columns))), None
 
 
 class FoldingBanditSide(Folding, ReferenceBanditSide):

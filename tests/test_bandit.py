@@ -497,7 +497,8 @@ def test_a_nan_perturbed_play_sticks():
     side.sums, side.h_last, side._eta_next, side.play = learner
     side.step(w)
     # the round that stopped short hands over a NaN eta, not a stale entry
-    assert np.isnan(side.fold()[0]).tolist() == [False, False, False, True, False]
+    (etas, *_), _ = side.fold()
+    assert np.isnan(etas).tolist() == [False, False, False, True, False]
     for _ in range(2 * _GUARD_BLOCK + 5):
         side.step(w)
     assert math.isnan(side.min_perturbed)

@@ -919,16 +919,21 @@ def test_fold_hands_over_each_rounds_columns(kind, n, fold_every):
     cert = RegretCertificate(m, 0.7, comparator)
     ref = ReferenceRegretCertificate(m, 0.7, comparator)
     got, expected = [], []
+    total, got_sums, sums = np.zeros(n), [], []
     for t, log in enumerate(logs, start=1):
         cert.update(log)
         ref.update(log)
         expected.append((ref.lhs, ref.rhs))
+        total += log.played
+        sums.append(total.tobytes())
         if t % 3 == 0:
             cert.holds()  # a read folds too; fold() still hands its rounds over
         if t % fold_every == 0 or t == T:
-            lhs, rhs = cert.fold()
+            (lhs, rhs), play_sums = cert.fold()
             got.extend(zip(lhs.tolist(), rhs.tolist()))
+            got_sums.extend(row.tobytes() for row in play_sums)
     assert repr(got) == repr(expected)
+    assert got_sums == sums
     assert _reads(cert) == _reads(ref)
 
 
@@ -943,9 +948,9 @@ def test_fold_drops_the_columns_of_a_block_no_fold_collected():
         cert.update(log)
         ref.update(log)
         expected.append((ref.lhs, ref.rhs))
-    lhs, rhs = cert.fold()
+    (lhs, rhs), _ = cert.fold()
     assert repr(list(zip(lhs.tolist(), rhs.tolist()))) == repr(expected[-5:])
-    assert cert.fold().shape == (2, 0)
+    assert cert.fold()[0].shape == (2, 0)
     assert _reads(cert) == _reads(ref)
 
 

@@ -1,11 +1,25 @@
-"""Column-backed row tables: rows built on access, columns as numpy views."""
+"""Column-backed row tables, rows built on access and columns as numpy views;
+and the block contract that every certificate keeps."""
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omdkit import games
 from omdkit._rows import Constant, Rows, RowTable, _row_dots
+from omdkit.mirror import ENTROPY, MirrorMap, RegretCertificate, RoundLog
+from omdkit.saddle import SaddleProblem, _Bound
+
+from helpers import (
+    ReferenceBanditSide,
+    ReferenceFullInfoPlayer,
+    ReferenceRegretCertificate,
+    ReferenceSaddleBound,
+    reference_full_info_step,
+)
 
 
 @dataclass
@@ -139,3 +153,164 @@ def test_row_dots_reach_subnormal_and_infinite_values():
     assert 0.0 < _row_dots(tiny, tiny)[0] < np.finfo(float).tiny
     with np.errstate(over="ignore"):
         assert np.isinf(_row_dots(huge, huge)).all()
+
+
+# ---------------------------------------------------------------- the block contract
+#
+# Every `_BlockRows` kind against its frozen, round-by-round reference, over
+# any interleaving of rounds, reads and `fold()` calls, never folding
+# included: each read has the reference's bits, and each `fold()` hands over
+# the reference's column and running play sum of every round since the last
+# one, less the rounds of a full buffer that the next round started over.
+
+
+def _point(rng, m):
+    """A feasible point of the map m."""
+    if m.kind == ENTROPY:
+        return rng.dirichlet(np.ones(m.dim))
+    return m.project(rng.normal(size=m.dim))
+
+
+class _Regret:
+    def __init__(self, n, rng):
+        self.rng = rng
+        self.m = MirrorMap.entropy_simplex(n) if n % 2 else MirrorMap.euclidean_ball(n)
+        comparator = _point(rng, self.m)
+        self.lib = RegretCertificate(self.m, 0.7, comparator)
+        self.ref = ReferenceRegretCertificate(self.m, 0.7, comparator)
+        self.total = np.zeros(n)
+
+    def round(self):
+        n = self.m.dim
+        log = RoundLog(_point(self.rng, self.m), _point(self.rng, self.m), self.rng.normal(size=n),
+                       self.rng.normal(size=n))
+        self.lib.update(log)
+        self.ref.update(log)
+        self.total += log.played
+        return [self.ref.lhs, self.ref.rhs], self.total
+
+    def reads(self):
+        lib, ref = self.lib, self.ref
+        return ((lib.lhs, lib.rhs, lib.holds(), lib.play_sum.tobytes()),
+                (ref.lhs, ref.rhs, ref.holds(), self.total.tobytes()))
+
+
+class _Side:
+    def __init__(self, n, rng):
+        self.rng = rng
+        start = rng.uniform(-1, 1, size=n)
+        self.lib = games.FullInfoPlayer(n, 500, start, mixing=n % 2 == 0)
+        self.ref = ReferenceFullInfoPlayer(n, 500, start, mixing=n % 2 == 0)
+
+    def round(self):
+        obs = self.rng.uniform(-1, 1, size=self.lib.n)
+        games.full_info_step(self.lib, obs)
+        reference_full_info_step(self.ref, obs)
+        cert = self.ref.certificate
+        return [self.ref.eta, cert.lhs, cert.rhs, float(np.minimum.reduce(cert.cum_obs))], self.ref.play_sum
+
+    def reads(self):
+        lib, ref = self.lib.certificate, self.ref.certificate
+        return ((lib.lhs, lib.rhs, lib.cum_obs.tobytes(), self.lib.play_sum.tobytes()),
+                (ref.lhs, ref.rhs, ref.cum_obs.tobytes(), self.ref.play_sum.tobytes()))
+
+
+class _CountedBanditSide(games._BanditSide):
+    """A bandit side that records which rounds its guard checks."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stepped = 0
+        self.round_of = [0] * self.block  # the round each row holds
+        self.checked = []
+
+    def step(self, w):
+        eta = super().step(w)
+        self.stepped += 1
+        self.round_of[self._rows - 1] = self.stepped
+        return eta
+
+    def _check(self):
+        self.checked += self.round_of[self._guarded : self._rows]
+        super()._check()
+
+
+class _Bandit:
+    def __init__(self, n, rng):
+        self.rng = rng
+        n = max(n, 2)
+        delta = min(1e-6, 0.5 * games.simplex_floor_delta(n, 500))
+        self.tol = games._estimator_tol(games.tangent_basis(n), delta)
+        self.lib = _CountedBanditSide(n, 3, 500, delta, np.random.default_rng(n))
+        self.ref = ReferenceBanditSide(n, 3, 500, delta, np.random.default_rng(n))
+
+    def round(self):
+        w = self.rng.uniform(-1, 1, size=self.lib.n)
+        self.lib.step(w)
+        return list(self.ref.step(w)), self.ref.play_sum
+
+    def reads(self):
+        # the guard's error sums each block's products in an order set by
+        # where its checks fall, so it agrees to its rounding, not its bits
+        lib, ref = self.lib, self.ref
+        assert abs(lib.max_error - ref.max_error) <= 1e-3 * self.tol
+        return ((lib.cum_obs.tobytes(), lib.play_sum.tobytes(), lib.min_perturbed),
+                (ref.loss_sum.tobytes(), ref.play_sum.tobytes(), ref.min_perturbed))
+
+
+class _Saddle:
+    def __init__(self, n, rng):
+        self.rng = rng
+        nx = 1 + n % 5
+        self.maps = MirrorMap.euclidean_ball(n), MirrorMap.entropy_simplex(nx)
+        problem = SaddleProblem(None, None, *self.maps, (1.0,) * 4, (1.0,) * 4, 0.5, 0.7)
+        self.lib = _Bound(problem, 0.3)
+        self.ref = ReferenceSaddleBound(problem, 0.3)
+
+    def round(self):
+        (mf, mx), rng = self.maps, self.rng
+        played = [_point(rng, mf), _point(rng, mx), rng.normal(size=mf.dim), rng.normal(size=mx.dim),
+                  rng.normal(size=mf.dim), rng.normal(size=mx.dim), _point(rng, mf), _point(rng, mx)]
+        self.lib.update(*played)
+        self.ref.update(*played)
+        return [self.ref.numerator], np.concatenate((self.ref.f_total, self.ref.x_total))
+
+    def reads(self):
+        return (self.lib.play_sum.tobytes(),), (np.concatenate((self.ref.f_total, self.ref.x_total)).tobytes(),)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([_Regret, _Side, _Bandit, _Saddle]), st.sampled_from([1, 2, 5, 130, 300]),
+       st.lists(st.tuples(st.integers(0, 140), st.sampled_from(["read", "fold", "both"])), min_size=1, max_size=5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_block_kind_keeps_the_contract(kind, n, runs, folds, seed):
+    # each run is some rounds, then a read, a fold or both (never a fold
+    # unless `folds`); a block is 64 rounds, 63 at n = 130, 27 at n = 300
+    driver = kind(n, np.random.default_rng(seed))
+    lib = driver.lib
+    pending = []  # each round since the last fold: its reference column and play sum
+
+    def read():
+        got, expected = driver.reads()
+        assert repr(got) == repr(expected)
+
+    def collect():
+        columns, play_sums = lib.fold()
+        expected, pending[:] = pending[:], []
+        assert repr(np.transpose(columns).tolist()) == repr([column for column, _ in expected])
+        assert [row.tobytes() for row in play_sums] == [total.tobytes() for _, total in expected]
+
+    for rounds, then in runs:
+        for _ in range(max(rounds, not pending)):  # a side's rhs reads its first eta
+            if len(pending) == lib.block:
+                pending.clear()  # the full buffer starts over
+            column, total = driver.round()
+            pending.append((column, total.copy()))
+        if then != "fold":
+            read()
+        if then != "read" and folds:
+            collect()
+    collect()
+    read()
+    if kind is _Bandit:
+        assert lib.checked == list(range(1, lib.stepped + 1))
