@@ -3,7 +3,9 @@
 Also the block contract that every certificate keeps, `_BlockRows`, with
 its pieces: a block's size, its running sums and its row dot products, each
 with the bits of the one-round-at-a-time code it replaces, and the
-fold-before-read attribute.
+fold-before-read attribute. One rule holds for every kind: a fold reads each
+row once, in the kind's `_fill`, and then turns the row, in place, into its
+running sum; nothing reads a row after its fold.
 """
 from __future__ import annotations
 
@@ -53,16 +55,17 @@ class _BlockRows:
 
     A round takes a row, `_row()`, of the (block, n) play buffer and of the
     kind's own row buffers, fills it and sets `_rows` past it. The rows not
-    yet folded are folded into the running `play_sum` (`_run_sum`), keeping
-    each row's running play sum, and into the kind's own sums and their
-    (width, block) columns by the kind's `_fill(s, k, columns)`, given rows
-    s..k-1 and their columns. Every read of a folded attribute folds them
-    first, so it has the bits of a fold after every round. `fold()` hands
-    over the columns and running play sums of every round since the last
-    `fold()` and starts the rows over; a full buffer starts over at the
-    next round, which drops the columns no `fold()` collected. A kind that
-    carries state from one row to the next moves it in `_restart()`, after
-    the fold.
+    yet folded, s..k-1, are read once by the kind's `_fill(s, k, columns)`,
+    which folds them into the kind's own sums and their (width, block)
+    columns; then each play row becomes, in place, the running `play_sum`
+    after its round (`_run_sum`). Every read of a folded attribute folds
+    them first, so it has the bits of a fold after every round. `fold()`
+    hands over the columns and running play sums of every round since the
+    last `fold()` and starts the rows over; the play sums are the play rows
+    themselves, which later rounds overwrite. A full buffer starts over
+    at the next round, which drops the columns no `fold()` collected. A kind
+    that carries state from one row to the next moves it in `_restart()`,
+    after the fold.
     """
 
     play_sum = _read_folded("play_sum")
@@ -70,7 +73,6 @@ class _BlockRows:
     def __init__(self, n: int, block: int, width: int):
         self.block = block
         self._play = np.empty((block, n))
-        self._play_sums = np.empty((block, n))
         self._play_sum = np.zeros(n)
         self._columns = np.empty((width, block))
         self._rows = 0  # rows taken since the buffer started over
@@ -95,19 +97,17 @@ class _BlockRows:
         if s == k:
             return
         self._summed = k
-        sums = self._play_sums[s:k]
-        sums[:] = self._play[s:k]
-        self._play_sum[:] = _run_sum(sums, self._play_sum)[-1]
         self._fill(s, k, self._columns[:, s:k])
+        self._play_sum[:] = _run_sum(self._play[s:k], self._play_sum)[-1]
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
         """Fold the buffered rows and hand over (columns, play_sums) of every
         round since the last `fold()`: a (width, k) view of the columns and
-        a (k, n) view of each round's running play sum, which a later round
-        or fold, a read included, overwrites. The rows start over."""
+        the (k, n) play rows, each now its round's running play sum, which
+        later rounds overwrite. The rows start over."""
         k = self._rows
         self._restart()
-        return self._columns[:, :k], self._play_sums[:k]
+        return self._columns[:, :k], self._play[:k]
 
 
 class Rows(Sequence):

@@ -14,17 +14,15 @@ Both kinds also keep the block contract of every certificate,
 `_rows._BlockRows`, through `_SideRows`. A round does only what the next
 round depends on, the learner's step with its increment and step size, and
 copies its loss direction and its play into a row. The rest is folded once
-per block of rounds: the running sum of the loss directions (`cum_obs`)
-with each round's minimum, which the match's running gap reads; the play
-sum behind the averages; and the side's trace columns, eta and a
-full-information side's certificate (lhs, rhs) or a bandit side's (eta,
-cap). The match appends a block's trace rows at once.
-
-A bandit side's estimator guard checks the enumeration identity for every
-round and every basis index, and takes the smallest perturbed-play entry
-over every round and both of its basis rows, from the same rows, each
-round once, before the rows start over. Reading a side's `max_error` or
-`min_perturbed` checks the rounds not yet checked.
+per block of rounds, each row read once and then turned, in place, into its
+running sum: the loss directions' `cum_obs` with each round's minimum, which
+the match's running gap reads; the play sum behind the averages; and the
+side's trace columns, eta and a full-information side's certificate (lhs,
+rhs) or a bandit side's (eta, cap). A bandit side's estimator guard is part
+of its fold: it checks the enumeration identity for every round and basis
+index, and takes the smallest perturbed-play entry over every round and both
+of its basis rows, each round when its row is folded (in a match, every
+block; otherwise, any read). The match appends a block's trace rows at once.
 
 The row player minimizes f^T A x; the column player maximizes it, so its
 learner consumes the negated payoff vector and the machinery is shared.
@@ -42,7 +40,7 @@ from .mirror import SimplexPoint
 from .saddle import _payoff_matrix, bilinear_gap
 
 ETA_CAP = 1.0 / 11.0
-# rounds a bandit side buffers before its estimator guard checks them
+# rounds a bandit side buffers before it folds them, its guard included
 _GUARD_BLOCK = 64
 
 
@@ -146,12 +144,12 @@ class _SideRows(_BlockRows):
     """What both self-play side kinds fold alike, on the `_rows._BlockRows`
     contract: each round's loss direction, in a row beside its play.
 
-    The loss directions are folded into the running sum `cum_obs` (in a
-    copy of the rows, which a full-information certificate and a bandit
-    side's guard read again), with each round's min(cum_obs), which the
-    match's running gap reads. The columns are each round's (eta, lhs, rhs,
-    min cum_obs): a round writes its eta when it takes its row, and a kind's
-    `_fill` writes lhs and rhs after this one's.
+    The loss direction rows become, in place, the running sum `cum_obs`
+    after each round, and each round's min(cum_obs), which the match's
+    running gap reads, goes into a column; a kind's `_fill` reads its loss
+    rows before it calls this one's. The columns are each round's (eta, lhs,
+    rhs, min cum_obs): a round writes its eta when it takes its row, and a
+    kind's `_fill` writes lhs and rhs.
     """
 
     cum_obs = _read_folded("cum_obs")
@@ -164,7 +162,7 @@ class _SideRows(_BlockRows):
         self._obs = np.empty((block, n))
 
     def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
-        sums = _run_sum(self._obs[s:k].copy(), self._cum_obs)
+        sums = _run_sum(self._obs[s:k], self._cum_obs)
         self._cum_obs[:] = sums[-1]
         self._min_obs = float(np.minimum.reduce(sums, axis=1, out=columns[3])[-1])
 
@@ -233,12 +231,13 @@ class SideCertificate(_SideRows):
 
         The running sums run as `_run_sum` does; a row-wise sum is each
         row's own sum, bit for bit. The negative term is summed in Python,
-        whose x**2 is not numpy's.
+        whose x**2 is not numpy's. The play losses are taken before
+        `_SideRows._fill` turns the loss rows into running sums.
         """
-        super()._fill(s, k, columns)
-        etas, lhs, rhs, low = columns
         play, dist = self._play[s:k], self._secondary[s:k]
         loss = _row_dots(play, self._obs[s:k])
+        super()._fill(s, k, columns)
+        etas, lhs, rhs, low = columns
         self._cum_play_loss = float(_run_sum(loss, self._cum_play_loss)[-1])
         np.subtract(loss, low, out=lhs)
         # the ell_1 distances to f_t, of g_t, g'_{t-1} and g'_t in turn, each
@@ -607,12 +606,18 @@ class _BanditSide(_Learner, _SideRows):
 
     Its rows are the payoff vectors w and the plays f, so `cum_obs` is its
     running payoff sum, and its columns are each round's (eta, eta, cap,
-    min cum_obs): the step discipline is the certificate. The estimator
-    guard checks the same rows, with each round's base payoff and drawn
-    basis index, before they start over and when `max_error` or
-    `min_perturbed` is read; `_guarded` counts the rows it has checked, so
-    it checks each round once.
+    min cum_obs): the step discipline is the certificate. Its `_fill` runs
+    the estimator guard on the rows it folds, with each round's drawn basis
+    index, so the guard checks each round once, when its row is folded.
+    `max_error` is the largest estimator enumeration error over every round
+    stepped so far (NaN once any round's error was NaN); `min_perturbed` is
+    the smallest entry of any perturbed play f - delta |u| over every round
+    stepped so far, both of each round's basis rows (NaN once any was NaN;
+    inf before the first round).
     """
+
+    max_error = _read_folded("max_error")
+    min_perturbed = _read_folded("min_perturbed")
 
     def __init__(self, own_dim: int, opp_dim: int, T: int, delta: float, rng):
         # the step rule's constants, read by _eta(), so set before the
@@ -636,13 +641,10 @@ class _BanditSide(_Learner, _SideRows):
         self._drawn = 0
         # the last estimate est_bar, as a multiple of basis row prev_index
         self._c_last = 0.0
-        # each row's base payoff f @ w, and the basis indices row k used at
-        # k and k + 1
-        self._base = np.empty((_GUARD_BLOCK, 1))
+        # the basis indices row k used at k and k + 1
         self._index = np.empty(_GUARD_BLOCK + 1, dtype=np.intp)
-        self._guarded = 0  # rows the guard has checked
-        self._max_error = 0.0  # largest enumeration error of the checked rounds
-        self._min_perturbed = math.inf  # smallest perturbed-play entry of the checked rounds
+        self._max_error = 0.0
+        self._min_perturbed = math.inf
 
     def _eta(self) -> float:
         return _bandit_eta(self.sums, self.h_last, self._root_log, self.cap)
@@ -669,7 +671,6 @@ class _BanditSide(_Learner, _SideRows):
         self._drawn = d + 1
         self._obs[k] = payoff_vector
         self._play[k] = f
-        self._base[k, 0] = base
         self._index[k] = j
         self._index[k + 1] = new_index
         self._columns[0, k] = math.nan  # until the learner has stepped
@@ -697,33 +698,8 @@ class _BanditSide(_Learner, _SideRows):
         return self.eta
 
     def _fill(self, s: int, k: int, columns: np.ndarray) -> None:
-        super()._fill(s, k, columns)
-        columns[1] = columns[0]
-        columns[2] = self.cap
-
-    @property
-    def max_error(self) -> float:
-        """Largest estimator enumeration error over every round stepped so far
-        (NaN once any round's error was NaN)."""
-        self._check()
-        return self._max_error
-
-    @property
-    def min_perturbed(self) -> float:
-        """Smallest entry of any perturbed play f - delta |u| over every round
-        stepped so far, both of each round's basis rows (NaN once any was
-        NaN; inf before the first round)."""
-        self._check()
-        return self._min_perturbed
-
-    def _restart(self) -> None:
-        self._check()
-        super()._restart()
-        self._guarded = 0
-
-    def _check(self) -> None:
-        """Check the rounds not yet checked at once, the enumeration identity
-        and the perturbed plays, once the rows are folded.
+        """Check rows s..k-1 with the estimator guard, the enumeration
+        identity and the perturbed plays, then fold them.
 
         Averaging the estimate over every basis index must reproduce
         (n/(n-1)) * the tangent projection of the payoff vector. Each row
@@ -743,14 +719,10 @@ class _BanditSide(_Learner, _SideRows):
         min(f_0..f_j) - delta |a_j|, f_(j+1) - delta |b_j| and
         min(f_(j+2)..).
         """
-        s, k = self._guarded, self._rows
-        if s == k:
-            return
-        self._fold_sums()  # before the guard rewrites the payoff vectors
-        self._guarded = k
         n = self.n
-        w = self._obs[s:k]
-        b = self._base[s:k]
+        w, f = self._obs[s:k], self._play[s:k]
+        # each round's base payoff f @ w, with the bits of the one its step took
+        b = _row_dots(f, w)[:, None]
         # the formula (n / 2 delta)((b + d) - (b - d)) @ basis with
         # d = delta (w @ basis.T), each step in place where it can be: the
         # same bits in fewer arrays
@@ -762,19 +734,18 @@ class _BanditSide(_Learner, _SideRows):
         ests = diff @ self.basis
         ests *= self._scale
         del d, diff  # a block's peak memory holds at most three such arrays
-        # the payoff vectors are read for the last time: w becomes the target
-        w -= np.add.reduce(w, axis=1, keepdims=True) / n
-        w *= n / (n - 1.0)
+        target = w - np.add.reduce(w, axis=1, keepdims=True) / n
+        target *= n / (n - 1.0)
         ests /= n - 1.0
-        ests -= w
+        ests -= target
         err = float(np.maximum.reduce(np.abs(ests, out=ests), axis=None))
         # np.maximum keeps a NaN from either side, so a NaN error fails the
         # guard and no later block's finite error replaces it
         self._max_error = float(np.maximum(self._max_error, err))
 
-        # w and ests are free now: they take the plays' prefix and suffix minima
-        f = self._play[s:k]
-        prefix, suffix = w, ests
+        # target and ests are free now: they take the plays' prefix and
+        # suffix minima
+        prefix, suffix = target, ests
         np.minimum.accumulate(f, axis=1, out=prefix)
         np.minimum.accumulate(f[:, ::-1], axis=1, out=suffix[:, ::-1])
         drawn = self._index[s : k + 1]
@@ -786,6 +757,9 @@ class _BanditSide(_Learner, _SideRows):
         np.minimum(low, suffix[at, np.minimum(rows + 2, n - 1)], out=low)
         # the same NaN rule as the guard's
         self._min_perturbed = float(np.minimum(self._min_perturbed, np.minimum.reduce(low, axis=None)))
+        super()._fill(s, k, columns)
+        columns[1] = columns[0]
+        columns[2] = self.cap
 
 
 def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}")
         if self.rounds is not None and self.rounds < 1:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key, value in (("delta", self.delta), ("epsilon", self.epsilon)):
             # written so that NaN fails the check too
             if value is not None and not 0.0 < value < math.inf:

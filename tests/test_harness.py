@@ -141,6 +141,8 @@ def test_config_kind_mismatch_and_bad_values(tmp_path):
         config_from_sources("game", {}, {"mixing": False})  # a field name, not a key
     with pytest.raises(ConfigError, match="unknown kind"):
         ExperimentConfig(kind="tictactoe")
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+        config_from_sources("game", {"seed": "-1"})
     path = tmp_path / "bad.cfg"
     path.write_text("rounds=5\nwidgets=3\n")
     with pytest.raises(ConfigError, match=r"bad.cfg:2: unknown key 'widgets'"):
@@ -200,7 +202,7 @@ _KEY_TEXT = {
     "matrix": _WORD,
     "graph": _WORD,
     "rounds": st.integers(1, 10**6).map(str),
-    "seed": st.integers(-(10**6), 10**6).map(str),
+    "seed": st.integers(0, 10**6).map(str),
     "delta": st.floats(1e-9, 1.0).map(repr),
     "epsilon": st.floats(1e-6, 100.0).map(str),
     "instance": _WORD,
@@ -610,22 +612,24 @@ def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, key",
+    "argv, message",
     [
-        (["game-bandit", "--delta", "nan"], "delta"),
-        (["game-bandit", "--delta", "inf"], "delta"),
-        (["cvxprog", "--epsilon", "inf"], "epsilon"),
-        (["cvxprog", "--epsilon", "nan"], "epsilon"),
-        (["maxflow", "--epsilon=-inf"], "epsilon"),
-        (["maxflow", "--epsilon", "0"], "epsilon"),
+        (["game-bandit", "--delta", "nan"], "delta must be positive and finite"),
+        (["game-bandit", "--delta", "inf"], "delta must be positive and finite"),
+        (["cvxprog", "--epsilon", "inf"], "epsilon must be positive and finite"),
+        (["cvxprog", "--epsilon", "nan"], "epsilon must be positive and finite"),
+        (["maxflow", "--epsilon=-inf"], "epsilon must be positive and finite"),
+        (["maxflow", "--epsilon", "0"], "epsilon must be positive and finite"),
+        *(([kind, "--seed=-1"], "seed must be nonnegative, got -1") for kind in harness.KINDS),
     ],
 )
-def test_cli_non_finite_delta_epsilon_exit_two(tmp_path, capsys, argv, key):
-    inputs = {"game-bandit": ["--matrix", _matrix_file(tmp_path)], "maxflow": ["--graph", _graph_file(tmp_path)]}
+def test_cli_out_of_range_values_exit_two(tmp_path, capsys, argv, message):
+    matrix, graph = ["--matrix", _matrix_file(tmp_path)], ["--graph", _graph_file(tmp_path)]
+    inputs = {"game": matrix, "game-bandit": matrix, "saddle": matrix, "maxflow": graph}
     code = cli.main(argv + inputs.get(argv[0], []) + ["--out", str(tmp_path / "run")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith(f"error: {key} must be positive and finite")
+    assert captured.err.startswith(f"error: {message}")
     assert not (tmp_path / "run").exists()
 
 

@@ -8,7 +8,10 @@ trees read the same input files, written once, before either runs, from the
 fixed matrices and graphs below and from the benchmark's own generator
 (`perfbench/inputs.py` of the tree holding this file) at seeds 0, 1 and 7.
 
-Prints one line per differing case and exits 1 if any differs, else 0.
+A case whose outputs are meant to change is declared, by name, in the
+change tree's `tools/identity_breaks.txt`: one case name a line, `#`
+comments and blank lines allowed. Prints one line per difference and one per
+failure, and exits 1 if any case fails the verdict (`verdict`), else 0.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ BENCH_SEEDS = (0, 1, 7)
 # 4 nodes, 5 edges, source 1, sink 4
 SMALL_GRAPH = "p 4 5 1 4\ne 1 2\ne 1 3\ne 2 3\ne 2 4\ne 3 4\n"
 OUTPUTS = ("trace.csv", "flows.csv", "summary.txt")
+BREAKS = Path("tools") / "identity_breaks.txt"
 
 
 def write_inputs(directory: Path) -> list[tuple[str, list[str]]]:
@@ -101,6 +105,28 @@ def outputs(directory: Path) -> dict[str, bytes]:
     return found
 
 
+def read_breaks(text: str) -> list[str]:
+    """The case names a breaks file declares: one a line, less `#` comments
+    and blank lines."""
+    return [name for line in text.splitlines() if (name := line.split("#", 1)[0].strip())]
+
+
+def verdict(cases: list[str], differences: dict[str, list[str]], declared: list[str]) -> list[str]:
+    """The failures of a comparison, one line each: a difference in a case
+    not declared; a declared case whose outputs and exit status did not
+    change; and a declared name that is not a case. `differences` maps a
+    case to its difference lines; a case it leaves out did not change."""
+    failures = []
+    for name in cases:
+        if name in declared:
+            if not differences.get(name):
+                failures.append(f"{name}: declared as a break, but its outputs and exit status did not change")
+        else:
+            failures += differences.get(name, [])
+    failures += [f"{name}: declared as a break, but no case has this name" for name in declared if name not in cases]
+    return failures
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run"]:  # one tree's side, in its own interpreter
@@ -125,19 +151,29 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, __file__, "--run", str(cases_file), str(out)],
                            env=env, cwd=tree.resolve(), check=True)
         status = {label: json.loads((out / "status.json").read_text()) for label, out in runs.items()}
-        differ = []
+        differences = {}
         for name, _ in cases:
             before, after = (outputs(runs[label] / name) for label in ("parent", "change"))
+            differ = differences[name] = []
             if status["parent"][name] != status["change"][name]:
                 differ.append(f"{name}: exit status {status['parent'][name]} -> {status['change'][name]}")
             for file in sorted(before.keys() | after.keys()):
                 if before.get(file) != after.get(file):
                     differ.append(f"{name}: {file} differs")
-        for line in differ:
-            print(line)
-        counts = {code: list(status["change"].values()).count(code) for code in sorted(set(status["change"].values()))}
-        print(f"{len(cases)} cases, by exit status {counts}; {len(differ)} differences")
-        return 1 if differ else 0
+    breaks = args.change / BREAKS
+    declared = read_breaks(breaks.read_text()) if breaks.is_file() else []
+    names = [name for name, _ in cases]
+    failures = verdict(names, differences, declared)
+    for name in names:
+        for line in differences[name]:
+            print(line + (" (declared)" if name in declared else ""))
+    for line in failures:
+        print(f"FAILED {line}")
+    counts = {code: list(status["change"].values()).count(code) for code in sorted(set(status["change"].values()))}
+    changed = sum(1 for lines in differences.values() if lines)
+    print(f"{len(cases)} cases, by exit status {counts}; {changed} changed, {len(declared)} declared as breaks;"
+          f" {len(failures)} failures")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
