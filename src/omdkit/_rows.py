@@ -160,37 +160,18 @@ class RowTable(Rows):
     """A solver's per-round rows of one dataclass, stored as columns.
 
     The field `t` is kept in an array('q') and every other field in an
-    array('d'), so each row costs 8 bytes a field. `append` takes one row's
-    values in field order; indexing and iteration build `row_type` rows on
-    access. `column(name)` is a read-only numpy view of one column, made
-    without a copy; the table cannot grow while such a view is alive (the
-    array raises BufferError), so take views once the solver has returned.
+    array('d'), so each row costs 8 bytes a field. A table grows one way,
+    `extend`, by a block of rows given column by column; indexing and
+    iteration build `row_type` rows on access. `column(name)` is a read-only
+    numpy view of one column, made without a copy; the table cannot grow
+    while such a view is alive (the array raises BufferError), so take views
+    once the solver has returned.
     """
 
     def __init__(self, row_type):
         self.row_type = row_type
         self.names = tuple(f.name for f in fields(row_type))
         super().__init__((array("q" if name == "t" else "d") for name in self.names), row_type)
-        self._appends = tuple(column.append for column in self.columns)
-
-    def _truncate(self, size: int) -> None:
-        """Drop what a failed append left past `size` rows."""
-        for column in self.columns:
-            del column[size:]
-
-    def append(self, *values) -> None:
-        if len(values) != len(self._appends):
-            raise TypeError(
-                f"{self.row_type.__name__} has {len(self._appends)} fields, got {len(values)} values"
-            )
-        try:
-            for append, value in zip(self._appends, values):
-                append(value)
-        except (TypeError, OverflowError):
-            # a value the column cannot hold: drop the partial row (the last
-            # column never received it)
-            self._truncate(len(self.columns[-1]))
-            raise
 
     def extend(self, *columns) -> None:
         """Append a block of rows given column by column, in field order: one
@@ -198,9 +179,9 @@ class RowTable(Rows):
         column's type only where no value can change (a float `t` raises
         TypeError); a block that a column cannot hold raises and is dropped
         whole."""
-        if len(columns) != len(self._appends):
+        if len(columns) != len(self.columns):
             raise TypeError(
-                f"{self.row_type.__name__} has {len(self._appends)} fields, got {len(columns)} columns"
+                f"{self.row_type.__name__} has {len(self.columns)} fields, got {len(columns)} columns"
             )
         block = [
             np.asarray(values).astype(column.typecode, casting="safe", copy=False)
@@ -213,8 +194,10 @@ class RowTable(Rows):
             for column, values in zip(self.columns, block):
                 column.frombytes(values.tobytes())
         except BufferError:
-            # a column under a live view cannot grow: drop the columns that did
-            self._truncate(size)
+            # a column under a live view cannot grow: drop the block from
+            # the columns that took it
+            for column in self.columns:
+                del column[size:]
             raise
 
     def column(self, name: str) -> np.ndarray:

@@ -17,6 +17,7 @@ value standing in for the unknown F*.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -200,10 +201,10 @@ def solve_cp(
     horizon the blend satisfies max_i G_i(f_hat) <= 1 and
     objective @ f_hat >= (1 - epsilon/margin) * target.
 
-    The run folds its own certificate: after round t it appends
-    CpRound(t, max G(f_bar_t), 1 + psi/t) to report.trace, where f_bar_t is
-    the running average f_sum / t of the plays and psi the potential of the
-    step sizes. stop_when, the one per-round hook, is then called with
+    The run folds its own certificate: report.trace holds one row a round
+    run, CpRound(t, max G(f_bar_t), 1 + psi/t), where f_bar_t is the running
+    average f_sum / t of the plays and psi the potential of the step sizes.
+    stop_when, the one per-round hook, is called after round t with
     (t, max_constraint_avg); a true result ends the run at round t, and that
     f_bar_t is the one blended into f_hat. The plays do not depend on the
     hook, so a run it never stops is the run without it, and report.rounds
@@ -235,7 +236,7 @@ def solve_cp(
         T,
     )
     f_sum = np.zeros(problem.dim)
-    trace = RowTable(CpRound)
+    max_avgs, bounds = array("d"), array("d")
     max_resid = solver.residual  # the start point's, checked by its projection
     for t, (f_t, *_) in enumerate(rounds, 1):
         # no projection since the play's, so this is the play's residual
@@ -243,9 +244,12 @@ def solve_cp(
         f_sum += f_t
         f_bar = f_sum / t
         max_avg = float(np.maximum.reduce(np.asarray(problem.values(f_bar), dtype=float)))
-        trace.append(t, max_avg, 1.0 + psi / t)
+        max_avgs.append(max_avg)
+        bounds.append(1.0 + psi / t)
         if stop_when is not None and stop_when(t, max_avg):
             break
+    trace = RowTable(CpRound)
+    trace.extend(range(1, t + 1), max_avgs, bounds)
 
     alpha = _alpha(problem, epsilon)
     f_hat = (1.0 - alpha) * f_bar + alpha * problem.anchor

@@ -3,13 +3,14 @@
 Seven experiment kinds share one entry point. Each run writes trace.csv (one
 row per round, or per search candidate for the flow kind) and summary.txt
 (key=value lines) into the output directory; the flow kind adds flows.csv.
-Numeric output uses round-trip decimal formatting, and trace files are
-bit-identical across reruns with the same inputs; wall time appears only in
-the summary. The maxflow trace's `rounds` column counts the rounds each
-candidate actually ran, and its `stop` column says why it stopped:
-`accepted-early` when the blended running average met every capacity before
-the auto horizon, `horizon` otherwise; `early_stops` in the summary counts
-the former.
+A runner hands over every CSV as a `Rows` view of its columns, and one
+column writer, `_write_csv`, writes them all. Numeric output uses
+round-trip decimal formatting, and trace files are bit-identical across
+reruns with the same inputs; wall time appears only in the summary. The
+maxflow trace's `rounds` column counts the rounds each candidate actually
+ran, and its `stop` column says why it stopped: `accepted-early` when the
+blended running average met every capacity before the auto horizon,
+`horizon` otherwise; `early_stops` in the summary counts the former.
 
 Each config key is named once: an ExperimentConfig field whose metadata gives
 the key, the parser of its text and its flag's help (CONFIG_KEYS collects
@@ -19,9 +20,9 @@ is parsed from its text like a config file line.
 
 The harness evaluates no inequality of its own. Each solver folds its
 certificate into its rows, as an lhs and an rhs column or as a per-row
-verdict, and states its run-level verdicts. A runner formats the rows and
-counts the failed ones (lhs above rhs + CERT_TOL, or a false verdict); the
-run fails if any row or run-level verdict does.
+verdict, and states its run-level verdicts. A runner counts the failed rows
+(lhs above rhs + CERT_TOL in `_checks`, which also fits the run's slope, or
+a false verdict); the run fails if any row or run-level verdict does.
 
 Exit status (returned by `cli.main`):
   0  every per-round certificate and run-level guarantee held;
@@ -99,14 +100,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
+        # the self-play and saddle step sizes need a second round
+        least = 2 if self.kind in ("game", "game-bandit", "saddle") else 1
+        if self.rounds is not None and self.rounds < least:
+            raise ConfigError(f"rounds must be at least {least}, got {self.rounds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key, value in (("delta", self.delta), ("epsilon", self.epsilon)):
             # written so that NaN fails the check too
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+        if self.kind == "maxflow" and not self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must be below 1 for maxflow, got {self.epsilon!r}")
 
 
 # every config key but `kind`, which the subcommand names: key -> field
@@ -122,13 +127,22 @@ class ExperimentResult:
     summary_path: Path
     summary: dict
     trace_header: list[str]
-    # one tuple per trace.csv row; for the kinds whose solver keeps a
-    # RowTable, a read-only view over its columns that builds rows on access
-    trace_rows: Sequence[tuple]
+    # the trace.csv rows: a read-only view of the columns the writer wrote,
+    # which builds one tuple per row on access
+    trace_rows: Rows
     extra_paths: dict[str, Path] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------- parsing
+
+def _content_lines(text: str):
+    """(line number from 1, stripped line) of each line of `text` that is
+    neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
 
 def load_config(path) -> dict[str, str]:
     """Read key=value lines; blank lines and # comments are skipped."""
@@ -138,14 +152,11 @@ def load_config(path) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key not in CONFIG_KEYS and key != KIND_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in mapping:
@@ -185,10 +196,7 @@ def parse_matrix(text: str, name: str = "matrix") -> PayoffMatrix:
     """One comma-separated row per line; entries must lie in [-1, 1]."""
     rows: list[list[float]] = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         entries = []
         for piece in line.split(","):
             try:
@@ -216,10 +224,7 @@ def parse_graph(text: str, name: str = "graph") -> FlowNetwork:
     """`p <nodes> <edges> <source> <sink>` then one `e <u> <v>` per edge, 1-indexed."""
     header = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if header is not None:
@@ -282,22 +287,20 @@ def fit_rate(horizons: Sequence[float], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(h), np.log(v), 1)[0])
 
 
-def _slope_or_nan(ts, values) -> float:
-    ts = np.asarray(ts, dtype=float)
+def _checks(table, values, *pairs: tuple[str, str]) -> dict:
+    """A run's certificate keys from its RowTable: `fitted_slope`, the fit of
+    the positive `values` against the `t` column (NaN below three such
+    rows); `cert_checks`, the rows; and `cert_failures`, the rows where some
+    (lhs, rhs) column pair misses lhs <= rhs + CERT_TOL (a NaN misses)."""
+    ts = np.asarray(table.column("t"), dtype=float)
     values = np.asarray(values, dtype=float)
     keep = values > 0
-    if np.count_nonzero(keep) < 3:
-        return math.nan
-    return fit_rate(ts[keep], values[keep])
-
-
-def _cert_failures(table, *sides: tuple[str, str]) -> int:
-    """Rows of a RowTable where some (lhs, rhs) column pair misses
-    lhs <= rhs + CERT_TOL; a NaN misses."""
+    slope = math.nan if np.count_nonzero(keep) < 3 else fit_rate(ts[keep], values[keep])
     ok = np.ones(len(table), dtype=bool)
-    for lhs, rhs in sides:
+    for lhs, rhs in pairs:
         ok &= table.column(lhs) <= table.column(rhs) + CERT_TOL
-    return len(table) - int(np.count_nonzero(ok))
+    failures = len(table) - int(np.count_nonzero(ok))
+    return {"fitted_slope": slope, "cert_checks": len(table), "cert_failures": failures}
 
 
 # ---------------------------------------------------------------- runners
@@ -335,20 +338,16 @@ def _run_game(config: ExperimentConfig):
         res = run_bandit_match(payoff, T, delta=config.delta, seed=config.seed)
         # the bandit certificate is the step discipline: each eta against its cap
         header = ["t", "eta_row", "eta_col", "gap", "cap_row", "cap_col"]
-        t, eta_row, eta_col, gap = res.trace.rows("t", "eta_row", "eta_col", "gap").columns
         caps = (Constant(res.summary["cap_row"], T), Constant(res.summary["cap_col"], T))
-        rows = Rows((t, eta_row, eta_col, gap, *caps))
+        rows = Rows((*res.trace.rows(*header[:4]).columns, *caps))
     summary = {
         "actions_row": payoff.n,
         "actions_col": payoff.m,
         "rounds": T,
         "gap": res.gap,
         "value_estimate": float(res.f_average @ payoff.entries @ res.x_average),
-        "fitted_slope": _slope_or_nan(res.trace.column("t"), res.trace.column("gap")),
-        "cert_checks": len(rows),
-        "cert_failures": _cert_failures(
-            res.trace, ("cert_lhs_row", "cert_rhs_row"), ("cert_lhs_col", "cert_rhs_col")
-        ),
+        **_checks(res.trace, res.trace.column("gap"),
+                  ("cert_lhs_row", "cert_rhs_row"), ("cert_lhs_col", "cert_rhs_col")),
     }
     if config.kind == "game":
         summary["mixing"] = config.mixing
@@ -372,9 +371,7 @@ def _run_saddle(config: ExperimentConfig):
         "eta": res.eta,
         "gap": res.gap,
         "certificate_bound": res.certificate_bound,
-        "fitted_slope": _slope_or_nan(res.trace.column("t"), res.trace.column("gap")),
-        "cert_checks": len(rows),
-        "cert_failures": _cert_failures(res.trace, ("gap", "bound")),
+        **_checks(res.trace, res.trace.column("gap"), ("gap", "bound")),
     }
     return ["t", "eta", "value", "gap", "bound"], rows, summary, {}, ()
 
@@ -400,9 +397,7 @@ def _run_offline(config: ExperimentConfig):
         "rounds": T,
         "eta": eta,
         "suboptimality": rows[-1][2],
-        "fitted_slope": _slope_or_nan(res.rounds.column("t"), subopt),
-        "cert_checks": len(rows),
-        "cert_failures": _cert_failures(res.rounds, ("cert_lhs", "cert_rhs")),
+        **_checks(res.rounds, subopt, ("cert_lhs", "cert_rhs")),
     }
     return ["t", "eta", "suboptimality", "cert_lhs", "cert_rhs"], rows, summary, {}, ()
 
@@ -427,11 +422,8 @@ def _run_cvxprog(config: ExperimentConfig):
         "feasible": report.feasible,
         "objective_ok": report.objective_ok,
         "max_slice_residual": report.max_slice_residual,
-        "fitted_slope": _slope_or_nan(
-            report.trace.column("t"), report.trace.column("max_constraint_avg") - 1.0
-        ),
-        "cert_checks": len(rows),
-        "cert_failures": _cert_failures(report.trace, ("max_constraint_avg", "bound")),
+        **_checks(report.trace, report.trace.column("max_constraint_avg") - 1.0,
+                  ("max_constraint_avg", "bound")),
     }
     header = ["t", "eta", "max_constraint_avg", "bound"]
     return header, rows, summary, {}, (report.feasible, report.objective_ok)
@@ -440,13 +432,11 @@ def _run_cvxprog(config: ExperimentConfig):
 def _run_maxflow(config: ExperimentConfig):
     network = parse_graph(_read_instance(config.graph, "--graph", config.kind), name=str(config.graph))
     sol = max_flow(network, config.epsilon)
-    rows = [
-        (idx, c.target, c.rounds, c.max_constraint, int(c.accepted), c.stop)
-        for idx, c in enumerate(sol.candidates, start=1)
-    ]
-    flows_lines = ["edge_index,u,v,flow"]
-    for idx, ((u, v), flow) in enumerate(zip(network.edges, sol.flows), start=1):
-        flows_lines.append(f"{idx},{u + 1},{v + 1},{float(flow)!r}")
+    cands = sol.candidates
+    rows = Rows((range(1, len(cands) + 1), [c.target for c in cands], [c.rounds for c in cands],
+                 [c.max_constraint for c in cands], [int(c.accepted) for c in cands], [c.stop for c in cands]))
+    edges = network.edges
+    flows = Rows((range(1, len(edges) + 1), [u + 1 for u, _ in edges], [v + 1 for _, v in edges], sol.flows))
     summary = {
         "nodes": network.nodes,
         "edges": network.edge_count,
@@ -459,10 +449,10 @@ def _run_maxflow(config: ExperimentConfig):
         "early_stops": sol.early_stops,
         "accepted_target": sol.accepted_target,
         "cert_checks": len(rows),
-        "cert_failures": sum(not c.holds for c in sol.candidates),
+        "cert_failures": sum(not c.holds for c in cands),
     }
     header = ["candidate", "target", "rounds", "max_constraint", "accepted", "stop"]
-    return header, rows, summary, {"flows.csv": flows_lines}, (sol.clean,)
+    return header, rows, summary, {"flows.csv": (["edge_index", "u", "v", "flow"], flows)}, (sol.clean,)
 
 
 # each kind: its runner and its help text; the runner reads the solvers
@@ -525,13 +515,11 @@ def _column_cells(column):
     return lambda start, stop: list(map(rule, column[start:stop]))
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
-    """Write `header` and `rows` column by column, a block of rows at a time:
-    the text _format_cell gives cell by cell. A Rows view without `build`
-    hands over its columns, a Constant among them formatted once; other
-    rows are split into columns first."""
-    plain = isinstance(rows, Rows) and rows.build is None
-    columns = [_column_cells(column) for column in (rows.columns if plain else zip(*rows))]
+def _write_csv(path: Path, header: Sequence[str], rows: Rows) -> None:
+    """Write `header` and the columns of `rows`, a block of rows at a time:
+    the text _format_cell gives cell by cell, a Constant column formatted
+    once."""
+    columns = [_column_cells(column) for column in rows.columns]
     n = len(rows)
 
     def lines():
@@ -579,8 +567,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     try:
         _write_csv(trace_path, header, rows)
         _write_fresh(summary_path, (f"{key}={_format_cell(value)}" for key, value in full_summary.items()))
-        for filename, lines in extras.items():
-            _write_fresh(extra_paths[filename], lines)
+        for filename, (extra_header, extra_rows) in extras.items():
+            _write_csv(extra_paths[filename], extra_header, extra_rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     return ExperimentResult(

@@ -483,7 +483,7 @@ def reference_saddle_solve(problem, T, eta=None):
             gap = float(problem.gap_oracle(f_total / t, x_total / t))
         else:
             gap = running
-        trace.append(t, value, eta, gap, running)
+        trace.extend([t], [value], [eta], [gap], [running])
         g_prev_f = point_weights(sec_f)
         g_prev_x = point_weights(sec_x)
     return SaddleResult(
@@ -556,7 +556,7 @@ def reference_solve_cp(problem, epsilon, rounds=None, solver=None, target=None, 
         f_sum += f_t
         f_bar = f_sum / t
         max_avg = float(np.maximum.reduce(np.asarray(problem.values(f_bar), dtype=float)))
-        trace.append(t, max_avg, 1.0 + psi / t)
+        trace.extend([t], [max_avg], [1.0 + psi / t])
         if stop_when is not None and stop_when(t, max_avg):
             break
 
@@ -632,7 +632,7 @@ def reference_prox_loop(problem, T, eta):
         total += log.played
         cert.update(log)
         value = math.nan if problem.value is None else problem.value(total / t)
-        rows.append(t, value, cert.lhs, cert.rhs)
+        rows.extend([t], [value], [cert.lhs], [cert.rhs])
     return OfflineResult(average=total / T, rounds=rows, eta=eta)
 
 
@@ -785,7 +785,7 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
         fA_sum += fA
         Ax_sum += Ax
         gap_t = float(np.maximum.reduce(fA_sum) - np.minimum.reduce(Ax_sum)) / t
-        trace.append(t, eta_row, eta_col, gap_t, lhs_row, rhs_row, lhs_col, rhs_col)
+        trace.extend([t], [eta_row], [eta_col], [gap_t], [lhs_row], [rhs_row], [lhs_col], [rhs_col])
     f_avg = f_sum / T
     x_avg = x_sum / T
     return MatchResult(

@@ -229,20 +229,31 @@ def test_key_table_is_the_config_fields():
     kind_line=st.booleans(),
 )
 def test_file_overrides_and_flags_build_one_config(tmp_path, kind, values, kind_line):
+    # the three sources build one config, or fail with one message (a
+    # horizon or epsilon out of range for the kind)
+    def build(file_map, overrides=None):
+        try:
+            return config_from_sources(kind, file_map, overrides)
+        except ConfigError as exc:
+            return str(exc)
+
     path = tmp_path / "run.cfg"
     lines = [f"kind={kind}"] if kind_line else []
     path.write_text("".join(f"{line}\n" for line in lines + [f"{k}={v}" for k, v in values.items()]))
-    from_file = config_from_sources(kind, load_config(path))
+    from_file = build(load_config(path))
 
-    from_overrides = config_from_sources(kind, {}, values)
+    from_overrides = build({}, values)
 
     switch = values.get("no-mixing", "false").lower() in ("true", "1", "yes", "on")
     argv = [kind] + [f"--{k}={v}" for k, v in values.items() if k != "no-mixing"]
     args = vars(cli.build_parser().parse_args(argv + (["--no-mixing"] if switch else [])))
     assert args.pop(harness.KIND_KEY) == kind and args.pop("config") is None
-    from_flags = config_from_sources(kind, {}, args)
+    from_flags = build({}, args)
 
     assert from_file == from_overrides == from_flags
+    if isinstance(from_flags, str):
+        assert from_flags.startswith(("rounds must be at least 2", "epsilon must be below 1"))
+        return
     assert from_flags.rounds == (int(values["rounds"]) if "rounds" in values else None)
     assert from_flags.epsilon == (float(values["epsilon"]) if "epsilon" in values else 0.1)
     assert from_flags.mixing is not switch
@@ -391,18 +402,18 @@ def test_unknown_instance_and_missing_inputs(tmp_path):
             ExperimentConfig(kind="game", matrix=str(tmp_path / "ghost.txt"), out=str(tmp_path / "x"))
         )
     # horizon errors surface as config errors, not tracebacks
-    with pytest.raises(ConfigError, match="at least 1"):
+    with pytest.raises(ConfigError, match="rounds must be at least 1, got 0"):
+        ExperimentConfig(kind="holder", rounds=0)
+    with pytest.raises(ConfigError, match="rounds must be at least 2, got 0"):
         ExperimentConfig(kind="game", rounds=0)
-    with pytest.raises(ConfigError, match="T must be at least 2"):
-        run_experiment(
-            ExperimentConfig(kind="game", matrix=_matrix_file(tmp_path), rounds=1, out=str(tmp_path / "x"))
-        )
+    with pytest.raises(ConfigError, match="rounds must be at least 2, got 1"):
+        ExperimentConfig(kind="game", matrix=_matrix_file(tmp_path), rounds=1, out=str(tmp_path / "x"))
 
 
 def test_certificate_failure_sets_status_one(tmp_path, monkeypatch):
     def broken(config):
         header = ["t", "cert_lhs", "cert_rhs"]
-        return header, [(1, 2.0, 1.0)], {"cert_checks": 1, "cert_failures": 1}, {}, (True,)
+        return header, Rows(([1], [2.0], [1.0])), {"cert_checks": 1, "cert_failures": 1}, {}, (True,)
 
     monkeypatch.setitem(harness.KINDS, "game", (broken, "a runner whose certificate fails"))
     result = run_experiment(
@@ -620,6 +631,10 @@ def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
         (["cvxprog", "--epsilon", "nan"], "epsilon must be positive and finite"),
         (["maxflow", "--epsilon=-inf"], "epsilon must be positive and finite"),
         (["maxflow", "--epsilon", "0"], "epsilon must be positive and finite"),
+        (["maxflow", "--epsilon", "1"], "epsilon must be below 1 for maxflow, got 1.0"),
+        (["maxflow", "--epsilon", "1.5"], "epsilon must be below 1 for maxflow, got 1.5"),
+        *(([kind, "--rounds", "1"], "rounds must be at least 2, got 1") for kind in ("game", "game-bandit", "saddle")),
+        *(([kind, "--rounds", "0"], "rounds must be at least 1, got 0") for kind in ("mirror-prox", "cvxprog")),
         *(([kind, "--seed=-1"], "seed must be nonnegative, got -1") for kind in harness.KINDS),
     ],
 )
@@ -738,12 +753,10 @@ def _trace_columns(draw):
 @example(columns=[array("d", [0.0] * 70 + [-0.0]), array("d", [math.nan] * 70 + [-math.nan])])
 def test_column_writer_is_the_row_writer(tmp_path, columns):
     # byte for byte against the writer as it was, cell by cell, for a
-    # Rows view over columns and for a plain list of row tuples
+    # Rows view over columns
     header = [f"c{k}" for k in range(len(columns))]
     rows = Rows(columns)
-    expected = tmp_path / "expected.csv"
+    expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
     reference_write_csv(expected, header, rows)
-    for given_rows in (rows, list(rows)):
-        got = tmp_path / "got.csv"
-        harness._write_csv(got, header, given_rows)
-        assert got.read_bytes() == expected.read_bytes()
+    harness._write_csv(got, header, rows)
+    assert got.read_bytes() == expected.read_bytes()

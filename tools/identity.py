@@ -7,6 +7,10 @@ compares what every case wrote: `trace.csv`, `flows.csv` and `summary.txt`
 trees read the same input files, written once, before either runs, from the
 fixed matrices and graphs below and from the benchmark's own generator
 (`perfbench/inputs.py` of the tree holding this file) at seeds 0, 1 and 7.
+Besides the runs, the cases cover a config file of each kind (a `kind=`
+line, a comment, a blank line and an indented `key = value`), a value out
+of range for its kind, which exits 2, and a graph with no path from source
+to sink, which no candidate searches.
 
 A case whose outputs are meant to change is declared, by name, in the
 change tree's `tools/identity_breaks.txt`: one case name a line, `#`
@@ -35,6 +39,8 @@ CVXPROG = ("box", "inactive", "interval", "simplex-capped", "tied")
 BENCH_SEEDS = (0, 1, 7)
 # 4 nodes, 5 edges, source 1, sink 4
 SMALL_GRAPH = "p 4 5 1 4\ne 1 2\ne 1 3\ne 2 3\ne 2 4\ne 3 4\n"
+# 4 nodes, source 1, sink 4, one edge: no path, so no candidate
+DISCONNECTED_GRAPH = "p 4 1 1 4\ne 1 2\n"
 OUTPUTS = ("trace.csv", "flows.csv", "summary.txt")
 BREAKS = Path("tools") / "identity_breaks.txt"
 
@@ -64,6 +70,19 @@ def write_inputs(directory: Path) -> list[tuple[str, list[str]]]:
     graph = directory / "small.graph.txt"
     graph.write_text(SMALL_GRAPH)
     cases.append(("maxflow-small", ["maxflow", "--graph", str(graph)]))
+    disconnected = directory / "disconnected.graph.txt"
+    disconnected.write_text(DISCONNECTED_GRAPH)
+    cases.append(("maxflow-disconnected", ["maxflow", "--graph", str(disconnected)]))
+    matrix = directory / "7x3.txt"
+    cases.append(("game-7x3-T1", ["game", "--matrix", str(matrix), "--rounds", "1"]))
+    cases.append(("maxflow-small-epsilon1", ["maxflow", "--graph", str(graph), "--epsilon", "1"]))
+    for kind, line in (("mirror-prox", "rounds = 65"), ("holder", "instance = vertex-pull"),
+                       ("saddle", f"matrix = {matrix}"), ("game", f"matrix = {matrix}"),
+                       ("game-bandit", f"matrix = {matrix}"), ("cvxprog", "instance = tied"),
+                       ("maxflow", f"graph = {graph}")):
+        config = directory / f"{kind}.cfg"
+        config.write_text(f"kind={kind}\n# a comment, then a blank line\n\n    {line}\n")
+        cases.append((f"config-{kind}", [kind, "--config", str(config)]))
 
     sys.path.insert(0, str(HERE / "perfbench"))
     import inputs  # the benchmark's generator; it does not import omdkit
