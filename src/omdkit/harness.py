@@ -21,8 +21,11 @@ is parsed from its text like a config file line.
 The harness evaluates no inequality of its own. Each solver folds its
 certificate into its rows, as an lhs and an rhs column or as a per-row
 verdict, and states its run-level verdicts. A runner counts the failed rows
-(lhs above rhs + CERT_TOL in `_checks`, which also fits the run's slope, or
-a false verdict); the run fails if any row or run-level verdict does.
+(lhs above rhs + CERT_TOL in `_checks`, or a false verdict); the run fails if
+any row or run-level verdict does. `_checks` also makes `fitted_slope`, a
+streamed least-squares fit of log value against log t over the rows with a
+positive value; it folds both from column views a block of rows at a time,
+so a run's checks take memory independent of T.
 
 Exit status (returned by `cli.main`):
   0  every per-round certificate and run-level guarantee held;
@@ -39,7 +42,9 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -193,31 +198,38 @@ def config_from_sources(kind: str, file_map: dict | None = None, overrides: dict
 
 
 def parse_matrix(text: str, name: str = "matrix") -> PayoffMatrix:
-    """One comma-separated row per line; entries must lie in [-1, 1]."""
-    rows: list[list[float]] = []
+    """One comma-separated row per line; entries must lie in [-1, 1].
+
+    The entries go into one flat array('d') as they are parsed, 8 bytes
+    each, and the matrix is made from it once."""
+    entries = array("d")
     width = None
     for lineno, line in _content_lines(text):
-        entries = []
-        for piece in line.split(","):
-            try:
-                entries.append(float(piece))
-            except ValueError:
-                raise ConfigError(f"{name}:{lineno}: bad entry {piece.strip()!r}") from None
+        pieces = line.split(",")
+        try:
+            row = array("d", map(float, pieces))
+        except ValueError:
+            for piece in pieces:
+                try:
+                    float(piece)
+                except ValueError:
+                    raise ConfigError(f"{name}:{lineno}: bad entry {piece.strip()!r}") from None
         if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+            width = len(row)
+        elif len(row) != width:
             raise ConfigError(
-                f"{name}:{lineno}: row has {len(entries)} entries, expected {width}"
+                f"{name}:{lineno}: row has {len(row)} entries, expected {width}"
             )
-        for j, v in enumerate(entries):
-            if not math.isfinite(v) or abs(v) > 1.0:
-                raise ConfigError(
-                    f"{name}:{lineno}: entry {j + 1} is {v!r}, outside [-1, 1]"
-                )
-        rows.append(entries)
-    if not rows:
+        within = np.abs(np.frombuffer(row)) <= 1.0  # NaN is not
+        if not within.all():
+            j = int(within.argmin())
+            raise ConfigError(
+                f"{name}:{lineno}: entry {j + 1} is {row[j]!r}, outside [-1, 1]"
+            )
+        entries += row
+    if width is None:
         raise ConfigError(f"{name}: no matrix rows found")
-    return PayoffMatrix(np.array(rows))
+    return PayoffMatrix(np.frombuffer(entries).reshape(-1, width))
 
 
 def parse_graph(text: str, name: str = "graph") -> FlowNetwork:
@@ -272,11 +284,52 @@ def parse_graph(text: str, name: str = "graph") -> FlowNetwork:
 
 # ---------------------------------------------------------------- rate fitting
 
+_CHECK_ROWS = 1024  # rows a fit or a failure count reads at a time
+
+
+class _LogLogFit:
+    """A least-squares line through (log t, log value), streamed a block of
+    points at a time: the count, the means of x = log t and y = log value,
+    and the co-moments C_xx and C_xy. Each block's own means and centred
+    co-moments are merged into the running ones as in Chan, Golub & LeVeque
+    (1979), so no sum of large terms cancels and memory is one block's."""
+
+    def __init__(self):
+        self.n = 0
+        self.mean_x = self.mean_y = self.c_xx = self.c_xy = 0.0
+
+    def add(self, t: np.ndarray, value: np.ndarray) -> None:
+        """Fold the points (t[i], value[i]), all positive."""
+        k = len(t)
+        if not k:
+            return
+        x = np.log(np.asarray(t, dtype=float))
+        y = np.log(value)
+        mean_x, mean_y = float(x.mean()), float(y.mean())
+        x -= mean_x
+        y -= mean_y
+        n = self.n + k
+        d_x, d_y = mean_x - self.mean_x, mean_y - self.mean_y
+        weight = self.n * k / n
+        self.c_xx += float(x @ x) + d_x * d_x * weight
+        self.c_xy += float(x @ y) + d_x * d_y * weight
+        self.mean_x += d_x * k / n
+        self.mean_y += d_y * k / n
+        self.n = n
+
+    @property
+    def slope(self) -> float:
+        """C_xy / C_xx; NaN below three points or when every t is the same."""
+        return self.c_xy / self.c_xx if self.n >= 3 and self.c_xx > 0 else math.nan
+
+
 def fit_rate(horizons: Sequence[float], values: Sequence[float]) -> float:
     """Least-squares slope of log(value) against log(horizon).
 
     A clean c/T series fits -1; c/sqrt(T) fits -0.5. Needs at least three
-    points, all horizons and values positive.
+    points, all horizons and values positive. The fit is streamed, a block
+    of points at a time (`_LogLogFit`), as `fitted_slope` is; it is NaN
+    when every horizon is the same.
     """
     h = np.asarray(horizons, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -284,23 +337,34 @@ def fit_rate(horizons: Sequence[float], values: Sequence[float]) -> float:
         raise ValueError("need at least three matching horizon/value pairs")
     if np.any(h <= 0) or np.any(v <= 0):
         raise ValueError("horizons and values must be positive")
-    return float(np.polyfit(np.log(h), np.log(v), 1)[0])
+    fit = _LogLogFit()
+    for start in range(0, h.size, _CHECK_ROWS):
+        fit.add(h[start:start + _CHECK_ROWS], v[start:start + _CHECK_ROWS])
+    return fit.slope
 
 
 def _checks(table, values, *pairs: tuple[str, str]) -> dict:
-    """A run's certificate keys from its RowTable: `fitted_slope`, the fit of
-    the positive `values` against the `t` column (NaN below three such
-    rows); `cert_checks`, the rows; and `cert_failures`, the rows where some
-    (lhs, rhs) column pair misses lhs <= rhs + CERT_TOL (a NaN misses)."""
-    ts = np.asarray(table.column("t"), dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    slope = math.nan if np.count_nonzero(keep) < 3 else fit_rate(ts[keep], values[keep])
-    ok = np.ones(len(table), dtype=bool)
-    for lhs, rhs in pairs:
-        ok &= table.column(lhs) <= table.column(rhs) + CERT_TOL
-    failures = len(table) - int(np.count_nonzero(ok))
-    return {"fitted_slope": slope, "cert_checks": len(table), "cert_failures": failures}
+    """A run's certificate keys from its RowTable and `values`, folded
+    `_CHECK_ROWS` rows at a time from column views, so that memory does not
+    grow with the rows: `fitted_slope`, the streamed least-squares fit
+    (`_LogLogFit`) of log value against log t over the rows with a positive
+    value (NaN below three such rows); `cert_checks`, the rows; and
+    `cert_failures`, the rows where some (lhs, rhs) column pair misses
+    lhs <= rhs + CERT_TOL (a NaN misses)."""
+    ts = table.column("t")
+    columns = [(table.column(lhs), table.column(rhs)) for lhs, rhs in pairs]
+    fit = _LogLogFit()
+    failures = 0
+    for start in range(0, len(table), _CHECK_ROWS):
+        block = slice(start, start + _CHECK_ROWS)
+        v = values[block]
+        keep = v > 0
+        fit.add(ts[block][keep], v[keep])
+        ok = np.ones(len(v), dtype=bool)
+        for lhs, rhs in columns:
+            ok &= lhs[block] <= rhs[block] + CERT_TOL
+        failures += len(v) - int(np.count_nonzero(ok))
+    return {"fitted_slope": fit.slope, "cert_checks": len(table), "cert_failures": failures}
 
 
 # ---------------------------------------------------------------- runners
@@ -535,10 +599,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Make the output directory, dispatch to the configured kind, and write
     the trace and summary files into it.
 
-    The directory comes first, so an unusable `out` fails before round 1;
-    input that fails later leaves it empty.
+    The directory comes first, so an unusable `out` fails before round 1.
+    Input that the runner finds bad, before any file is written, removes the
+    directories this call made; a directory that existed before stays.
     """
     out_dir = Path(config.out)
+    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))  # innermost first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -546,9 +612,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
     try:
         header, rows, summary, extras, verdicts = KINDS[config.kind][0](config)
-    except ConfigError:
-        raise
     except ValueError as exc:
+        for directory in made:
+            with suppress(OSError):
+                directory.rmdir()
+        if isinstance(exc, ConfigError):
+            raise
         # invalid horizon/delta/epsilon surfaced by the underlying module
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - started

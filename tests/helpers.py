@@ -2,6 +2,7 @@
 import contextlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -431,6 +432,34 @@ def reference_format_cell(value):
 def reference_write_csv(path, header, rows):
     lines = (",".join(map(reference_format_cell, row)) for row in rows)
     _write_fresh(path, itertools.chain([",".join(header)], lines))
+
+
+def reference_checks(table, values, *pairs):
+    """harness._checks as it was before its fold: whole-column passes, the
+    slope from np.polyfit over the rows with a positive value."""
+    ts = np.asarray(table.column("t"), dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > 0
+    if np.count_nonzero(keep) < 3:
+        slope = math.nan
+    else:
+        slope = float(np.polyfit(np.log(ts[keep]), np.log(values[keep]), 1)[0])
+    ok = np.ones(len(table), dtype=bool)
+    for lhs, rhs in pairs:
+        ok &= table.column(lhs) <= table.column(rhs) + 1e-9
+    failures = len(table) - int(np.count_nonzero(ok))
+    return {"fitted_slope": slope, "cert_checks": len(table), "cert_failures": failures}
+
+
+def exact_log_slope(ts, values):
+    """The least-squares slope of np.log(value) against np.log(t) over the
+    rows with a positive value, in exact rational arithmetic on those logs."""
+    keep = np.asarray(values) > 0
+    x = [Fraction(v) for v in np.log(np.asarray(ts, dtype=float)[keep]).tolist()]
+    y = [Fraction(v) for v in np.log(np.asarray(values)[keep]).tolist()]
+    n = len(x)
+    sx, sy = sum(x), sum(y)
+    return float((n * sum(a * b for a, b in zip(x, y)) - sx * sy) / (n * sum(a * a for a in x) - sx * sx))
 
 
 # ---------------------------------------------------------------- reference loops

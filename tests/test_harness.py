@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_write_csv
+from helpers import exact_log_slope, reference_checks, reference_write_csv
 from omdkit import cli
 from omdkit import harness
-from omdkit._rows import Constant, Rows
+from omdkit._rows import Constant, RowTable, Rows
 from omdkit._linalg import ProjectionError
 from omdkit.convexprog import CpRound, FlowSolution
 from omdkit.games import TraceRow, bandit_cap
@@ -58,6 +58,87 @@ def test_fit_rate_rejections():
         fit_rate([0.0, 2.0, 3.0], [1.0, 0.5, 0.1])
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0, 3.0], [1.0, 0.5])
+
+
+def test_fit_rate_is_nan_when_every_horizon_is_the_same():
+    assert math.isnan(fit_rate([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+
+
+@dataclasses.dataclass
+class _CheckRow:
+    t: int
+    value: float
+    lhs: float
+    rhs: float
+
+
+def _check_table(t, value, lhs, rhs) -> RowTable:
+    table = RowTable(_CheckRow)
+    table.extend(t, value, lhs, rhs)
+    return table
+
+
+_BLOCK_EDGES = [k * harness._CHECK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@st.composite
+def _check_rows(draw):
+    """Rows t = 1..n whose values mix positive ones (about c t^-a, with
+    noise), zeros, negatives and NaN, and whose (lhs, rhs) pairs hold, miss,
+    sit at the tolerance or are NaN."""
+    n = draw(st.sampled_from([3, 4, *_BLOCK_EDGES]) | st.integers(3, 3 * harness._CHECK_ROWS + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positive = draw(st.sampled_from([0.0, 2.0 / n, 0.05, 0.5, 1.0]))
+    noise = draw(st.sampled_from([0.0, 1e-6, 0.1, 3.0]))
+    t = np.arange(1, n + 1)
+    value = np.exp(np.log(rng.uniform(0.1, 10.0)) - rng.uniform(0.0, 2.0) * np.log(t) + noise * rng.normal(size=n))
+    other = rng.choice(np.array([0.0, -0.0, -0.5, math.nan]), size=n)
+    value = np.where(rng.uniform(size=n) < positive, value, other)
+    rhs = rng.normal(size=n)
+    lhs = rhs + rng.choice(np.array([-1.0, 0.0, 1e-9, 2e-9, 1.0, math.nan]), size=n)
+    rhs[rng.uniform(size=n) < 0.01] = math.nan
+    return _check_table(t, value, lhs, rhs)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_check_rows())
+def test_checks_fold_against_the_whole_column_reference(table):
+    # cert_failures and the NaN of fewer than three positive rows exactly as
+    # the frozen whole-column code; fitted_slope within 1e-12 (absolute or
+    # relative) of its np.polyfit slope, and of the exact slope of the same
+    # logs: polyfit itself misses that by up to about 1e-10 on a few
+    # adjacent rows at large t, where only the exact slope decides
+    values = table.column("value")
+    got = harness._checks(table, values, ("lhs", "rhs"))
+    want = reference_checks(table, values, ("lhs", "rhs"))
+    assert got["cert_checks"] == want["cert_checks"] == len(table)
+    assert got["cert_failures"] == want["cert_failures"]
+    slope, polyfit = got["fitted_slope"], want["fitted_slope"]
+    if math.isnan(polyfit):
+        assert math.isnan(slope)
+        return
+    exact = exact_log_slope(table.column("t"), values)
+    assert abs(slope - exact) <= 1e-12 * max(1.0, abs(exact))
+    assert abs(slope - polyfit) <= 1e-12 * max(1.0, abs(polyfit)) or abs(polyfit - exact) > 1e-12 * max(1.0, abs(exact))
+
+
+def test_checks_take_memory_independent_of_the_rows():
+    # the fold reads column views a block at a time; the whole-column code
+    # this replaces took about 89 B a row more at T=20000 than at T=2000
+    peaks = []
+    for T in (2000, 20000):
+        t = np.arange(1, T + 1)
+        table = _check_table(t, 1.0 / t, np.zeros(T), np.ones(T))
+        values = table.column("value")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            checks = harness._checks(table, values, ("lhs", "rhs"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert checks["cert_failures"] == 0 and checks["fitted_slope"] == pytest.approx(-1.0)
+    assert peaks[1] - peaks[0] < 18000
 
 
 # ---------------------------------------------------------------- parsers
@@ -648,6 +729,31 @@ def test_cli_out_of_range_values_exit_two(tmp_path, capsys, argv, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, matrix, flags, message",
+    [
+        # the bound depends on the matrix and the horizon, so only the runner checks it
+        ("game-bandit", "1,-1\n-0.5,1\n", ["--delta", "10"], "delta 10 exceeds the mixing-floor bound"),
+        ("game", "1,x\n", [], ":1: bad entry 'x'"),
+    ],
+)
+@pytest.mark.parametrize("existed", [False, True])
+def test_bad_input_found_by_the_runner_leaves_no_out_it_made(tmp_path, capsys, kind, matrix, flags, message, existed):
+    made = tmp_path / "a"
+    out = made / "b" / "run"
+    if existed:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("an earlier run's file\n")
+    code = cli.main([kind, "--matrix", _matrix_file(tmp_path, matrix), *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    if existed:
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    else:
+        assert not made.exists()
+
+
 def _subcommands(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -698,12 +804,6 @@ def test_unusable_out_fails_before_the_solver_runs(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {out}: ")
-
-
-def test_bad_input_found_by_the_solver_leaves_an_empty_out(tmp_path, capsys):
-    code = cli.main(["game", "--matrix", _matrix_file(tmp_path, "1,x\n"), "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert list((tmp_path / "run").iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["mirror-prox", "game"])

@@ -38,3 +38,20 @@ def test_breaks_file_names_one_case_a_line_with_comments():
     assert identity.read_breaks(text) == ["game-10x10-T2", "maxflow-small"]
     assert identity.read_breaks("") == []
 
+
+def test_a_summary_difference_names_its_keys():
+    before = b"kind=game\nfitted_slope=-1.0\ncert_failures=0\nstatus=0\n"
+    after = b"kind=game\nfitted_slope=-1.0000000000000002\ncert_failures=1\nstatus=0\n"
+    assert identity.describe("summary.txt", before, after) == "summary.txt differs: fitted_slope, cert_failures"
+    assert identity.describe("summary.txt", before, before + b"mixing=true\n") == "summary.txt differs: mixing"
+    reordered = b"kind=game\ncert_failures=0\nfitted_slope=-1.0\nstatus=0\n"
+    assert identity.describe("summary.txt", before, reordered) == "summary.txt differs: key order"
+
+
+def test_a_csv_difference_names_its_first_line():
+    before = b"t,gap\n1,0.5\n2,0.25\n3,0.125\n"
+    assert identity.describe("trace.csv", before, b"t,gap\n1,0.5\n2,0.2\n3,0.1\n") == "trace.csv differs from line 3"
+    assert identity.describe("trace.csv", before, before + b"4,0.0625\n") == "trace.csv differs from line 5"
+    assert identity.describe("flows.csv", before, before.rstrip(b"\n")) == "flows.csv differs from line 4"
+    assert identity.describe("flows.csv", None, before) == "flows.csv written by the change only"
+    assert identity.describe("flows.csv", before, None) == "flows.csv written by the parent only"

@@ -14,8 +14,10 @@ to sink, which no candidate searches.
 
 A case whose outputs are meant to change is declared, by name, in the
 change tree's `tools/identity_breaks.txt`: one case name a line, `#`
-comments and blank lines allowed. Prints one line per difference and one per
-failure, and exits 1 if any case fails the verdict (`verdict`), else 0.
+comments and blank lines allowed. Prints one line per difference, which
+names what differs (`describe`: the summary keys, the first CSV line), and
+one per failure, and exits 1 if any case fails the verdict (`verdict`),
+else 0.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +127,23 @@ def outputs(directory: Path) -> dict[str, bytes]:
     return found
 
 
+def describe(file: str, before: bytes | None, after: bytes | None) -> str:
+    """What differs in one output of a case, as its difference line says it:
+    the summary keys whose lines differ, in the parent's key order and then
+    the change's (`key order` when only the order moved); the first line of
+    a CSV that differs, the header being line 1; or the side that alone
+    wrote the file."""
+    if before is None or after is None:
+        return f"{file} written by the {'change' if before is None else 'parent'} only"
+    old, new = before.splitlines(keepends=True), after.splitlines(keepends=True)
+    if file == "summary.txt":
+        old_keys, new_keys = (dict(line.partition(b"=")[::2] for line in lines) for lines in (old, new))
+        keys = [key.decode() for key in {**old_keys, **new_keys} if old_keys.get(key) != new_keys.get(key)]
+        return f"{file} differs: {', '.join(keys) or 'key order'}"
+    line = next(i for i, pair in enumerate(zip_longest(old, new), start=1) if pair[0] != pair[1])
+    return f"{file} differs from line {line}"
+
+
 def read_breaks(text: str) -> list[str]:
     """The case names a breaks file declares: one a line, less `#` comments
     and blank lines."""
@@ -178,7 +198,7 @@ def main(argv=None) -> int:
                 differ.append(f"{name}: exit status {status['parent'][name]} -> {status['change'][name]}")
             for file in sorted(before.keys() | after.keys()):
                 if before.get(file) != after.get(file):
-                    differ.append(f"{name}: {file} differs")
+                    differ.append(f"{name}: {describe(file, before.get(file), after.get(file))}")
     breaks = args.change / BREAKS
     declared = read_breaks(breaks.read_text()) if breaks.is_file() else []
     names = [name for name, _ in cases]
