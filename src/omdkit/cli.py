@@ -48,8 +48,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ProjectionError as exc:
-        print(f"internal error: {exc} (residual {exc.residual!r})", file=sys.stderr)
+    except (ProjectionError, ValueError) as exc:
+        # a fault inside a solver on accepted input: a ConfigError is caught above
+        residual = f" (residual {exc.residual!r})" if isinstance(exc, ProjectionError) else ""
+        print(f"internal error: {exc}{residual}", file=sys.stderr)
         return 3
     sys.stdout.write(result.summary_path.read_text())
     print(f"trace={result.trace_path}")

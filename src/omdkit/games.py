@@ -8,7 +8,9 @@ from four scalar payoffs at perturbed plays along a fixed tangent basis, and
 corrects with one estimate while predicting with the other.
 
 Both kinds share one learner, `_Learner`; a side supplies only what it
-observes and its step-size rule (`full_info_eta`, `bandit_eta`).
+observes and its step-size rule (`full_info_eta`, `bandit_eta`). Each side
+is one object: a full-information side is its own `SideCertificate`, and a
+bandit side its own `_SideRows`.
 
 Both kinds also keep the block contract of every certificate,
 `_rows._BlockRows`, through `_SideRows`. A round does only what the next
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._rows import RowTable, _block_rows, _BlockRows, _read_folded, _row_dots, _run_sum
 from .mirror import SimplexPoint
-from .saddle import _payoff_matrix, bilinear_gap
+from .saddle import _payoff_matrix
 
 ETA_CAP = 1.0 / 11.0
 # rounds a bandit side buffers before it folds them, its guard included
@@ -290,16 +292,16 @@ class SideCertificate(_SideRows):
         return self.lhs <= self.rhs + tol
 
 
-class FullInfoPlayer(_Learner):
-    """One side of the full-information dynamics.
+class FullInfoPlayer(_Learner, SideCertificate):
+    """One side of the full-information dynamics, and its own certificate.
 
     Observes its whole payoff vector each round and steps with
     `full_info_eta`. Besides the learner's state it keeps the last
-    observation and its own `certificate`, which every round goes into, and
-    which also keeps the side's block, its play sum and its columns.
-    The first play is uniform; `initial_observation` is the observation the
-    opponent's prescribed uniform start would induce (it seeds the t = 1
-    difference).
+    observation, and it is the side's `SideCertificate`: every round goes
+    into its rows, which also keep the side's block, its play sum and its
+    columns. `certificate` is the player itself. The first play is uniform;
+    `initial_observation` is the observation the opponent's prescribed
+    uniform start would induce (it seeds the t = 1 difference).
     """
 
     def __init__(self, n: int, T: int, initial_observation, mixing: bool = True):
@@ -308,31 +310,26 @@ class FullInfoPlayer(_Learner):
         if T < 2:
             raise ValueError("T must be at least 2")
         self._log_nt = math.log(n * T)  # read by _eta(), so set first
-        super().__init__(n, T, 1.0 / (T * T) if mixing else 0.0)
+        _Learner.__init__(self, n, T, 1.0 / (T * T) if mixing else 0.0)
+        SideCertificate.__init__(self, n, T)
         self.last_observation = np.asarray(initial_observation, dtype=float)
         if self.last_observation.shape != (n,):
             raise ValueError("initial observation has the wrong dimension")
         if not np.isfinite(self.last_observation).all():
             raise ValueError("initial observation has non-finite entries")
         self._last_tame = _tame(self.last_observation)
-        self.certificate = SideCertificate(n, T)
-        self.block = self.certificate.block
 
     def _eta(self) -> float:
         return _full_info_eta(self.sums, self._log_nt)
 
     @property
-    def play_sum(self) -> np.ndarray:
-        return self.certificate.play_sum
+    def certificate(self) -> FullInfoPlayer:
+        return self
 
     def step(self, w: np.ndarray) -> float:
         """One round on loss direction w; returns eta_t."""
         full_info_step(self, w)
         return self.eta
-
-    def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """The certificate's `fold()`."""
-        return self.certificate.fold()
 
 
 def _tame(obs: np.ndarray) -> bool:
@@ -353,7 +350,7 @@ def _check_wild(player: FullInfoPlayer, obs: np.ndarray) -> None:
 
     lo, hi = bounds(obs)
     last_lo, last_hi = bounds(player.last_observation)
-    cum_lo, cum_hi = bounds(player.certificate.cum_obs)
+    cum_lo, cum_hi = bounds(player.cum_obs)
     # rounding is monotone, so these bound every entry of each result
     if not (-math.inf < lo - last_hi and hi - last_lo < math.inf and -math.inf < lo - hi
             and -math.inf < cum_lo + lo and cum_hi + hi < math.inf):
@@ -366,11 +363,12 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     Folds ||obs_t - obs_{t-1}||_inf^2 into the running sums, updates the
     secondary iterate with eta_t (sums through t-1), applies the uniform
     mixing floor, forms the next play with eta_{t+1} (sums through t), and
-    hands the round to the player's certificate. This is where an
-    observation is checked: its shape, that every entry is finite, and that
-    no difference, square or running sum made from it overflows. A rejected
-    one raises ValueError before any arithmetic warns and leaves the player
-    as it was; only an observation that is not `_tame` is scanned.
+    takes the round into the player's own certificate rows (`update`). This
+    is where an observation is checked: its shape, that every entry is
+    finite, and that no difference, square or running sum made from it
+    overflows. A rejected one raises ValueError before any arithmetic warns
+    and leaves the player as it was; only an observation that is not
+    `_tame` is scanned.
     Returns (next play, updated player).
     """
     obs = np.asarray(observation, dtype=float)
@@ -392,9 +390,7 @@ def full_info_step(player: FullInfoPlayer, observation) -> tuple[SimplexPoint, F
     # constant shifts cancel in the normalization
     shifted = obs - np.maximum.reduce(obs)
     g_t = player._advance(increment, shifted, shifted)
-    player.certificate.update(
-        played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights
-    )
+    player.update(played, obs, player.eta, increment, g_t.weights, mixed_prev, player.g_prime.weights)
     player.last_observation = obs
     player._last_tame = tame
     return player.play, player
@@ -437,7 +433,9 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
     columns of that side, its trace entries and the smallest entry of its
     running sum of w, and the block's TraceRows go into the columns of a
     RowTable at once. The averages are the sides' running play sums,
-    `play_sum`.
+    `play_sum`, and the match's `gap` is the last row's: the duality gap of
+    the averaged plays, folded from the sides' running sums, with the bits
+    of trace.csv's last gap.
     """
     block = min(row.block, col.block)
     trace = RowTable(TraceRow)
@@ -457,17 +455,15 @@ def _self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
             gap -= low_row
             gap /= ts
             trace.extend(ts, eta_row, eta_col, gap, lhs_row, rhs_row, lhs_col, rhs_col)
-    f_avg = row.play_sum / T
-    x_avg = col.play_sum / T
     return MatchResult(
-        f_average=f_avg, x_average=x_avg, gap=bilinear_gap(a, f_avg, x_avg), trace=trace
+        f_average=row.play_sum / T, x_average=col.play_sum / T, gap=float(gap[-1]), trace=trace
     )
 
 
 def run_full_info_match(A, T: int, mixing: bool = True) -> MatchResult:
     """Self-play for T rounds; both sides start uniform and observe exactly
-    the payoff vector their opponent's play induces. Each side folds its
-    rounds into its own certificate a block at a time; no records are
+    the payoff vector their opponent's play induces. Each side is its own
+    certificate and folds its rounds a block at a time; no records are
     kept."""
     payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
     a = payoff.entries
@@ -762,17 +758,12 @@ class _BanditSide(_Learner, _SideRows):
         columns[2] = self.cap
 
 
-def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:
-    """Bandit self-play: each side sees only four scalar payoffs per round.
-
-    delta defaults to min(1e-6, half of each side's mixing-floor bound) and
-    is rejected above the floor bound (perturbed plays must stay inside the
-    simplex). A single seeded generator is split once per player, so reruns
-    with the same arguments are bit-identical.
-    """
-    payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
-    a = payoff.entries
-    n, m = payoff.n, payoff.m
+def _bandit_delta(n: int, m: int, T: int, delta: float | None) -> float:
+    """The perturbation size of an n x m bandit match at horizon T: `delta`,
+    or min(1e-6, half the mixing-floor bound) when it is None. ValueError
+    when a side has fewer than two actions, T is below 2, or delta is not
+    positive or exceeds the floor bound (perturbed plays must stay inside
+    the simplex)."""
     if n < 2 or m < 2:
         raise ValueError("bandit dynamics need at least two actions per side")
     if T < 2:
@@ -788,6 +779,20 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
             f"delta {delta:g} exceeds the mixing-floor bound {floor:g}; "
             "perturbed plays would leave the simplex"
         )
+    return delta
+
+
+def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> MatchResult:
+    """Bandit self-play: each side sees only four scalar payoffs per round.
+
+    delta defaults to min(1e-6, half of each side's mixing-floor bound) and
+    is rejected above the floor bound (perturbed plays must stay inside the
+    simplex). A single seeded generator is split once per player, so reruns
+    with the same arguments are bit-identical.
+    """
+    payoff = A if isinstance(A, PayoffMatrix) else PayoffMatrix(A)
+    n, m = payoff.n, payoff.m
+    delta = _bandit_delta(n, m, T, delta)
     rng = np.random.default_rng(seed)
     row_rng, col_rng = rng.spawn(2)
     row = _BanditSide(n, m, T, delta, row_rng)
@@ -796,7 +801,7 @@ def run_bandit_match(A, T: int, delta: float | None = None, seed: int = 0) -> Ma
     # threshold, where delta is large enough that rounding stays far below it
     estimator_tol = max(1e-9, _estimator_tol(row.basis, delta), _estimator_tol(col.basis, delta))
 
-    result = _self_play(a, T, row, col)
+    result = _self_play(payoff.entries, T, row, col)
     result.summary = {
         "delta": delta,
         "estimator_error_row": row.max_error,

@@ -34,8 +34,10 @@ Exit status (returned by `cli.main`):
      key; an unreadable or malformed instance file, naming its line; an
      output directory that cannot be made, found before the solver runs,
      or written);
-  3  internal numeric fault inside a solver (ProjectionError), reported with
-     its residual; the input was accepted but the run could not finish.
+  3  internal numeric fault inside a solver: a ProjectionError, reported
+     with its residual, or any other ValueError that is not a ConfigError;
+     the input was accepted but the run could not finish, and no --out
+     directory the run made is left behind.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from ._rows import Constant, Rows
 from .convexprog import FlowNetwork, builtin_cp_instances, max_flow, solve_cp
-from .games import PayoffMatrix, run_bandit_match, run_full_info_match
+from .games import PayoffMatrix, _bandit_delta, run_bandit_match, run_full_info_match
 from .offline import builtin_problems, holder_optimize, mirror_prox
 from .saddle import bilinear_problem, saddle_solve
 
@@ -399,7 +401,12 @@ def _run_game(config: ExperimentConfig):
         header = ["t", "eta_row", "eta_col", "gap", "cert_lhs_row", "cert_rhs_row", "cert_lhs_col", "cert_rhs_col"]
         rows = res.trace.rows(*header)
     else:
-        res = run_bandit_match(payoff, T, delta=config.delta, seed=config.seed)
+        # the two bandit checks that are bad input, made before the match
+        try:
+            delta = _bandit_delta(payoff.n, payoff.m, T, config.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        res = run_bandit_match(payoff, T, delta=delta, seed=config.seed)
         # the bandit certificate is the step discipline: each eta against its cap
         header = ["t", "eta_row", "eta_col", "gap", "cap_row", "cap_col"]
         caps = (Constant(res.summary["cap_row"], T), Constant(res.summary["cap_col"], T))
@@ -600,8 +607,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the trace and summary files into it.
 
     The directory comes first, so an unusable `out` fails before round 1.
-    Input that the runner finds bad, before any file is written, removes the
-    directories this call made; a directory that existed before stays.
+    An exception from the runner, raised before any file is written, removes
+    the directories this call made (a directory that existed before stays)
+    and passes on unchanged: a `ConfigError` is bad input, anything else a
+    fault inside the solver.
     """
     out_dir = Path(config.out)
     made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))  # innermost first
@@ -612,14 +621,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
     try:
         header, rows, summary, extras, verdicts = KINDS[config.kind][0](config)
-    except ValueError as exc:
+    except BaseException:
         for directory in made:
             with suppress(OSError):
                 directory.rmdir()
-        if isinstance(exc, ConfigError):
-            raise
-        # invalid horizon/delta/epsilon surfaced by the underlying module
-        raise ConfigError(str(exc)) from exc
+        raise
     elapsed = time.perf_counter() - started
 
     # the solvers' run-level verdicts: the bandit estimator guard, cvxprog's

@@ -286,7 +286,9 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     checked: its shape, and that every entry is finite (for the euclidean
     map, by the projection of the step: "the point is not finite"). An
     entropy step also rejects a loss whose scaled spread eta * (min - max)
-    overflows, before any arithmetic warns.
+    overflows, and a euclidean step with eta above 1 a loss whose step
+    eta * loss, or whose step from the base, overflows, before any
+    arithmetic warns.
     """
     # written so that NaN fails the check too
     if not 0.0 < eta < math.inf:
@@ -306,6 +308,12 @@ def prox_step(mirror_map: MirrorMap, base, loss, eta: float):
     basew = point_weights(base)
     if basew.size != mirror_map.dim:
         raise ValueError(f"base has dimension {basew.size}, map expects {mirror_map.dim}")
+    if eta > 1.0:  # at eta <= 1 the step of a finite loss is finite
+        with np.errstate(over="raise"):
+            try:
+                np.subtract(basew, loss * eta)
+            except FloatingPointError:
+                raise ValueError("loss vector overflows: eta * loss or base - eta * loss is not finite") from None
     # this call's own array: the ball projection may scale it in place
     step = loss * eta
     np.subtract(basew, step, out=step)

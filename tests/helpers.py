@@ -26,7 +26,7 @@ from omdkit.mirror import (
     point_weights,
 )
 from omdkit.offline import OfflineResult, OfflineRound, SmoothProblem
-from omdkit.saddle import SaddleResult, SaddleRound, bilinear_gap, saddle_eta
+from omdkit.saddle import SaddleResult, SaddleRound, saddle_eta
 
 
 # ---------------------------------------------------------------- offline problems
@@ -706,8 +706,9 @@ def reference_builtin_oracles():
 # ell_1 distance in its own reduction. Tests require the library to match it
 # bit for bit. The only code changes are in reference_self_play, which drops
 # the fourth value a side's step now returns (the smallest entry of the
-# side's running loss sum), and in reference_full_info_step, which adds the
-# play to the player's `play_sum` as the match loops once did.
+# side's running loss sum) and returns its own last gap_t as the match's gap
+# (once bilinear_gap of the averages), and in reference_full_info_step,
+# which adds the play to the player's `play_sum` as the match loops once did.
 # `reference_games()` puts these in the games module's place, so the
 # library's match functions run the old round.
 
@@ -817,9 +818,7 @@ def reference_self_play(a: np.ndarray, T: int, row, col) -> MatchResult:
         trace.extend([t], [eta_row], [eta_col], [gap_t], [lhs_row], [rhs_row], [lhs_col], [rhs_col])
     f_avg = f_sum / T
     x_avg = x_sum / T
-    return MatchResult(
-        f_average=f_avg, x_average=x_avg, gap=bilinear_gap(a, f_avg, x_avg), trace=trace
-    )
+    return MatchResult(f_average=f_avg, x_average=x_avg, gap=gap_t, trace=trace)
 
 
 # ---------------------------------------------------------------- the step/fold contract

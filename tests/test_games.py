@@ -293,6 +293,14 @@ def test_match_certificates_and_gap_pennies():
     last = res.trace[-1]
     assert last.cert_lhs_row == pytest.approx(res.row_certificate.lhs, rel=1e-12)
     assert last.cert_rhs_row == pytest.approx(res.row_certificate.rhs, rel=1e-12)
+    # each side is one object, its own certificate: the row certificate is
+    # the row player, whose play sum gives the row average
+    side = res.row_certificate
+    assert isinstance(side, games.FullInfoPlayer) and isinstance(side, games.SideCertificate)
+    assert side.certificate is side
+    assert (side.play_sum / T).tobytes() == res.f_average.tobytes()
+    # the match's gap is the trace's last one, bit for bit
+    assert repr(res.gap) == repr(last.gap)
 
 
 def test_match_keeps_no_per_round_records():

@@ -370,6 +370,12 @@ def test_zero_matrix_game_gap_zero_status_zero(tmp_path):
     assert lines[0] == "t,eta_row,eta_col,gap,cert_lhs_row,cert_rhs_row,cert_lhs_col,cert_rhs_col"
     assert len(lines) == 11
     assert "status=0" in result.summary_path.read_text().splitlines()
+    # on equal entries the running sums cancel exactly; the gap of the
+    # averages, taken apart from them, once read -4.440892098500626e-16 here
+    ones = _matrix_file(tmp_path, "1,1,1\n1,1,1\n")
+    for kind in ("game", "game-bandit"):
+        result = run_experiment(ExperimentConfig(kind=kind, matrix=ones, rounds=40, out=str(tmp_path / kind)))
+        assert "gap=0.0" in result.summary_path.read_text().splitlines(), kind
 
 
 def test_maxflow_parallel_edges(tmp_path):
@@ -600,6 +606,11 @@ def test_trace_rows_are_the_file_and_solver_rows_are_built_on_access(tmp_path, m
         lines = result.trace_path.read_text().splitlines()
         rows = result.trace_rows
         assert [",".join(map(harness._format_cell, row)) for row in rows] == lines[1:], kind
+        # a kind whose trace carries its headline writes the last cell's text
+        headline = {"mirror-prox": "suboptimality", "holder": "suboptimality"}.get(kind, "gap")
+        if headline in result.trace_header:
+            cell = lines[-1].split(",")[result.trace_header.index(headline)]
+            assert f"{headline}={cell}" in result.summary_path.read_text().splitlines(), kind
         assert len(rows) == len(lines) - 1 == result.summary["cert_checks"], kind
         assert rows[-1] == tuple(rows)[-1], kind
         if kind not in _SOLVER_ROWS:
@@ -689,9 +700,20 @@ def test_cli_no_mixing_flag(tmp_path, capsys):
     assert "mixing=false" in capsys.readouterr().out
 
 
-def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (ProjectionError("affine projection residual 5.000e-01 exceeds tolerance", 0.5),
+         "internal error: affine projection residual 5.000e-01 exceeds tolerance (residual 0.5)"),
+        # a solver's own check on accepted input once exited 2, as bad input
+        (ValueError("step size must be positive and finite, got nan"),
+         "internal error: step size must be positive and finite, got nan"),
+    ],
+    ids=["projection", "value-error"],
+)
+def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch, fault, message):
     def faulty_max_flow(network, epsilon):
-        raise ProjectionError("affine projection residual 5.000e-01 exceeds tolerance", 0.5)
+        raise fault
 
     monkeypatch.setattr(harness, "max_flow", faulty_max_flow)
     code = cli.main(
@@ -699,8 +721,8 @@ def test_cli_numeric_fault_exit_three(tmp_path, capsys, monkeypatch):
     )
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith("internal error: affine projection residual")
-    assert "(residual 0.5)" in captured.err
+    assert captured.err == message + "\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -734,6 +756,7 @@ def test_cli_out_of_range_values_exit_two(tmp_path, capsys, argv, message):
     [
         # the bound depends on the matrix and the horizon, so only the runner checks it
         ("game-bandit", "1,-1\n-0.5,1\n", ["--delta", "10"], "delta 10 exceeds the mixing-floor bound"),
+        ("game-bandit", "1,-1\n", [], "bandit dynamics need at least two actions per side"),
         ("game", "1,x\n", [], ":1: bad entry 'x'"),
     ],
 )

@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -754,6 +755,21 @@ def test_entropy_prox_rejects_an_overflowing_spread_before_any_warning(loss, eta
     # the largest spread that does not overflow still steps
     out = prox_step(m, base, [1e308, 0.0, -7e307][: len(loss)], 1.0)
     assert np.all(np.isfinite(out.weights)) and out.weights[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "m, base",
+    [(MirrorMap.euclidean_ball(2), [0.0, 0.0]), (MirrorMap.euclidean_simplex(2), [0.5, 0.5])],
+    ids=["ball", "simplex"],
+)
+def test_euclidean_prox_rejects_an_overflowing_step_before_any_warning(m, base):
+    # eta * loss overflows; the step once warned, then the projection raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflows"):
+            prox_step(m, np.array(base), [1e308, 0.0], 10.0)
+        # a step that does not overflow still projects, at eta above 1 too
+        assert np.isfinite(prox_step(m, np.array(base), [1e300, 0.0], 10.0)).all()
 
 
 # ---------------------------------------------------------------- aliasing
